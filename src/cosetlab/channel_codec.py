@@ -28,11 +28,12 @@ import numpy as np
 from .capacity import CapacityResult
 from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw, mass
 from .errors import CapExceededError, EmptyCosetError
-from .gf_linalg import (COSET_ENUMERATION_CAP, GfVector, LinearMap,
+from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, GfVector, LinearMap,
                         _row_reduce, coset_array, matvec, stack_maps)
 from .rng import make_rng
 from .sources_channels import Channel, info_measures, joint_from_channel
-from .sw_codec import (MAP_EXACT, ErrorEstimate, SwCodec, _map_pick, decode_map,
+from .sw_codec import (MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _map_pick,
+                       _posterior_log_weights, _product_law, decode_map,
                        decode_stochastic, derived_seed,
                        error_probability as sw_error_probability, wilson_std_err)
 
@@ -145,15 +146,6 @@ def decode(codec: ChannelCodec, y, seed=0) -> GfVector:
     return matvec(codec.b_map, x_hat)
 
 
-def _all_y(ys: int, n: int) -> np.ndarray:
-    idx = np.arange(ys ** n, dtype=np.int64)
-    out = np.empty((ys ** n, n), dtype=np.int64)
-    for pos in range(n):
-        out[:, pos] = idx % ys
-        idx //= ys
-    return out
-
-
 def _code_of_messages(codec: ChannelCodec, msgs: np.ndarray) -> np.ndarray:
     """Base-q integer encoding of message rows."""
     q = codec.field.q
@@ -172,70 +164,51 @@ def _msg_codes(codec: ChannelCodec, vectors: np.ndarray) -> np.ndarray:
 
 
 def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
+    """Encoder-error share plus the decoding error, every channel output at once.
+
+    Every encoder coset {x : A x = c, B x = m} lies in the decoder's coset
+    {x : A x = c}, so the members of that one coset, grouped by message,
+    give both the conditional input law of each message and the decoder's
+    candidates.  Channel outputs are decoded a chunk at a time.
+    """
     q, n = codec.field.q, codec.n
     ys = codec.channel.output_size
-    msgs = codec.messages()
-    stacked_solver = codec.stacked.solver()
+    m_count = codec.message_count
     max_coset = q ** (n - codec.stacked.rank)
-    if len(msgs) * max_coset * (ys ** n) > cap:
+    if m_count * max_coset * (ys ** n) > cap:
         raise CapExceededError(
-            f"exact channel error needs {len(msgs) * max_coset * ys ** n} terms, "
+            f"exact channel error needs {m_count * max_coset * ys ** n} terms, "
             f"above the cap {cap}")
 
-    # Decoded-message distribution for every channel output block.
-    y_all = _all_y(ys, n)
-    sol_c = codec.sw.solver.solve(codec.syndrome)
-    members_a = codec.sw.coset_members(sol_c.particular.as_array())
-    member_codes = _msg_codes(codec, members_a)
-    cond = codec.sw.source.cond_x_given_y
-    pos = np.arange(n)
-    n_y = ys ** n
-    if codec.sw.decoder == MAP_EXACT:
-        decoded_code = np.empty(n_y, dtype=np.int64)
-        for yi in range(n_y):
-            with np.errstate(divide="ignore"):
-                logw = np.log2(cond[:, y_all[yi]]).T
-            decoded_code[yi] = member_codes[_map_pick(members_a, logw, n)]
-        def msg_hit_prob(code):
-            return (decoded_code == code).astype(float)
-    else:
-        hit = {}
-        def msg_hit_prob(code):
-            if code not in hit:
-                prob = np.zeros(n_y)
-                for yi in range(n_y):
-                    post = cond[:, y_all[yi]].T
-                    nu = post[pos[None, :], members_a].prod(axis=1)
-                    total = nu.sum()
-                    if total > 0.0:
-                        prob[yi] = nu[member_codes == code].sum() / total
-                hit[code] = prob
-            return hit[code]
+    sw = codec.sw
+    members = sw.coset_members(sw.solver.solve(codec.syndrome).particular.as_array())
+    member_codes = _msg_codes(codec, members)
+    order = np.argsort(member_codes, kind="stable")
+    members, member_codes = members[order], member_codes[order]
+    first = np.r_[True, member_codes[1:] != member_codes[:-1]]
+    starts, member_msg = np.flatnonzero(first), np.cumsum(first) - 1
 
-    px = codec.sw.source.x_marginal
-    trans = codec.channel.transition
-    m_count = len(msgs)
-    err = 0.0
-    for m_row in msgs:
-        m_vec = GfVector.from_array(codec.field, m_row)
-        rhs = GfVector(codec.field, codec.syndrome.entries + m_vec.entries)
-        sol = stacked_solver.solve(rhs)
-        if sol.is_empty:
-            err += 1.0 / m_count
-            continue
-        members = coset_array(sol, cap=codec.coset_cap)
-        weights = px[members].prod(axis=1)
-        mass_m = weights.sum()
-        if mass_m <= 0.0:
-            err += 1.0 / m_count
-            continue
-        code = int(_code_of_messages(codec, m_row[None, :])[0])
-        p_hit = msg_hit_prob(code)
-        for x_row, w in zip(members, weights):
-            if w == 0.0:
-                continue
-            wy = trans[x_row[:, None], y_all.T].prod(axis=0)  # W(y|x) over all y
-            err += w / (m_count * mass_m) * float(wy @ (1.0 - p_hit))
+    # encoder law: x given its message m, drawn uniformly; mass-zero or
+    # inconsistent messages are encoder errors
+    px = sw.source.x_marginal[members].prod(axis=1)
+    mass = np.add.reduceat(px, starts)
+    good = mass > 0.0
+    encoder_weight = np.divide(px, m_count * mass[member_msg], out=np.zeros_like(px),
+                               where=good[member_msg])
+    err = (m_count - np.count_nonzero(good)) / m_count
+
+    cond = sw.source.cond_x_given_y
+    for y in _blocks(ys, n, max(1, CHUNK_ENTRIES // (len(members) * n))):
+        if sw.decoder == MAP_EXACT:
+            decoded = member_msg[_map_pick(members, _posterior_log_weights(cond, y))]
+            miss = decoded[:, None] != member_msg[None, :]
+        else:
+            hits = np.add.reduceat(_product_law(cond, members, y), starts, axis=1)
+            total = hits.sum(axis=1, keepdims=True)  # posterior mass per message, summed
+            p_hit = np.divide(hits, total, out=np.zeros_like(hits), where=total > 0.0)
+            miss = 1.0 - p_hit[:, member_msg]
+        w_y = _product_law(codec.channel.transition, members, y)  # W(y | x)
+        err += float((w_y * miss).sum(axis=0) @ encoder_weight)
     return ErrorEstimate(value=min(max(err, 0.0), 1.0), mode="exact")
 
 
@@ -280,7 +253,7 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
         if codec.sw.decoder == MAP_EXACT:
             with np.errstate(divide="ignore"):
                 logw = np.log2(cond[:, y]).T
-            decoded = member_codes[_map_pick(members_a, logw, n)]
+            decoded = member_codes[_map_pick(members_a, logw)]
         else:
             post = cond[:, y].T
             nu = post[pos[None, :], members_a].prod(axis=1)

@@ -315,7 +315,7 @@ def write_csv(path: str, header: List[str], rows: List[dict]) -> None:
 
 def _format_cell(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # np.float64 is a float whose repr names its type
     return str(value)
 
 

@@ -22,8 +22,21 @@ ensemble requires beta < 1; the exact expurgated alpha is available from
 the expurgated spectrum whenever full enumeration is feasible and is
 what the certifier uses.
 
-Exact enumeration is capped at 2^20 ensemble members; beyond the cap
-only sampled spectrum estimates (with standard errors) are offered.
+Every member is linear, so collisions depend only on the difference of
+the two words:
+
+    P(A x = A x') = z[x' - x],   z[d] = sum_b p_b [A_b d = 0].
+
+All exact results come from one members x words table of image codes and
+this kernel mass z: expurgation keeps a member iff no light non-zero word
+maps to 0, the type spectrum is z summed by word type, the direct
+collision pair takes the maximum of z over d != 0, and the per-word
+collision check of the certifier is one mass over z that every word
+shares.
+
+Exact enumeration is capped at 2^20 ensemble members, and the image-code
+table at 2^24 entries; beyond the caps only sampled spectrum estimates
+(with standard errors) are offered.
 """
 
 from __future__ import annotations
@@ -35,8 +48,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, ExpurgationError
-from .gf_linalg import (COSET_ENUMERATION_CAP, FieldSpec, GfVector, LinearMap,
-                        coset_array, solve_affine)
+from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, FieldSpec, GfVector,
+                        LinearMap, base_digits, coset_array, image_codes, solve_affine)
 from .rng import make_rng
 
 UNIFORM = "uniform-linear"
@@ -47,6 +60,7 @@ BALANCED_COLORING = "balanced-coloring"
 COLLISION_RESISTANCE = "collision-resistance"
 
 ENSEMBLE_ENUMERATION_CAP = 2 ** 20
+IMAGE_TABLE_CAP = 2 ** 24
 
 # Strict comparisons against float thresholds get this much relative slack,
 # so borderline-equal collision probabilities are not misread as violations.
@@ -253,13 +267,13 @@ class EnumeratedEnsemble:
             yield LinearMap.from_array(self.spec.field, arr)
 
 
-def _digit_expand(count: int, positions: int, base: int) -> np.ndarray:
-    idx = np.arange(count, dtype=np.int64)
-    digits = np.empty((count, positions), dtype=np.int64)
-    for pos in range(positions):
-        digits[:, pos] = idx % base
-        idx //= base
-    return digits
+def _all_words(q: int, n: int, rows: int) -> np.ndarray:
+    """Every word of GF(q)^n, once a rows x q^n image-code table fits the cap."""
+    if rows * q ** n > IMAGE_TABLE_CAP:
+        raise CapExceededError(
+            f"image-code table of {rows} members x {q ** n} words is above the cap "
+            f"{IMAGE_TABLE_CAP}; shrink l or n")
+    return base_digits(np.arange(q ** n), n, q)
 
 
 def enumerate_ensemble(spec: EnsembleSpec,
@@ -272,8 +286,7 @@ def enumerate_ensemble(spec: EnsembleSpec,
             raise CapExceededError(
                 f"uniform ensemble has {count} members, above the cap {cap}; "
                 "use the sampled spectrum instead")
-        digits = _digit_expand(count, l * n, q)
-        arrays = digits.reshape(count, l, n)
+        arrays = base_digits(np.arange(count), l * n, q).reshape(count, l, n)
         probs = np.full(count, 1.0 / count)
         return EnumeratedEnsemble(spec, arrays, probs)
     if spec.kind == SYSTEMATIC_SPARSE:
@@ -284,7 +297,7 @@ def enumerate_ensemble(spec: EnsembleSpec,
         if count > cap:
             raise CapExceededError(
                 f"sparse ensemble enumeration needs {count} pick sequences, above the cap {cap}")
-        digits = _digit_expand(count, picks, base)
+        digits = base_digits(np.arange(count), picks, base)
         arrays = np.zeros((count, l, n), dtype=np.int64)
         arrays[:, :, :l] = np.eye(l, dtype=np.int64)[None, :, :]
         rows_of_pick = np.repeat(np.arange(l), spec.row_weight)
@@ -296,11 +309,13 @@ def enumerate_ensemble(spec: EnsembleSpec,
             arrays[ar, r, col] = (arrays[ar, r, col] + val) % q
         probs = np.full(count, 1.0 / count)
         return EnumeratedEnsemble(spec, arrays, probs)
-    # expurgated
+    # expurgated: keep the members that map no light non-zero word to 0,
+    # i.e. whose kernel minimum weight exceeds gamma * n
     inner = enumerate_ensemble(spec.inner, cap=cap)
-    threshold = spec.gamma * n
-    keep = np.array([kernel_min_weight(LinearMap.from_array(spec.field, arr)) > threshold
-                     for arr in inner.arrays])
+    words = _all_words(q, n, inner.count)
+    weights = np.count_nonzero(words, axis=1)
+    light = words[(weights > 0) & (weights <= spec.gamma * n)]
+    keep = (image_codes(inner.arrays, q, light) != 0).all(axis=1)
     if not keep.any():
         raise ExpurgationError(
             f"expurgation invalid at gamma={spec.gamma}: no ensemble member survives")
@@ -320,55 +335,74 @@ def members(spec: EnsembleSpec, cap: int = ENSEMBLE_ENUMERATION_CAP):
 # type spectrum and (alpha, beta)
 # ---------------------------------------------------------------------------
 
-def _kernel_type_counts(a: LinearMap) -> dict:
-    sol = solve_affine(a, GfVector.zeros(a.field, a.rows))
-    counts: dict = {}
-    for row in coset_array(sol):
-        t = TypeVector.of(row, a.field.q)
-        counts[t] = counts.get(t, 0) + 1
-    return counts
+def _ensemble_table(spec: EnsembleSpec, cap: int):
+    """(members, all words, image codes, kernel mass z) of the full ensemble.
+
+    codes[b, i] encodes A_b applied to word i, and z[d] = sum_b p_b [A_b d = 0]
+    is accumulated a block of members at a time.  Word 0 is the zero word.
+    """
+    ens = enumerate_ensemble(spec, cap=cap)
+    words = _all_words(spec.field.q, spec.cols, ens.count)
+    codes = image_codes(ens.arrays, spec.field.q, words)
+    z = np.zeros(len(words))
+    step = max(1, CHUNK_ENTRIES // len(words))
+    for b0 in range(0, ens.count, step):
+        z += ens.probs[b0:b0 + step] @ (codes[b0:b0 + step] == 0)
+    return ens, words, codes, z
+
+
+def _type_index(words: np.ndarray, q: int, types) -> np.ndarray:
+    """Position in ``types`` of the type of each word (row)."""
+    counts = np.stack([np.count_nonzero(words == a, axis=1) for a in range(q)], axis=1)
+    keys, inverse = np.unique(counts, axis=0, return_inverse=True)
+    position = {t.counts: i for i, t in enumerate(types)}
+    return np.array([position[tuple(int(c) for c in k)] for k in keys])[inverse.ravel()]
 
 
 def type_spectrum(spec: EnsembleSpec, cap: int = ENSEMBLE_ENUMERATION_CAP) -> dict:
     """Expected number of kernel words per type, S(p, t), exactly.
 
-    Closed form for the uniform kind; full enumeration otherwise.
+    Closed form for the uniform kind; otherwise the kernel mass z summed
+    over the words of each type.
     """
     q, l, n = spec.field.q, spec.rows, spec.cols
+    types = all_types(q, n)
     if spec.kind == UNIFORM:
         out = {}
-        for t in all_types(q, n):
+        for t in types:
             if t.weight == 0:
                 out[t] = 1.0  # the zero word is in every kernel
             else:
                 out[t] = type_class_size(t) * float(q) ** (-l)
         return out
-    ens = enumerate_ensemble(spec, cap=cap)
-    out = {t: 0.0 for t in all_types(q, n)}
-    for arr, p in zip(ens.arrays, ens.probs):
-        for t, c in _kernel_type_counts(LinearMap.from_array(spec.field, arr)).items():
-            out[t] += p * c
-    return out
+    _, words, _, z = _ensemble_table(spec, cap)
+    per_type = np.bincount(_type_index(words, q, types), weights=z, minlength=len(types))
+    return {t: float(s) for t, s in zip(types, per_type)}
 
 
 def type_spectrum_sampled(spec: EnsembleSpec, samples: int, seed):
-    """Monte Carlo spectrum estimate: per-type mean and standard error."""
+    """Monte Carlo spectrum estimate: per-type mean and standard error.
+
+    ``seed`` must be a Python or numpy integer; sample s is drawn from the
+    generator seeded with (seed, s).
+    """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     q, n = spec.field.q, spec.cols
     types = all_types(q, n)
+    zero = GfVector.zeros(spec.field, spec.rows)
     counts = np.zeros((samples, len(types)))
-    index = {t: i for i, t in enumerate(types)}
     # per-sample generators keep the estimate independent of evaluation order
-    base = seed if isinstance(seed, int) else 0
     for s in range(samples):
-        a = sample_map(spec, np.random.default_rng([base, s]))
-        for t, c in _kernel_type_counts(a).items():
-            counts[s, index[t]] = c
+        a = sample_map(spec, np.random.default_rng([int(seed), s]))
+        kernel = coset_array(solve_affine(a, zero))
+        counts[s] = np.bincount(_type_index(kernel, q, types), minlength=len(types))
     mean = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / math.sqrt(samples)
-    return ({t: float(mean[i]) for t, i in index.items()},
-            {t: float(se[i]) for t, i in index.items()})
+    return ({t: float(m) for t, m in zip(types, mean)},
+            {t: float(e) for t, e in zip(types, se)})
 
 
 def _heavy_types(q: int, n: int, gamma: float):
@@ -433,17 +467,8 @@ def certified_collision_params(spec: EnsembleSpec, kind: str = COLLISION_RESISTA
     pins the first coordinates), so this direct pair is the one to
     certify it with.
     """
-    ens = enumerate_ensemble(spec, cap=cap)
-    q, n = spec.field.q, spec.cols
-    if ens.count * q ** n > 2 ** 24:
-        raise CapExceededError("collision-probability table too large; shrink l, n")
-    codes = _image_codes(ens, _all_words(q, n))
-    worst = 0.0
-    for i in range(q ** n):
-        pc = ens.probs @ (codes == codes[:, i:i + 1])
-        pc[i] = 0.0
-        worst = max(worst, float(pc.max()))
-    return HashParams(alpha=ensemble_image_size(spec) * worst, beta=0.0, kind=kind)
+    _, _, _, z = _ensemble_table(spec, cap)
+    return HashParams(alpha=ensemble_image_size(spec) * float(z[1:].max()), beta=0.0, kind=kind)
 
 
 def expurgated_params_bound(inner: EnsembleSpec, gamma: float,
@@ -465,18 +490,6 @@ def expurgated_params_bound(inner: EnsembleSpec, gamma: float,
 # ---------------------------------------------------------------------------
 # exact certification
 # ---------------------------------------------------------------------------
-
-def _all_words(q: int, n: int) -> np.ndarray:
-    return _digit_expand(q ** n, n, q)
-
-
-def _image_codes(ens: EnumeratedEnsemble, words: np.ndarray) -> np.ndarray:
-    """codes[b, i] = base-q encoding of member b applied to word i."""
-    q, l = ens.spec.field.q, ens.spec.rows
-    images = np.einsum("blk,ik->bli", ens.arrays, words) % q
-    pow_q = q ** np.arange(l, dtype=np.int64)
-    return np.tensordot(images, pow_q, axes=([1], [0]))
-
 
 @dataclass
 class PairCheck:
@@ -552,6 +565,29 @@ def random_collision_pairs(field: FieldSpec, n: int, count: int, seed):
     return pairs
 
 
+def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarray:
+    """lhs[k] = sum_b p_b sum_{m in Im} | Q_k(T_k n C_b(m)) / Q_k(T_k) - 1/|Im| |.
+
+    One bincount per block of members covers every pair: bucket
+    (k, b, m) collects qt[k, i] over the words i that member b maps to m.
+    """
+    pairs, n_words = qt.shape
+    n_codes = len(im_mask)
+    lhs = np.zeros(pairs)
+    step = max(1, CHUNK_ENTRIES // (pairs * n_words))
+    for b0 in range(0, len(probs), step):
+        block = codes[b0:b0 + step].astype(np.int64)
+        rows = len(block)
+        bucket = (np.arange(pairs)[:, None, None] * rows
+                  + np.arange(rows)[None, :, None]) * n_codes + block[None, :, :]
+        weights = np.broadcast_to(qt[:, None, :], bucket.shape)
+        mass = np.bincount(bucket.ravel(), weights=weights.ravel(),
+                           minlength=pairs * rows * n_codes).reshape(pairs, rows, n_codes)
+        defect = np.abs(mass[:, :, im_mask] / q_total[:, None, None] - 1.0 / im_size)
+        lhs += defect.sum(axis=2) @ probs[b0:b0 + step]
+    return lhs
+
+
 def certify_hash_property(spec: EnsembleSpec, params: HashParams,
                           partition_pairs: Sequence = (),
                           collision_pairs: Sequence = (),
@@ -573,43 +609,35 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
 
     Violations are collected in the report, never raised.
     """
-    ens = enumerate_ensemble(spec, cap=cap)
-    q, l, n = spec.field.q, spec.rows, spec.cols
-    n_words = q ** n
-    if ens.count * n_words > 2 ** 24:
-        raise CapExceededError("certification workload too large; shrink l, n")
-    words = _all_words(q, n)
-    codes = _image_codes(ens, words)
+    ens, words, codes, z = _ensemble_table(spec, cap)
+    q, l = spec.field.q, spec.rows
     probs = ens.probs
     im_size = ensemble_image_size(spec)
     threshold = params.alpha / im_size
 
+    # P(A x = A x') = z[x' - x]: every word sees the same partner masses
+    partners = z[1:]
+    mass = float(partners[partners > threshold * (1.0 + _REL_SLACK)].sum())
     violations = []
-    for i in range(n_words):
-        pc = probs @ (codes == codes[:, i:i + 1])
-        pc[i] = 0.0
-        mass = float(pc[pc > threshold * (1.0 + _REL_SLACK)].sum())
-        if mass > params.beta * (1.0 + _REL_SLACK) + _REL_SLACK:
-            violations.append(f"x={tuple(int(v) for v in words[i])}: "
-                              f"excess collision mass {mass} > beta {params.beta}")
+    if mass > params.beta * (1.0 + _REL_SLACK) + _REL_SLACK:
+        violations = [f"x={tuple(int(v) for v in w)}: "
+                      f"excess collision mass {mass} > beta {params.beta}" for w in words]
 
-    im_mask = np.zeros(q ** l, dtype=bool)
-    im_mask[np.unique(codes)] = True
-
+    im_mask = np.bincount(codes.ravel(), minlength=q ** l) > 0
     partition_checks = []
-    for k, (q_fn, t_mask) in enumerate(partition_pairs):
-        qt = np.asarray(q_fn, dtype=np.float64) * t_mask
-        q_total = float(qt.sum())
-        if q_total <= 0.0:
+    partition_pairs = list(partition_pairs)
+    if partition_pairs:
+        qt = np.array([np.asarray(q_fn, dtype=np.float64) * t_mask
+                       for q_fn, t_mask in partition_pairs])
+        q_total = qt.sum(axis=1)
+        if (q_total <= 0.0).any():
             raise ValueError("Q must put positive mass on T")
-        lhs = 0.0
-        for b in range(ens.count):
-            bc = np.bincount(codes[b], weights=qt, minlength=q ** l)
-            lhs += probs[b] * float(np.abs(bc[im_mask] / q_total - 1.0 / im_size).sum())
-        q_max = float(np.asarray(q_fn)[t_mask].max())
-        arg = params.alpha - 1.0 + (params.beta + 1.0) * im_size * q_max / q_total
-        rhs = math.sqrt(max(arg, 0.0))
-        partition_checks.append(PairCheck(label=f"partition-{k}", lhs=lhs, rhs=rhs))
+        lhs = _partition_defects(codes, probs, qt, q_total, im_mask, im_size)
+        for k, (q_fn, t_mask) in enumerate(partition_pairs):
+            q_max = float(np.asarray(q_fn)[t_mask].max())
+            arg = params.alpha - 1.0 + (params.beta + 1.0) * im_size * q_max / q_total[k]
+            partition_checks.append(PairCheck(label=f"partition-{k}", lhs=float(lhs[k]),
+                                              rhs=math.sqrt(max(arg, 0.0))))
 
     collision_set_checks = []
     for k, (g_mask, u) in enumerate(collision_pairs):
@@ -624,7 +652,7 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
         collision_set_checks.append(PairCheck(label=f"collision-set-{k}", lhs=lhs, rhs=rhs))
 
     return CertificationReport(spec=spec, params=params,
-                               collision_checked=n_words,
+                               collision_checked=len(words),
                                collision_violations=violations,
                                partition_checks=partition_checks,
                                collision_set_checks=collision_set_checks,

@@ -24,6 +24,10 @@ from .errors import CapExceededError
 # Cosets larger than this are never materialized; callers fall back to MCMC.
 COSET_ENUMERATION_CAP = 2 ** 16
 
+# Exhaustive enumerations build their temporaries this many entries at a
+# time (about 1 MB of float64), so peak memory stays flat as tables grow.
+CHUNK_ENTRIES = 2 ** 17
+
 
 def _is_prime(m: int) -> bool:
     if m < 2:
@@ -357,6 +361,40 @@ def coset_array(sol: AffineSolution, cap: int = COSET_ENUMERATION_CAP) -> np.nda
     coeffs = np.indices((q,) * d).reshape(d, -1).T  # (q^d, d), row-major counting
     basis = np.array([b.entries for b in sol.null_basis], dtype=np.int64)
     return (part[None, :] + coeffs @ basis) % q
+
+
+def base_digits(idx: np.ndarray, positions: int, base: int) -> np.ndarray:
+    """Base-``base`` digits of each integer in ``idx``, least significant first.
+
+    ``base_digits(np.arange(q ** n), n, q)`` lists every length-n word in
+    the order that ``digits @ q ** arange(n)`` maps back to the index.
+    """
+    rem = np.array(idx, dtype=np.int64)
+    digits = np.empty((rem.size, positions), dtype=np.int64)
+    for pos in range(positions):
+        digits[:, pos] = rem % base
+        rem //= base
+    return digits
+
+
+def image_codes(maps: np.ndarray, q: int, words: np.ndarray) -> np.ndarray:
+    """codes[b, i] = base-q integer of maps[b] @ words[i] mod q (row r weighs q^r).
+
+    ``maps`` is a (count, l, n) stack.  The table is filled a block of maps
+    at a time, so no temporary exceeds about CHUNK_ENTRIES entries, and is
+    stored in the narrowest unsigned type that holds q^l - 1.
+    """
+    count, l, _ = maps.shape
+    codes = np.empty((count, len(words)), dtype=np.min_scalar_type(q ** l - 1))
+    step = max(1, CHUNK_ENTRIES // max(len(words), 1))
+    words_t = words.T
+    for b0 in range(0, count, step):
+        block = np.zeros((min(step, count - b0), len(words)), dtype=np.int64)
+        for r in reversed(range(l)):
+            block *= q
+            block += (maps[b0:b0 + step, r, :] @ words_t) % q
+        codes[b0:b0 + step] = block
+    return codes
 
 
 def stack_maps(maps: Sequence[LinearMap]) -> LinearMap:

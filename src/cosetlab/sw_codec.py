@@ -22,8 +22,8 @@ import numpy as np
 
 from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from .errors import CapExceededError, DecodeFailure, EmptyCosetError
-from .gf_linalg import (COSET_ENUMERATION_CAP, FieldSpec, GfVector, LinearMap,
-                        coset_array, matvec)
+from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, FieldSpec, GfVector,
+                        LinearMap, base_digits, coset_array, image_codes, matvec)
 from .sources_channels import JointSource
 
 MAP_EXACT = "map-exact"
@@ -101,22 +101,35 @@ def encode(codec: SwCodec, x: GfVector) -> GfVector:
     return matvec(codec.matrix, x)
 
 
-def _posterior_log_weights(codec: SwCodec, y: np.ndarray) -> np.ndarray:
-    """logw[i, a] = log2 mu(a | y_i); -inf marks zero-probability letters."""
-    cond = codec.source.cond_x_given_y[:, y]  # (q, n)
+def _posterior_log_weights(cond: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """logw[..., i, a] = log2 mu(a | y[..., i]); -inf marks zero-probability letters."""
     with np.errstate(divide="ignore"):
-        return np.log2(cond).T
+        return np.log2(np.moveaxis(cond[:, y], 0, -1))
 
 
-def _map_pick(members: np.ndarray, logw: np.ndarray, n: int) -> int:
-    scores = logw[np.arange(n)[None, :], members].sum(axis=1)
-    best = scores.max()
-    tied = np.flatnonzero(scores == best)
-    if tied.size == 1:
-        return int(tied[0])
-    rows = members[tied]
-    order = np.lexsort(rows.T[::-1])  # first column is the primary key
-    return int(tied[order[0]])
+# Posteriors within this relative distance of the best are tied.  The margin
+# is far above the rounding of a summed log-score (about 1e-13), so equal
+# posteriors tie whatever order the sum is taken in.
+_MAP_TIE_RTOL = 1e-9
+_TIE_LOG2 = math.log2(1.0 - _MAP_TIE_RTOL)
+
+
+def _map_pick(members: np.ndarray, logw: np.ndarray):
+    """Index of the MAP member of the coset for each posterior table.
+
+    ``logw[..., k, a] = log2 mu(a | y_k)``; leading axes index a batch of
+    side-information blocks.  Ties follow the rule stated on decode_map.
+    """
+    scores = logw[..., np.arange(members.shape[1]), members].sum(axis=-1)
+    tied = scores >= scores.max(axis=-1, keepdims=True) + _TIE_LOG2
+    picks = tied.argmax(axis=-1)
+    if np.count_nonzero(tied) > picks.size:
+        # rank the members tied in any row; column 0 is the primary key
+        cand = np.flatnonzero(tied.reshape(-1, len(members)).any(axis=0))
+        rank = np.full(len(members), len(members))
+        rank[cand[np.lexsort(members[cand].T[::-1])]] = np.arange(len(cand))
+        picks = np.where(tied, rank, len(members)).argmin(axis=-1)
+    return picks
 
 
 def _check_y(codec: SwCodec, y) -> np.ndarray:
@@ -129,13 +142,18 @@ def _check_y(codec: SwCodec, y) -> np.ndarray:
 
 
 def decode_map(codec: SwCodec, c: GfVector, y) -> GfVector:
-    """Coset member maximizing the posterior; lexicographic tie-break."""
+    """Coset member maximizing the posterior.
+
+    Members whose posterior lies within a relative 1e-9 of the maximum are
+    tied, and the lexicographically smallest tied member is returned, so
+    rounding in the summed log-scores never splits equal posteriors.
+    """
     y_arr = _check_y(codec, y)
     sol = codec.solver.solve(c)
     if sol.is_empty:
         raise DecodeFailure("syndrome outside the image of the encoding map")
     members = codec.coset_members(sol.particular.as_array())
-    pick = _map_pick(members, _posterior_log_weights(codec, y_arr), codec.n)
+    pick = _map_pick(members, _posterior_log_weights(codec.source.cond_x_given_y, y_arr))
     return GfVector.from_array(codec.field, members[pick])
 
 
@@ -151,59 +169,50 @@ def decode_stochastic(codec: SwCodec, c: GfVector, y, seed) -> GfVector:
         raise DecodeFailure(str(exc)) from exc
 
 
-def _all_words(q: int, n: int) -> np.ndarray:
-    idx = np.arange(q ** n, dtype=np.int64)
-    words = np.empty((q ** n, n), dtype=np.int64)
-    for pos in range(n):
-        words[:, pos] = idx % q
-        idx //= q
-    return words
+def _blocks(size: int, n: int, per_block: int):
+    """Every length-n block over range(size), per_block at a time, in base_digits order."""
+    total = size ** n
+    for start in range(0, total, per_block):
+        yield base_digits(np.arange(start, min(start + per_block, total)), n, size)
+
+
+def _product_law(letters: np.ndarray, words: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[j, i] = prod_k letters[words[i, k], y[j, k]] for a single-letter table."""
+    out = letters[words[None, :, 0], y[:, :1]]
+    for k in range(1, words.shape[1]):
+        out = out * letters[words[None, :, k], y[:, k:k + 1]]
+    return out
 
 
 def _exact_error(codec: SwCodec, cap: int) -> ErrorEstimate:
+    """Sum over (y, coset) of the coset's probability mass the decoder loses.
+
+    With p = mu(x, y) over the members of one syndrome coset, MAP decoding
+    keeps max p and posterior sampling keeps sum p^2 / sum p.  Words are
+    sorted by syndrome so each coset is a contiguous segment, and the
+    side-information blocks are taken a chunk at a time.
+    """
     q, n = codec.field.q, codec.n
     ys = codec.source.y_size
     if (q ** n) * (ys ** n) > cap:
         raise CapExceededError(
             f"exact error needs {(q ** n) * (ys ** n)} joint outcomes, above the cap {cap}")
-    words = _all_words(q, n)
-    arr = codec.matrix.as_array()
-    if codec.matrix.rows:
-        syndromes = (arr @ words.T) % q
-        codes = (q ** np.arange(codec.matrix.rows, dtype=np.int64)) @ syndromes
-    else:
-        codes = np.zeros(q ** n, dtype=np.int64)
-    cosets = {}
-    for i, code in enumerate(codes):
-        cosets.setdefault(int(code), []).append(i)
-    cosets = {code: np.array(idx) for code, idx in cosets.items()}
+    words = base_digits(np.arange(q ** n), n, q)
+    codes = image_codes(codec.matrix.as_array()[None], q, words)[0]
+    order = np.argsort(codes, kind="stable")
+    words, codes = words[order], codes[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
 
-    joint = codec.source.joint
-    cond = codec.source.cond_x_given_y
     err = 0.0
-    pos = np.arange(n)
-    for y_flat in range(ys ** n):
-        rem, y_arr = y_flat, np.empty(n, dtype=np.int64)
-        for p in range(n):
-            y_arr[p] = rem % ys
-            rem //= ys
-        pxy = joint[words, y_arr[None, :]].prod(axis=1)
+    for y in _blocks(ys, n, max(1, CHUNK_ENTRIES // len(words))):
+        pxy = _product_law(codec.source.joint, words, y)
+        total = np.add.reduceat(pxy, starts, axis=1)
         if codec.decoder == MAP_EXACT:
-            with np.errstate(divide="ignore"):
-                logw = np.log2(cond[:, y_arr]).T
-            for idx in cosets.values():
-                members = words[idx]
-                pick = _map_pick(members, logw, n)
-                err += float(pxy[idx].sum() - pxy[idx[pick]])
+            kept = np.maximum.reduceat(pxy, starts, axis=1)
         else:
-            post = cond[:, y_arr].T  # (n, q)
-            for idx in cosets.values():
-                members = words[idx]
-                nu = post[pos[None, :], members].prod(axis=1)
-                total = nu.sum()
-                if total <= 0.0:
-                    continue  # every member also has mu(x, y) = 0
-                err += float((pxy[idx] * (1.0 - nu / total)).sum())
+            kept = np.divide(np.add.reduceat(pxy * pxy, starts, axis=1), total,
+                             out=np.zeros_like(total), where=total > 0.0)
+        err += float((total - kept).sum())
     return ErrorEstimate(value=min(max(err, 0.0), 1.0), mode="exact")
 
 
@@ -225,7 +234,7 @@ def _mc_error(codec: SwCodec, trials: int, seed) -> ErrorEstimate:
         if codec.decoder == MAP_EXACT:
             with np.errstate(divide="ignore"):
                 logw = np.log2(source.cond_x_given_y[:, yi]).T
-            pick = _map_pick(members, logw, n)
+            pick = _map_pick(members, logw)
             decoded = members[pick]
         else:
             post = source.cond_x_given_y[:, yi].T

@@ -7,7 +7,7 @@ from cosetlab import channel_codec as cc
 from cosetlab import ensembles as ens
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
-from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, matvec
+from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
 
 F2 = FieldSpec(2)
 
@@ -295,3 +295,34 @@ def test_pipeline_rejects_empty_window():
                                ensemble_a=ens.uniform_ensemble(F2, 5, 8),
                                ensemble_b=ens.uniform_ensemble(F2, 2, 8),
                                trials=100, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_map_error_equals_decode_map_loop(seed):
+    # the exact evaluator decodes every output in one batch; it must agree
+    # with decoding each output through decode_map, ties included
+    n, l_a, l_b = 12, 8, 3
+    channel = sc.make_bsc(0.11)
+    source = sc.joint_from_channel(np.full(2, 0.5), channel)
+    rng = np.random.default_rng(seed)
+    a = LinearMap.from_array(F2, rng.integers(0, 2, (l_a, n)))
+    b = LinearMap.from_array(F2, rng.integers(0, 2, (l_b, n)))
+    codec = cc.build(sw.SwCodec(a, source), b, channel, seed=seed)
+    outputs = np.array(list(itertools.product(range(2), repeat=n)))
+    decoded = np.array([cc.decode(codec, y).entries for y in outputs])
+    msgs = codec.messages()
+    solver = codec.stacked.solver()
+    px = source.x_marginal
+    err = 0.0
+    for m_row in msgs:
+        sol = solver.solve(GfVector(F2, codec.syndrome.entries + tuple(int(v) for v in m_row)))
+        members = coset_array(sol)
+        weights = px[members].prod(axis=1)
+        if not len(members) or weights.sum() <= 0.0:
+            err += 1.0 / len(msgs)
+            continue
+        wrong = (decoded != m_row).any(axis=1)
+        for x, w in zip(members, weights):
+            w_y = channel.transition[x[None, :], outputs].prod(axis=1)
+            err += w / (len(msgs) * weights.sum()) * float(w_y @ wrong)
+    assert cc.error_probability(codec, "exact").value == pytest.approx(err, abs=1e-12)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cosetlab import cli
@@ -187,3 +188,27 @@ def test_validate_rate_conditions():
     assert any("decay not expected" in w for w in cli.validate("sw", converse))
     fine = {"p": "0.11", "rates": "0.7"}
     assert cli.validate("sw", fine) == []
+
+
+TINY_CONFIGS = {
+    "capacity": "channel = bsc\np = 0.11\n",
+    "hash-verify": "ensemble = expurgated-uniform\nq = 2\nl = 2\nn = 4\ngamma = 0.25\npairs = 5\n",
+    "sw": "p = 0.11\nrates = 0.7\nns = 6\ntrials = 50\n",
+    "channel": "channel = bsc\np = 0.11\nn = 8\nr = 0.7\nR = 0.25\ncandidates = 2\ntrials = 50\n",
+    "decision": "problems = 20\n",
+    "crng-test": "q = 2\nn = 6\nl = 2\ndraws = 2000\nmcmc_draws = 500\n",
+}
+
+
+def test_numpy_floats_are_written_as_numbers():
+    # numpy 2 reprs its scalars as np.float64(...); cells hold the number only
+    assert cli._format_cell(np.float64(1.1428571428571417)) == "1.1428571428571417"
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_cells_are_plain_numbers(tmp_path, experiment):
+    cfg = cli.parse_config(write_cfg(tmp_path, "c.cfg", TINY_CONFIGS[experiment] + "seed = 3\n"))
+    out = tmp_path / "c.csv"
+    cli.run(experiment, cfg, out=str(out))
+    cells = [cell for row in cli.result_rows(str(out)) for cell in row.split(",")]
+    assert not [cell for cell in cells if cell.startswith("np.")]

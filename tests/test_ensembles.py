@@ -5,7 +5,7 @@ import pytest
 
 from cosetlab import ensembles as ens
 from cosetlab.errors import ExpurgationError
-from cosetlab.gf_linalg import FieldSpec
+from cosetlab.gf_linalg import FieldSpec, LinearMap
 
 F2 = FieldSpec(2)
 
@@ -273,3 +273,151 @@ def test_csv_row_shape():
     assert list(row.keys()) == ["kind", "q", "l", "n", "gamma", "alpha", "beta",
                                 "violations", "checked"]
     assert row["violations"] == 0 and row["gamma"] == 0.0
+
+
+def test_sampled_spectrum_seed_types():
+    spec = ens.uniform_ensemble(F2, 2, 3)
+    mean, se = ens.type_spectrum_sampled(spec, samples=20, seed=5)
+    assert ens.type_spectrum_sampled(spec, samples=20, seed=np.int64(5)) == (mean, se)
+    assert ens.type_spectrum_sampled(spec, samples=20, seed=6)[0] != mean
+    for bad in (np.random.default_rng(5), 5.0, "5", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ens.type_spectrum_sampled(spec, samples=20, seed=bad)
+
+
+# ---------------------------------------------------------------------------
+# loop references for the image-code table: one LinearMap and one kernel
+# enumeration per member, one pass over the ensemble per word
+# ---------------------------------------------------------------------------
+
+F3 = FieldSpec(3)
+EQUIVALENCE_SPECS = {
+    "uniform-2x4": ens.uniform_ensemble(F2, 2, 4),
+    "gf3-uniform-1x3": ens.uniform_ensemble(F3, 1, 3),
+    "sparse-2x5-w1": ens.sparse_ensemble(F2, 2, 5, 1),
+    "expurgated-2x4": ens.expurgate(ens.uniform_ensemble(F2, 2, 4), 0.25),
+}
+
+
+def ref_words(q, n):
+    """Every word, in the library's order (position 0 is the least significant digit)."""
+    return [tuple(reversed(w)) for w in itertools.product(range(q), repeat=n)]
+
+
+def ref_images(spec):
+    """(probabilities, images[b][i]) with the image of word i under member b as a tuple."""
+    q = spec.field.q
+    words = ref_words(q, spec.cols)
+    probs, images = [], []
+    for a, p in ens.members(spec):
+        arr = a.as_array()
+        probs.append(p)
+        images.append([tuple(int(v) for v in (arr @ np.array(w)) % q) for w in words])
+    return probs, images
+
+
+def ref_spectrum(spec):
+    q = spec.field.q
+    out = {t: 0.0 for t in ens.all_types(q, spec.cols)}
+    for a, p in ens.members(spec):
+        for x in brute_kernel(a.entries, q, spec.cols):
+            out[ens.TypeVector.of(x, q)] += p
+    return out
+
+
+def ref_spectrum_params(spec, gamma):
+    q, l, n = spec.field.q, spec.rows, spec.cols
+    spectrum = ref_spectrum(spec)
+    heavy, light = ens._heavy_types(q, n, gamma)
+    alpha = max(spectrum[t] / (ens.type_class_size(t) * float(q) ** -l) for t in heavy)
+    return ens.HashParams(alpha=alpha, beta=sum(spectrum[t] for t in light))
+
+
+def ref_collision_params(spec):
+    probs, images = ref_images(spec)
+    size = len(images[0])
+    worst = max(sum(p for p, img in zip(probs, images) if img[i] == img[j])
+                for i in range(size) for j in range(size) if i != j)
+    return ens.HashParams(alpha=ens.ensemble_image_size(spec) * worst, beta=0.0)
+
+
+def ref_certify(spec, params, partition_pairs, collision_pairs):
+    """(violations, checked, partition lhs, collision-set lhs) by the per-word loops."""
+    slack = ens._REL_SLACK
+    probs, images = ref_images(spec)
+    size = len(images[0])
+    im_size = ens.ensemble_image_size(spec)
+    threshold = params.alpha / im_size
+    image_set = {m for img in images for m in img}
+    violations = 0
+    for i in range(size):
+        pc = [sum(p for p, img in zip(probs, images) if img[j] == img[i]) if j != i else 0.0
+              for j in range(size)]
+        mass = sum(v for v in pc if v > threshold * (1 + slack))
+        violations += mass > params.beta * (1 + slack) + slack
+    partition = []
+    for q_fn, t_mask in partition_pairs:
+        qt = np.asarray(q_fn) * t_mask
+        q_total = qt.sum()
+        lhs = 0.0
+        for p, img in zip(probs, images):
+            lhs += p * sum(abs(sum(qt[i] for i in range(size) if img[i] == m) / q_total
+                               - 1 / im_size) for m in image_set)
+        arg = params.alpha - 1 + (params.beta + 1) * im_size * qt[t_mask].max() / q_total
+        partition.append(lhs)
+        violations += not lhs <= max(arg, 0.0) ** 0.5 * (1 + slack) + slack
+    collision = []
+    for g_mask, u in collision_pairs:
+        g = [i for i in range(size) if g_mask[i] and i != u]
+        lhs = sum(p for p, img in zip(probs, images) if any(img[i] == img[u] for i in g))
+        collision.append(lhs)
+        rhs = int(np.sum(g_mask)) * params.alpha / im_size + params.beta
+        violations += not lhs <= rhs * (1 + slack) + slack
+    return violations, size + len(partition) + len(collision), partition, collision
+
+
+@pytest.mark.parametrize("name", ["uniform-2x4", "gf3-uniform-1x3", "sparse-2x5-w1"])
+def test_expurgation_keeps_the_kernel_weight_filter(name):
+    inner = EQUIVALENCE_SPECS[name]
+    spec = ens.expurgate(inner, 0.25)
+    members = ens.enumerate_ensemble(inner)
+    keep = [ens.kernel_min_weight(LinearMap.from_array(inner.field, arr)) > 0.25 * inner.cols
+            for arr in members.arrays]
+    expected = members.arrays[np.array(keep)]
+    if len(expected) == 0:  # sparse rows of weight 1 always leave a weight-1 kernel word
+        with pytest.raises(ExpurgationError):
+            ens.enumerate_ensemble(spec)
+    else:
+        assert np.array_equal(ens.enumerate_ensemble(spec).arrays, expected)
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SPECS))
+def test_spectrum_and_collision_pair_match_loops(name):
+    spec = EQUIVALENCE_SPECS[name]
+    got, ref = ens.type_spectrum(spec), ref_spectrum(spec)
+    assert got.keys() == ref.keys()
+    for t in ref:
+        assert got[t] == pytest.approx(ref[t], rel=1e-12, abs=1e-15)
+    assert ens.certified_collision_params(spec).alpha == pytest.approx(
+        ref_collision_params(spec).alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SPECS))
+def test_certification_matches_loops(name):
+    spec = EQUIVALENCE_SPECS[name]
+    n, seed = spec.cols, len(name)
+    pp = ens.random_partition_pairs(spec.field, n, 8, seed=seed)
+    cp = ens.random_collision_pairs(spec.field, n, 8, seed=seed + 1)
+    gamma = spec.gamma if spec.kind == ens.EXPURGATED else 0.25
+    spectrum_pair = (ens.compute_hash_params(spec) if spec.kind == ens.EXPURGATED
+                     else ens.compute_hash_params(spec, gamma=gamma))
+    for got_params, ref_params in ((spectrum_pair, ref_spectrum_params(spec, gamma)),
+                                   (ens.certified_collision_params(spec),
+                                    ref_collision_params(spec))):
+        assert got_params.alpha == pytest.approx(ref_params.alpha, rel=1e-12)
+        assert got_params.beta == pytest.approx(ref_params.beta, rel=1e-12, abs=1e-15)
+        row = ens.certify_hash_property(spec, got_params, pp, cp, gamma=gamma)
+        violations, checked, partition, collision = ref_certify(spec, ref_params, pp, cp)
+        assert (row.csv_row()["violations"], row.csv_row()["checked"]) == (violations, checked)
+        assert [c.lhs for c in row.partition_checks] == pytest.approx(partition, rel=1e-12)
+        assert [c.lhs for c in row.collision_set_checks] == pytest.approx(collision, rel=1e-12)

@@ -196,3 +196,22 @@ def test_ternary_codec_end_to_end():
     assert abs(exact.value - mc.value) <= 3 * mc.std_err
     stoch = sw.error_probability(sw.SwCodec(a, src, decoder=sw.STOCHASTIC), "exact")
     assert exact.value <= stoch.value + 1e-12 <= 2 * exact.value + 2e-12
+
+
+@pytest.mark.parametrize("n, l", [(12, 6), (16, 8)])
+def test_decode_map_returns_smallest_of_tied_maximizers(n, l):
+    # DSBS posteriors depend only on the Hamming distance to y, so the exact
+    # tie set is the set of coset members nearest to y; rounding in the
+    # summed log-scores must not split it
+    rng = np.random.default_rng(n)
+    a = LinearMap.from_array(F2, rng.integers(0, 2, (l, n)))
+    codec = sw.SwCodec(a, sc.make_dsbs(0.11))
+    words = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    syndromes = (words @ a.as_array().T) % 2
+    for _ in range(150):
+        x, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        c = (a.as_array() @ x) % 2
+        coset = words[(syndromes == c).all(axis=1)]
+        dist = np.count_nonzero(coset != y, axis=1)
+        expected = min(tuple(int(v) for v in row) for row in coset[dist == dist.min()])
+        assert sw.decode_map(codec, GfVector.from_array(F2, c), y).entries == expected
