@@ -9,17 +9,18 @@ the true restricted capacity.
 
 Restricting the support to at most q symbols and maximizing over all
 such supports gives the finite-signaling-alphabet capacity, which is
-non-decreasing in q and approaches the unrestricted value.  Exhaustive
-support search is capped at alphabet size 16; larger alphabets need the
-sampled-subset fallback.
+non-decreasing in q and approaches the unrestricted value.  The sweep
+is one batched solve over all candidate supports whose rows are
+bit-identical to single solves.  Exhaustive support search is capped at
+alphabet size 16; larger alphabets need the sampled-subset fallback.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .rng import make_rng
 from .sources_channels import Channel, info_measures, joint_from_channel
 
 SUPPORT_SEARCH_CAP = 16
+_MAX_ITER = 200000
 
 
 @dataclass(eq=False)
@@ -47,41 +49,63 @@ class CapacityResult:
 
 
 def blahut_arimoto(channel: Channel, support: Optional[Sequence[int]] = None,
-                   tol: float = 1e-9, max_iter: int = 200000) -> CapacityResult:
+                   tol: float = 1e-9, max_iter: int = _MAX_ITER) -> CapacityResult:
     """Capacity of a discrete memoryless channel, inputs outside ``support`` pinned to 0."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    w_full = channel.transition
     nx = channel.input_size
     support = tuple(range(nx)) if support is None else tuple(sorted(set(int(s) for s in support)))
     if not support or any(not 0 <= s < nx for s in support):
         raise ValueError("support must be a non-empty subset of the input alphabet")
-    w = w_full[list(support)]
-    k = len(support)
-    mask = w > 0.0
-    logw = np.where(mask, np.log2(np.where(mask, w, 1.0)), 0.0)
-
-    r = np.full(k, 1.0 / k)
-    best_lo, best_hi = -math.inf, math.inf
     trace = []
+    (res,) = _solve(channel, [support], tol, max_iter, trace)
+    return replace(res, bracket_trace=tuple(trace))
+
+
+def _solve(channel: Channel, supports, tol: float, max_iter: int,
+           trace: Optional[list] = None) -> List[CapacityResult]:
+    """Blahut-Arimoto on every sorted support at once, one masked input-law row each.
+
+    Rows are combined only by elementwise products and last-axis sums (no
+    BLAS), so each row's result is bit-identical to the batch of one on its
+    support.  A row retires at its own convergence; ``trace`` (batch of
+    one) receives the running bracket after every iteration.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    w = channel.transition
+    allowed = np.zeros((len(supports), channel.input_size), dtype=bool)
+    for b, support in enumerate(supports):
+        allowed[b, list(support)] = True
+    pin = np.where(allowed, 0.0, -math.inf)  # keeps inputs off the support out of max and update
+    r = allowed / allowed.sum(axis=1, keepdims=True)
+    logw = np.log2(np.where(w > 0.0, w, 1.0))  # 0 where w = 0
+    w_t = np.ascontiguousarray(w.T)
+    live = np.arange(len(supports))  # result slot of each live row
+    best_lo, best_hi = np.full(len(supports), -math.inf), np.full(len(supports), math.inf)
+    results = [None] * len(supports)
     for it in range(1, max_iter + 1):
-        p_y = r @ w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_py = np.where(p_y > 0.0, np.log2(np.where(p_y > 0.0, p_y, 1.0)), 0.0)
-        d = (w * (logw - log_py[None, :])).sum(axis=1)  # KL(W(.|x) || p_y) in bits
-        lo = float(r @ d)
-        hi = float(d.max())
-        best_lo = max(best_lo, lo)
-        best_hi = min(best_hi, hi)
-        trace.append((best_lo, best_hi))
-        if best_hi - best_lo <= tol:
-            full = np.zeros(nx)
-            full[list(support)] = r
-            return CapacityResult(capacity=max(best_lo, 0.0), input_dist=full,
-                                  iterations=it, residual=best_hi - best_lo,
-                                  support=support, bracket_trace=tuple(trace))
-        r = r * np.exp2(d - d.max())
-        r /= r.sum()
+        p_y = (r[:, None, :] * w_t).sum(axis=2)
+        log_py = np.log2(np.where(p_y > 0.0, p_y, 1.0))  # 0 where p_y = 0
+        d = (w * (logw - log_py[:, None, :])).sum(axis=2)  # KL(W(.|x) || p_y) in bits
+        best_lo = np.maximum(best_lo, (r * d).sum(axis=1))
+        d += pin
+        hi = d.max(axis=1)
+        best_hi = np.minimum(best_hi, hi)
+        if trace is not None:
+            trace.append((best_lo.item(0), best_hi.item(0)))
+        gap = best_hi - best_lo
+        done = gap <= tol
+        if np.count_nonzero(done):  # cheaper than done.any() on a batch of one
+            for j in np.flatnonzero(done):
+                results[live[j]] = CapacityResult(
+                    capacity=max(best_lo.item(j), 0.0), input_dist=r[j].copy(), iterations=it,
+                    residual=gap.item(j), support=supports[live[j]])
+            if done.all():
+                return results
+            keep = ~done
+            live, pin, r, d, hi, best_lo, best_hi = (
+                a[keep] for a in (live, pin, r, d, hi, best_lo, best_hi))
+        r = r * np.exp2(d - hi[:, None])
+        r /= r.sum(axis=1, keepdims=True)
     raise RuntimeError(f"no convergence to tol={tol} within {max_iter} iterations")
 
 
@@ -102,41 +126,35 @@ def signaling_sweep(channel: Channel, q_values: Sequence[int], tol: float = 1e-9
                     sampled_subsets: Optional[int] = None, seed: int = 0):
     """Best capacity over supports of size at most q, for each requested q.
 
-    Exhaustive over all supports for alphabets up to 16 symbols (each
-    support solved once, cached per size, so the sweep is exactly
-    non-decreasing in q); larger alphabets must opt into random subset
-    sampling via ``sampled_subsets``, which loses that guarantee.
+    Exhaustive over all supports for alphabets up to 16 symbols, so the
+    sweep is exactly non-decreasing in q; larger alphabets must opt into
+    random subset sampling via ``sampled_subsets``, which loses that
+    guarantee.  All candidates are one batched solve, bit-identical to
+    single solves; the first maximum wins (smallest, then lexicographically
+    first support, or first drawn), re-solved alone for its bracket trace.
     """
     nx = channel.input_size
     for qv in q_values:
         if not 1 <= qv <= nx:
             raise ValueError("support size bound must lie in [1, input alphabet size]")
+    if sampled_subsets is not None and sampled_subsets < 1:
+        raise ValueError("sampled_subsets must be a positive count")
     if nx > SUPPORT_SEARCH_CAP and sampled_subsets is None:
         raise CapExceededError(
             f"alphabet of size {nx} is too large for exhaustive support search "
             f"(cap {SUPPORT_SEARCH_CAP}); pass sampled_subsets=<count> to sample")
-
-    def best_of(supports):
-        best = None
-        for s in supports:
-            res = blahut_arimoto(channel, support=s, tol=tol)
-            if best is None or res.capacity > best.capacity:
-                best = res
-        return best
-
-    results = []
+    if not q_values:
+        return []
     if nx <= SUPPORT_SEARCH_CAP:
-        by_size = {}
-        for qv in q_values:
-            for k in range(1, qv + 1):
-                if k not in by_size:
-                    by_size[k] = best_of(itertools.combinations(range(nx), k))
-            results.append(max((by_size[k] for k in range(1, qv + 1)),
-                               key=lambda r: r.capacity))
+        supports = [s for k in range(1, max(q_values) + 1)
+                    for s in itertools.combinations(range(nx), k)]
+        eligible = [np.array([len(s) <= qv for s in supports]) for qv in q_values]
     else:
         rng = make_rng(seed)
-        for qv in q_values:
-            supports = [tuple(sorted(rng.choice(nx, size=qv, replace=False)))
-                        for _ in range(sampled_subsets)]
-            results.append(best_of(supports))
-    return results
+        supports = [tuple(sorted(int(x) for x in rng.choice(nx, size=qv, replace=False)))
+                    for qv in q_values for _ in range(sampled_subsets)]
+        eligible = [np.arange(len(supports)) // sampled_subsets == i
+                    for i in range(len(q_values))]
+    caps = np.array([res.capacity for res in _solve(channel, supports, tol, _MAX_ITER)])
+    winners = [supports[int(np.argmax(np.where(e, caps, -math.inf)))] for e in eligible]
+    return [blahut_arimoto(channel, support=s, tol=tol) for s in winners]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -30,11 +29,10 @@ from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw, m
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, GfVector, LinearMap,
                         _row_reduce, coset_array, matvec, stack_maps)
-from .rng import make_rng
+from .rng import derived_seed, make_rng
 from .sources_channels import Channel, info_measures, joint_from_channel
 from .sw_codec import (MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _map_pick,
-                       _posterior_log_weights, _product_law, decode_map,
-                       decode_stochastic, derived_seed,
+                       _posterior_log_weights, _product_law, decode_map, decode_stochastic,
                        error_probability as sw_error_probability, wilson_std_err)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
@@ -335,15 +333,15 @@ class SearchResult:
 
 
 def search_code(sw: SwCodec, ensemble_b, channel: Channel, candidates: int,
-                trials: int, seed: int, threads: int = 1) -> SearchResult:
+                trials: int, seed: int) -> SearchResult:
     """Random search over (B, c) pairs; returns the best with the baseline.
 
     The baseline is the error of the underlying syndrome decoder on the
     codec's own joint source (for a matched setup, the joint induced by
     the input law and the channel).  A nominal rate sum at or above the
     input entropy is recorded as an advisory warning, not an error.
-    Candidate evaluations depend only on (seed, candidate index), so they
-    may run in any order or in parallel.
+    Candidate evaluations depend only on (seed, candidate index), so each
+    can be reproduced in isolation.
     """
     from .ensembles import sample_map
 
@@ -358,23 +356,14 @@ def search_code(sw: SwCodec, ensemble_b, channel: Channel, candidates: int,
     baseline = sw_error_probability(sw, mode="mc", trials=trials,
                                     seed=derived_seed(seed, 0))
 
-    def evaluate(k: int):
+    codecs, errors, seeds = [], [], []
+    for k in range(candidates):
         b = sample_map(ensemble_b, np.random.default_rng(derived_seed(seed, 1, k)))
-        codec = build(sw, b, channel, np.random.default_rng(derived_seed(seed, 2, k)))
-        eval_seed = derived_seed(seed, 3, k)
-        est = error_probability(codec, mode="mc", trials=trials, seed=eval_seed)
-        return codec, est, eval_seed
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, range(candidates)))
-    else:
-        results = [evaluate(k) for k in range(candidates)]
-
-    errors = [est for _, est, _ in results]
-    seeds = [s for _, _, s in results]
+        codecs.append(build(sw, b, channel, np.random.default_rng(derived_seed(seed, 2, k))))
+        seeds.append(derived_seed(seed, 3, k))
+        errors.append(error_probability(codecs[-1], mode="mc", trials=trials, seed=seeds[-1]))
     best_k = int(np.argmin([e.value for e in errors]))  # ties: lowest index
-    return SearchResult(best_codec=results[best_k][0], best_error=errors[best_k],
+    return SearchResult(best_codec=codecs[best_k], best_error=errors[best_k],
                         baseline_error=baseline, candidate_errors=errors,
                         candidate_seeds=seeds, master_seed=seed, warnings=warnings)
 

@@ -25,7 +25,7 @@ from . import capacity as cap_mod
 from . import channel_codec, crng_sampler, decision_theory, ensembles, sw_codec
 from .errors import CapExceededError, ConfigError
 from .gf_linalg import FieldSpec, GfVector, matvec
-from .rng import make_rng
+from .rng import derived_seed, make_rng
 from .sources_channels import (Channel, info_measures, joint_from_channel,
                                make_bsc, make_dsbs, make_quantized_awgn, make_zchannel)
 
@@ -149,7 +149,7 @@ def validate(experiment: str, cfg: dict) -> List[str]:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _run_capacity(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[dict]]:
+def _run_capacity(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     channel = _make_channel(cfg)
     tol = _get_float(cfg, "tol", 1e-9)
     params = repr(channel.param)
@@ -169,7 +169,7 @@ def _run_capacity(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[d
     return header, rows
 
 
-def _run_hash_verify(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[dict]]:
+def _run_hash_verify(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     field = FieldSpec(_get_int(cfg, "q", 2))
     l, n = _get_int(cfg, "l"), _get_int(cfg, "n")
     gamma = _get_float(cfg, "gamma", 0.0)
@@ -194,7 +194,7 @@ def _run_hash_verify(cfg: dict, seed: int, threads: int) -> Tuple[List[str], Lis
     return list(row.keys()), [row]
 
 
-def _run_sw(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[dict]]:
+def _run_sw(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     source = make_dsbs(_get_float(cfg, "p"))
     rows = sw_codec.rate_sweep(
         source,
@@ -209,7 +209,7 @@ def _run_sw(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[dict]]:
     return header, rows
 
 
-def _run_channel(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[dict]]:
+def _run_channel(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     channel = _make_channel(cfg)
     n = _get_int(cfg, "n")
     field = FieldSpec(channel.input_size)
@@ -220,20 +220,20 @@ def _run_channel(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[di
     px = np.full(field.q, 1.0 / field.q)
     source = joint_from_channel(px, channel)
     a = ensembles.sample_map(ensembles.uniform_ensemble(field, l_a, n),
-                             np.random.default_rng(sw_codec.derived_seed(seed, 99)))
+                             np.random.default_rng(derived_seed(seed, 99)))
     decoder = _get_choice(cfg, "decoder", {"map-exact", "stochastic"}, default="map-exact")
     sw = sw_codec.SwCodec(a, source, decoder=decoder)
     result = channel_codec.search_code(
         sw, ensembles.uniform_ensemble(field, l_b, n), channel,
         candidates=_get_int(cfg, "candidates", 8),
         trials=_get_int(cfg, "trials", 2000),
-        seed=seed, threads=threads)
+        seed=seed)
     header = ["channel", "p", "n", "lA", "lB", "r", "R", "candidate",
               "error", "std_err", "baseline_error", "delta_hat", "seed"]
     return header, result.rows()
 
 
-def _run_decision(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[dict]]:
+def _run_decision(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     count = _get_int(cfg, "problems", 1000)
     max_u = _get_int(cfg, "max_u", 4)
     max_v = _get_int(cfg, "max_v", 4)
@@ -249,7 +249,7 @@ def _run_decision(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[d
     return header, rows
 
 
-def _run_crng_test(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[dict]]:
+def _run_crng_test(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     field = FieldSpec(_get_int(cfg, "q", 2))
     n, l = _get_int(cfg, "n"), _get_int(cfg, "l")
     p1 = _get_float(cfg, "bernoulli", 0.5)
@@ -257,8 +257,8 @@ def _run_crng_test(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[
         raise ConfigError("bernoulli", "single-parameter weights are binary only")
     weights = np.array([1.0 - p1, p1])
     a = ensembles.sample_map(ensembles.uniform_ensemble(field, l, n),
-                             np.random.default_rng(sw_codec.derived_seed(seed, 7)))
-    rng = make_rng(sw_codec.derived_seed(seed, 8))
+                             np.random.default_rng(derived_seed(seed, 7)))
+    rng = make_rng(derived_seed(seed, 8))
     x = GfVector.from_array(field, rng.integers(0, field.q, size=n))
     c = matvec(a, x)
     constraints = crng_sampler.ConstraintSet(((a, c),))
@@ -266,13 +266,13 @@ def _run_crng_test(cfg: dict, seed: int, threads: int) -> Tuple[List[str], List[
     rows = []
     exact_draws = _get_int(cfg, "draws", 100000)
     dist = crng_sampler.ConstrainedDistribution(weights, constraints, mode=crng_sampler.EXACT)
-    tv = crng_sampler.tv_distance_check(dist, exact_draws, sw_codec.derived_seed(seed, 9))
+    tv = crng_sampler.tv_distance_check(dist, exact_draws, derived_seed(seed, 9))
     rows.append({"mode": "exact", "q": field.q, "n": n, "l": l,
                  "coset_size": constraints.coset_size, "draws": exact_draws,
                  "tv": tv, "seed": seed})
     mcmc_draws = _get_int(cfg, "mcmc_draws", 10000)
     dist_m = crng_sampler.ConstrainedDistribution(weights, constraints, mode=crng_sampler.MCMC)
-    tv_m = crng_sampler.tv_distance_check(dist_m, mcmc_draws, sw_codec.derived_seed(seed, 10))
+    tv_m = crng_sampler.tv_distance_check(dist_m, mcmc_draws, derived_seed(seed, 10))
     rows.append({"mode": "mcmc", "q": field.q, "n": n, "l": l,
                  "coset_size": constraints.coset_size, "draws": mcmc_draws,
                  "tv": tv_m, "seed": seed})
@@ -290,14 +290,14 @@ _RUNNERS = {
 
 
 def run(experiment: str, cfg: dict, seed: Optional[int] = None,
-        out: Optional[str] = None, threads: int = 1) -> str:
+        out: Optional[str] = None) -> str:
     """Execute one experiment and write its CSV; returns the output path."""
     if experiment not in _RUNNERS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
     master = seed if seed is not None else _get_int(cfg, "seed", 0)
     for warning in validate(experiment, cfg):
         print(f"warning: {warning}", file=sys.stderr)
-    header, rows = _RUNNERS[experiment](cfg, master, threads)
+    header, rows = _RUNNERS[experiment](cfg, master)
     path = out or f"{experiment}.csv"
     write_csv(path, header, rows)
     return path
@@ -336,12 +336,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides the config's seed key)")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent candidates/trials")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        path = run(args.experiment, cfg, seed=args.seed, out=args.out, threads=args.threads)
+        path = run(args.experiment, cfg, seed=args.seed, out=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

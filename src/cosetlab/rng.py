@@ -1,11 +1,10 @@
 """Seed handling.
 
 Every stochastic routine in the package takes an explicit seed, so
-parallel or re-ordered execution cannot change results.  ``subrng``
-derives an independent generator from a master seed plus a tuple of
-non-negative integer path components (role id, candidate index, trial
-index, ...); the derivation is pure, so any unit of work can be
-reproduced in isolation.
+re-ordered execution cannot change results.  ``derived_seed`` maps a
+master seed plus a tuple of non-negative integer path components (role
+id, candidate index, grid point, ...) to one integer seed; the
+derivation is pure, so any unit of work can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -19,6 +18,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def subrng(master: int, *path: int) -> np.random.Generator:
-    """Generator determined by (master, *path); path entries must be >= 0."""
-    return np.random.default_rng(np.random.SeedSequence([int(master), *[int(p) for p in path]]))
+def derived_seed(master: int, *path: int) -> int:
+    """Single integer reproducing the generator stream for one unit of work."""
+    return int(np.random.SeedSequence([int(master), *[int(p) for p in path]]).generate_state(1)[0])

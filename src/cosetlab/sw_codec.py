@@ -24,6 +24,7 @@ from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from .errors import CapExceededError, DecodeFailure, EmptyCosetError
 from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, FieldSpec, GfVector,
                         LinearMap, base_digits, coset_array, image_codes, matvec)
+from .rng import derived_seed
 from .sources_channels import JointSource
 
 MAP_EXACT = "map-exact"
@@ -276,11 +277,6 @@ def rows_for_rate(n: int, rate: float, q: int) -> int:
     """
     l = int(math.floor(n * rate / math.log2(q) + 1e-9))
     return min(max(l, 0), n)
-
-
-def derived_seed(master: int, *path: int) -> int:
-    """Single integer reproducing the generator stream for one unit of work."""
-    return int(np.random.SeedSequence([int(master), *[int(p) for p in path]]).generate_state(1)[0])
 
 
 def rate_sweep(source: JointSource, rates, ns, trials: int, seed: int,

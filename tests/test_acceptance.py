@@ -21,6 +21,7 @@ from cosetlab import ensembles as ens
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap
+from cosetlab.rng import derived_seed
 
 F2 = FieldSpec(2)
 MASTER_SEED = 20260810
@@ -226,7 +227,7 @@ def test_criterion_9_channel_code_search():
     l_a = sw.rows_for_rate(n, 0.7, 2)
     l_b = sw.rows_for_rate(n, 0.25, 2)
     a = ens.sample_map(ens.uniform_ensemble(F2, l_a, n),
-                       np.random.default_rng(sw.derived_seed(MASTER_SEED, 99)))
+                       np.random.default_rng(derived_seed(MASTER_SEED, 99)))
     swc = sw.SwCodec(a, source)
     assert swc.rate + l_b / n < 1.0  # realized r + R below the input entropy
     result = cc.search_code(swc, ens.uniform_ensemble(F2, l_b, n), channel,

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -122,3 +124,101 @@ def test_invalid_arguments():
         cap.blahut_arimoto(sc.make_bsc(0.1), support=())
     with pytest.raises(ValueError):
         cap.signaling_sweep(sc.make_bsc(0.1), [3])
+    with pytest.raises(ValueError, match="tolerance"):
+        cap.signaling_sweep(sc.make_bsc(0.1), [2], tol=0.0)
+
+
+def test_sweep_rejects_non_positive_sample_count():
+    big = sc.Channel(np.full((20, 20), 0.05))
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="sampled_subsets"):
+            cap.signaling_sweep(big, [2], sampled_subsets=count)
+
+
+def _all_supports(nx, max_size=None):
+    return [s for k in range(1, (max_size or nx) + 1)
+            for s in itertools.combinations(range(nx), k)]
+
+
+def _random_channel_with_zeros():
+    rng = np.random.default_rng(3)
+    w = rng.random((5, 4)) * (rng.random((5, 4)) > 0.4)
+    w[:, 0] += 0.01  # every row keeps some mass
+    return sc.Channel(w / w.sum(axis=1, keepdims=True))
+
+
+def _channel_with_dead_output():
+    # output 2 is unreachable, so p_y vanishes there for every input law
+    w = np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    return sc.Channel(w)
+
+
+KERNEL_CHANNELS = [lambda: sc.make_quantized_awgn(4.0, 8), _random_channel_with_zeros,
+                   _channel_with_dead_output]
+
+
+@functools.lru_cache(maxsize=None)
+def _single_solves(which):
+    ch = KERNEL_CHANNELS[which]()
+    return ch, [cap.blahut_arimoto(ch, support=s) for s in _all_supports(ch.input_size)]
+
+
+@pytest.mark.parametrize("which", range(len(KERNEL_CHANNELS)))
+def test_batched_rows_equal_single_solves(which):
+    ch, singles = _single_solves(which)
+    batched = cap._solve(ch, _all_supports(ch.input_size), 1e-9, 200000)
+    assert len(batched) == len(singles)
+    for res, single in zip(batched, singles):
+        assert res.support == single.support
+        assert res.capacity == single.capacity
+        assert res.iterations == single.iterations
+        assert res.residual == single.residual
+        assert np.array_equal(res.input_dist, single.input_dist)
+
+
+@pytest.mark.parametrize("which", range(len(KERNEL_CHANNELS)))
+def test_sweep_winners_equal_single_solves(which):
+    ch, singles = _single_solves(which)
+    q_values = list(range(1, ch.input_size + 1))
+    swept = cap.signaling_sweep(ch, q_values)
+    assert len(swept) == len(q_values)
+    for qv, res in zip(q_values, swept):
+        # scan in (size, lexicographic) order; a strict '>' keeps the first maximum
+        best = None
+        for single in singles:
+            if len(single.support) <= qv and (best is None or single.capacity > best.capacity):
+                best = single
+        assert res.support == best.support
+        assert res.capacity == best.capacity
+        assert res.iterations == best.iterations
+        assert np.array_equal(res.input_dist, best.input_dist)
+        assert res.bracket_trace == best.bracket_trace
+        assert len(res.bracket_trace) == res.iterations
+
+
+def test_sampled_sweep_returns_best_single_solve():
+    rng = np.random.default_rng(5)
+    w = rng.random((18, 6)) ** 4
+    ch = sc.Channel(w / w.sum(axis=1, keepdims=True))
+    q_values, count, seed = [2, 3, 3], 4, 9
+    swept = cap.signaling_sweep(ch, q_values, sampled_subsets=count, seed=seed)
+    assert len(swept) == len(q_values)
+    draw = np.random.default_rng(seed)
+    for qv, res in zip(q_values, swept):
+        best = None
+        for _ in range(count):
+            s = tuple(sorted(draw.choice(ch.input_size, size=qv, replace=False)))
+            single = cap.blahut_arimoto(ch, support=s)
+            if best is None or single.capacity > best.capacity:
+                best = single
+        assert res.support == best.support
+        assert res.capacity == best.capacity
+        assert res.bracket_trace == best.bracket_trace
+
+
+def test_batch_without_convergence_raises():
+    ch = sc.make_quantized_awgn(4.0, 8)
+    with pytest.raises(RuntimeError, match="no convergence"):
+        cap._solve(ch, _all_supports(8, 3), 1e-9, 5)
+    with pytest.raises(RuntimeError, match="no convergence"):
+        cap.blahut_arimoto(ch, tol=1e-9, max_iter=5)

@@ -8,6 +8,7 @@ from cosetlab import ensembles as ens
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
+from cosetlab.rng import derived_seed
 
 F2 = FieldSpec(2)
 
@@ -221,9 +222,9 @@ def test_search_single_candidate_reduces_to_one_build():
     channel, _, swc, _ = make_setup()
     spec_b = ens.uniform_ensemble(F2, 2, 4)
     result = cc.search_code(swc, spec_b, channel, candidates=1, trials=500, seed=21)
-    b = ens.sample_map(spec_b, np.random.default_rng(sw.derived_seed(21, 1, 0)))
-    codec = cc.build(swc, b, channel, np.random.default_rng(sw.derived_seed(21, 2, 0)))
-    direct = cc.error_probability(codec, "mc", trials=500, seed=sw.derived_seed(21, 3, 0))
+    b = ens.sample_map(spec_b, np.random.default_rng(derived_seed(21, 1, 0)))
+    codec = cc.build(swc, b, channel, np.random.default_rng(derived_seed(21, 2, 0)))
+    direct = cc.error_probability(codec, "mc", trials=500, seed=derived_seed(21, 3, 0))
     assert result.best_error.value == direct.value
     assert result.best_codec.syndrome == codec.syndrome
 
@@ -247,14 +248,15 @@ def test_search_no_warning_inside_rate_window():
     assert result.warnings == []
 
 
-def test_search_threads_match_serial():
+def test_search_candidate_depends_only_on_seed_and_index():
     channel, _, swc, _ = make_setup()
-    serial = cc.search_code(swc, ens.uniform_ensemble(F2, 2, 4), channel,
-                            candidates=4, trials=300, seed=5, threads=1)
-    threaded = cc.search_code(swc, ens.uniform_ensemble(F2, 2, 4), channel,
-                              candidates=4, trials=300, seed=5, threads=3)
-    assert [e.value for e in serial.candidate_errors] == \
-        [e.value for e in threaded.candidate_errors]
+    two = cc.search_code(swc, ens.uniform_ensemble(F2, 2, 4), channel,
+                         candidates=2, trials=300, seed=5)
+    four = cc.search_code(swc, ens.uniform_ensemble(F2, 2, 4), channel,
+                          candidates=4, trials=300, seed=5)
+    assert [e.value for e in two.candidate_errors] == \
+        [e.value for e in four.candidate_errors[:2]]
+    assert two.candidate_seeds == four.candidate_seeds[:2]
 
 
 def test_noiseless_search_delta_is_non_positive():
