@@ -9,10 +9,12 @@ working syndrome decoder yields a channel code.
 The error probability has two parts: messages whose constraint coset
 carries no probability mass (a modeled encoder error), and decoding
 failures weighted by the conditional input law on each coset.  Both are
-computed exactly on small instances and by Monte Carlo otherwise.  The
-code search samples random (B, c) pairs and reports the best candidate
-against the baseline error of the underlying syndrome decoder on the
-induced joint source.
+computed exactly on small instances and by Monte Carlo otherwise.  Every
+encoder coset lies in the decoder's coset, so both evaluators sort that
+one coset into a segment per message; the Monte Carlo encoder draws its
+input from the message's segment.  The code search samples random (B, c)
+pairs and reports the best candidate against the baseline error of the
+underlying syndrome decoder on the induced joint source.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from typing import List, Optional
 import numpy as np
 
 from .capacity import CapacityResult
-from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw, mass
+from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, GfVector, LinearMap,
-                        _row_reduce, coset_array, matvec, stack_maps)
+                        _row_reduce, image_codes, matvec, stack_maps)
 from .rng import derived_seed, make_rng
 from .sources_channels import Channel, info_measures, joint_from_channel
-from .sw_codec import (MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _map_pick,
-                       _posterior_log_weights, _product_law, decode_map, decode_stochastic,
+from .sw_codec import (MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _decode, _map_pick, _pick,
+                       _posterior_log_weights, _product_law,
                        error_probability as sw_error_probability, wilson_std_err)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
@@ -124,50 +126,44 @@ def encode(codec: ChannelCodec, m: GfVector, seed, mode: str = EXACT) -> Optiona
     The None outcome is the modeled encoder error: it counts toward the
     error probability rather than raising.
     """
-    dist = codec.encoder_distribution(m, mode=mode)
-    if not dist.constraints.is_consistent:
-        return None
-    if mode == EXACT and mass(dist) <= 0.0:
-        return None
     try:
-        return draw(dist, seed)
+        return draw(codec.encoder_distribution(m, mode=mode), seed)
     except EmptyCosetError:
         return None
 
 
 def decode(codec: ChannelCodec, y, seed=0) -> GfVector:
     """Run the side-information decoder at the shared syndrome, then apply B."""
-    if codec.sw.decoder == MAP_EXACT:
-        x_hat = decode_map(codec.sw, codec.syndrome, y)
-    else:
-        x_hat = decode_stochastic(codec.sw, codec.syndrome, y, seed)
-    return matvec(codec.b_map, x_hat)
+    return matvec(codec.b_map, _decode(codec.sw, codec.syndrome, y, codec.sw.decoder, seed))
 
 
-def _code_of_messages(codec: ChannelCodec, msgs: np.ndarray) -> np.ndarray:
-    """Base-q integer encoding of message rows."""
-    q = codec.field.q
-    if codec.b_map.rows == 0:
-        return np.zeros(msgs.shape[0], dtype=np.int64)
-    return msgs @ (q ** np.arange(codec.b_map.rows, dtype=np.int64))
+def _message_segments(codec: ChannelCodec):
+    """The decoder's coset grouped by message, with each member's input weight.
 
-
-def _msg_codes(codec: ChannelCodec, vectors: np.ndarray) -> np.ndarray:
-    """Base-q encoding of B x for each length-n row x."""
-    q = codec.field.q
-    if codec.b_map.rows == 0:
-        return np.zeros(vectors.shape[0], dtype=np.int64)
-    imgs = (vectors @ codec.b_map.as_array().T) % q
-    return imgs @ (q ** np.arange(codec.b_map.rows, dtype=np.int64))
+    Every encoder coset {x : A x = c, B x = m} lies in the decoder's coset
+    {x : A x = c}, so sorting that coset by the code of B x makes each
+    consistent message one contiguous segment.  Returns the sorted members,
+    each member's segment index, the segment starts, each member's weight
+    under the input law, and each segment's total weight (0 marks a
+    mass-zero coset, an encoder error).
+    """
+    sw = codec.sw
+    members = sw.coset_members(sw.solver.solve(codec.syndrome).particular.as_array())
+    codes = image_codes(codec.b_map.as_array()[None], codec.field.q, members)[0]
+    order = np.argsort(codes, kind="stable")
+    members, codes = members[order], codes[order]
+    first = np.r_[True, codes[1:] != codes[:-1]]
+    starts = np.flatnonzero(first)
+    px = sw.source.x_marginal[members].prod(axis=1)
+    return members, np.cumsum(first) - 1, starts, px, np.add.reduceat(px, starts)
 
 
 def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
     """Encoder-error share plus the decoding error, every channel output at once.
 
-    Every encoder coset {x : A x = c, B x = m} lies in the decoder's coset
-    {x : A x = c}, so the members of that one coset, grouped by message,
-    give both the conditional input law of each message and the decoder's
-    candidates.  Channel outputs are decoded a chunk at a time.
+    The message segments of the decoder's coset give both the conditional
+    input law of each message and the decoder's candidates.  Channel
+    outputs are decoded a chunk at a time.
     """
     q, n = codec.field.q, codec.n
     ys = codec.channel.output_size
@@ -178,23 +174,15 @@ def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
             f"exact channel error needs {m_count * max_coset * ys ** n} terms, "
             f"above the cap {cap}")
 
-    sw = codec.sw
-    members = sw.coset_members(sw.solver.solve(codec.syndrome).particular.as_array())
-    member_codes = _msg_codes(codec, members)
-    order = np.argsort(member_codes, kind="stable")
-    members, member_codes = members[order], member_codes[order]
-    first = np.r_[True, member_codes[1:] != member_codes[:-1]]
-    starts, member_msg = np.flatnonzero(first), np.cumsum(first) - 1
-
+    members, member_msg, starts, px, mass = _message_segments(codec)
     # encoder law: x given its message m, drawn uniformly; mass-zero or
     # inconsistent messages are encoder errors
-    px = sw.source.x_marginal[members].prod(axis=1)
-    mass = np.add.reduceat(px, starts)
     good = mass > 0.0
     encoder_weight = np.divide(px, m_count * mass[member_msg], out=np.zeros_like(px),
                                where=good[member_msg])
     err = (m_count - np.count_nonzero(good)) / m_count
 
+    sw = codec.sw
     cond = sw.source.cond_x_given_y
     for y in _blocks(ys, n, max(1, CHUNK_ENTRIES // (len(members) * n))):
         if sw.decoder == MAP_EXACT:
@@ -211,56 +199,24 @@ def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
 
 
 def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
-    q, n = codec.field.q, codec.n
-    msgs = codec.messages()
-    stacked_solver = codec.stacked.solver()
-    px = codec.sw.source.x_marginal
+    members, member_msg, starts, px, mass = _message_segments(codec)
+    ends = np.r_[starts[1:], len(members)]
+    law = np.divide(px, mass[member_msg], out=np.zeros_like(px), where=mass[member_msg] > 0.0)
     cond = codec.sw.source.cond_x_given_y
-    pos = np.arange(n)
-
-    # Encoder cosets per message, solved once.
-    coset_cache = {}
-    for mi, m_row in enumerate(msgs):
-        rhs = GfVector(codec.field, codec.syndrome.entries
-                       + tuple(int(v) for v in m_row))
-        sol = stacked_solver.solve(rhs)
-        if sol.is_empty:
-            coset_cache[mi] = None
-            continue
-        members = coset_array(sol, cap=codec.coset_cap)
-        weights = px[members].prod(axis=1)
-        total = weights.sum()
-        coset_cache[mi] = None if total <= 0.0 else (members, weights / total)
-
-    sol_c = codec.sw.solver.solve(codec.syndrome)
-    members_a = codec.sw.coset_members(sol_c.particular.as_array())
-    member_codes = _msg_codes(codec, members_a)
-    msg_code = _code_of_messages(codec, msgs)
-
     failures = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        mi = int(rng.integers(0, len(msgs)))
-        cached = coset_cache[mi]
-        if cached is None:
+        # uniform over Im B: index k < len(starts) is the message of segment
+        # k, and the remaining indices are the messages with empty cosets
+        mi = int(rng.integers(0, codec.message_count))
+        if mi >= len(starts) or mass[mi] <= 0.0:
             failures += 1  # encoder error counts as a failure
             continue
-        members, probs = cached
-        x = members[rng.choice(len(probs), p=probs)]
+        seg = slice(starts[mi], ends[mi])
+        x = members[seg][rng.choice(ends[mi] - starts[mi], p=law[seg])]
         y = codec.channel.sample_outputs(x, rng)
-        if codec.sw.decoder == MAP_EXACT:
-            with np.errstate(divide="ignore"):
-                logw = np.log2(cond[:, y]).T
-            decoded = member_codes[_map_pick(members_a, logw)]
-        else:
-            post = cond[:, y].T
-            nu = post[pos[None, :], members_a].prod(axis=1)
-            total = nu.sum()
-            if total <= 0.0:
-                failures += 1
-                continue
-            decoded = member_codes[rng.choice(len(nu), p=nu / total)]
-        if decoded != msg_code[mi]:
+        pick = _pick(codec.sw.decoder, cond, members, y, rng)
+        if pick is None or member_msg[pick] != mi:
             failures += 1
     return ErrorEstimate(value=failures / trials, mode="monte-carlo",
                          trials=trials, std_err=wilson_std_err(failures, trials))
@@ -347,12 +303,8 @@ def search_code(sw: SwCodec, ensemble_b, channel: Channel, candidates: int,
 
     if candidates < 1:
         raise ValueError("need at least one candidate")
-    warnings = []
-    measures = info_measures(sw.source)
     nominal_R = ensemble_b.rows / sw.n * math.log2(sw.field.q)
-    if sw.rate + nominal_R >= measures.h_x:
-        warnings.append(f"r + R = {sw.rate + nominal_R:.4f} >= H(X) = "
-                        f"{measures.h_x:.4f}: rate condition violated")
+    warnings = info_measures(sw.source).rate_sum_warnings(sw.rate, nominal_R)
     baseline = sw_error_probability(sw, mode="mc", trials=trials,
                                     seed=derived_seed(seed, 0))
 
@@ -395,7 +347,8 @@ def end_to_end_pipeline(channel: Channel, capacity_result: CapacityResult,
     The input law is the capacity result's optimizer; the rate window
     requires H(X) - H(X|Y) > 0 on the induced joint, and the nominal
     rates should satisfy r > H(X|Y) and r + R < H(X) (violations are
-    reported as warnings, since converse-regime runs are legitimate).
+    reported as warnings, since converse-regime runs are legitimate: the
+    report holds the r warning, its search the r + R warning).
     """
     from .ensembles import sample_map
 
@@ -413,13 +366,7 @@ def end_to_end_pipeline(channel: Channel, capacity_result: CapacityResult,
     sw = SwCodec(a, source, decoder=decoder)
     r = sw.rate
     R_nominal = ensemble_b.rows / n * math.log2(q)
-    warnings = []
-    if r <= measures.h_x_given_y:
-        warnings.append(f"r = {r:.4f} <= H(X|Y) = {measures.h_x_given_y:.4f}: converse regime")
-    if r + R_nominal >= measures.h_x:
-        warnings.append(f"r + R = {r + R_nominal:.4f} >= H(X) = {measures.h_x:.4f}: "
-                        "rate condition violated")
     search = search_code(sw, ensemble_b, channel, candidates, trials, seed)
     return PipelineReport(capacity=capacity_result.capacity, h_x=measures.h_x,
                           h_x_given_y=measures.h_x_given_y, r=r, R_nominal=R_nominal,
-                          warnings=warnings, search=search)
+                          warnings=measures.converse_warnings(r), search=search)

@@ -127,21 +127,16 @@ def validate(experiment: str, cfg: dict) -> List[str]:
     regimes are legitimate experiments)."""
     warnings: List[str] = []
     if experiment == "sw":
-        source = make_dsbs(_get_float(cfg, "p"))
-        h = info_measures(source).h_x_given_y
+        measures = info_measures(make_dsbs(_get_float(cfg, "p")))
         for r in _get_list(cfg, "rates"):
-            if r <= h:
-                warnings.append(f"rate {r} <= H(X|Y) = {h:.4f}: decay not expected")
+            warnings += measures.converse_warnings(r)
     elif experiment == "channel":
         channel = _make_channel(cfg)
         px = np.full(channel.input_size, 1.0 / channel.input_size)
         measures = info_measures(joint_from_channel(px, channel))
         r = _get_float(cfg, "r")
-        big_r = _get_float(cfg, "R")
-        if r <= measures.h_x_given_y:
-            warnings.append(f"r = {r} <= H(X|Y) = {measures.h_x_given_y:.4f}")
-        if r + big_r >= measures.h_x:
-            warnings.append(f"r + R = {r + big_r} >= H(X) = {measures.h_x:.4f}")
+        warnings += measures.converse_warnings(r)
+        warnings += measures.rate_sum_warnings(r, _get_float(cfg, "R"))
     return warnings
 
 

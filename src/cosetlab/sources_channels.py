@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -121,6 +121,24 @@ class InfoMeasures:
     h_x_given_y: float
     h_y: float
     mutual_information: float
+
+    def converse_warnings(self, r: float) -> List[str]:
+        """The advisory warning for a syndrome rate r <= H(X|Y), if any.
+
+        Below H(X|Y) the decoding error is not expected to decay in n; such
+        converse-regime runs are legitimate, so this is a warning only.
+        """
+        if r > self.h_x_given_y:
+            return []
+        return [f"r = {r:.4f} <= H(X|Y) = {self.h_x_given_y:.4f}: "
+                "converse regime, decay not expected"]
+
+    def rate_sum_warnings(self, r: float, big_r: float) -> List[str]:
+        """The advisory warning for a rate sum r + R >= H(X), if any."""
+        if r + big_r < self.h_x:
+            return []
+        return [f"r + R = {r + big_r:.4f} >= H(X) = {self.h_x:.4f}: "
+                "rate condition violated"]
 
 
 @dataclass(frozen=True)

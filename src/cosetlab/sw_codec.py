@@ -20,11 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
-from .errors import CapExceededError, DecodeFailure, EmptyCosetError
+from .errors import CapExceededError, DecodeFailure
 from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, FieldSpec, GfVector,
                         LinearMap, base_digits, coset_array, image_codes, matvec)
-from .rng import derived_seed
+from .rng import derived_seed, make_rng
 from .sources_channels import JointSource
 
 MAP_EXACT = "map-exact"
@@ -61,8 +60,8 @@ class SwCodec:
     """A syndrome code (A, decoder) for a joint source.
 
     The decoder kind is fixed at construction: exact posterior
-    maximization over the coset, or posterior sampling via the
-    constrained generator.
+    maximization over the coset, or sampling the posterior restricted to
+    the coset.
     """
 
     def __init__(self, matrix: LinearMap, source: JointSource,
@@ -105,7 +104,7 @@ def encode(codec: SwCodec, x: GfVector) -> GfVector:
 def _posterior_log_weights(cond: np.ndarray, y: np.ndarray) -> np.ndarray:
     """logw[..., i, a] = log2 mu(a | y[..., i]); -inf marks zero-probability letters."""
     with np.errstate(divide="ignore"):
-        return np.log2(np.moveaxis(cond[:, y], 0, -1))
+        return np.log2(cond.T[y])
 
 
 # Posteriors within this relative distance of the best are tied.  The margin
@@ -142,6 +141,36 @@ def _check_y(codec: SwCodec, y) -> np.ndarray:
     return y_arr
 
 
+def _pick(decoder: str, cond: np.ndarray, members: np.ndarray, y: np.ndarray,
+          seed) -> Optional[int]:
+    """Index of the coset member the decoder returns for side information y.
+
+    MAP decoding takes the _map_pick member.  Posterior sampling draws
+    member i with probability proportional to prod_k mu(members[i, k] | y_k)
+    from ``seed`` (a seed or a Generator) and returns None when the coset
+    carries no posterior mass.
+    """
+    if decoder == MAP_EXACT:
+        return int(_map_pick(members, _posterior_log_weights(cond, y)))
+    nu = cond[members, y].prod(axis=1)
+    total = nu.sum()
+    if total <= 0.0:
+        return None
+    return int(make_rng(seed).choice(len(nu), p=nu / total))
+
+
+def _decode(codec: SwCodec, c: GfVector, y, decoder: str, seed) -> GfVector:
+    y_arr = _check_y(codec, y)
+    sol = codec.solver.solve(c)
+    if sol.is_empty:
+        raise DecodeFailure("syndrome outside the image of the encoding map")
+    members = codec.coset_members(sol.particular.as_array())
+    pick = _pick(decoder, codec.source.cond_x_given_y, members, y_arr, seed)
+    if pick is None:
+        raise DecodeFailure("coset carries zero posterior mass")
+    return GfVector.from_array(codec.field, members[pick])
+
+
 def decode_map(codec: SwCodec, c: GfVector, y) -> GfVector:
     """Coset member maximizing the posterior.
 
@@ -149,25 +178,12 @@ def decode_map(codec: SwCodec, c: GfVector, y) -> GfVector:
     tied, and the lexicographically smallest tied member is returned, so
     rounding in the summed log-scores never splits equal posteriors.
     """
-    y_arr = _check_y(codec, y)
-    sol = codec.solver.solve(c)
-    if sol.is_empty:
-        raise DecodeFailure("syndrome outside the image of the encoding map")
-    members = codec.coset_members(sol.particular.as_array())
-    pick = _map_pick(members, _posterior_log_weights(codec.source.cond_x_given_y, y_arr))
-    return GfVector.from_array(codec.field, members[pick])
+    return _decode(codec, c, y, MAP_EXACT, None)
 
 
 def decode_stochastic(codec: SwCodec, c: GfVector, y, seed) -> GfVector:
     """Sample the posterior restricted to the syndrome coset."""
-    y_arr = _check_y(codec, y)
-    weights = codec.source.cond_x_given_y[:, y_arr].T  # (n, q) per-letter posteriors
-    dist = ConstrainedDistribution(weights, ConstraintSet(((codec.matrix, c),)),
-                                   mode=EXACT, coset_cap=codec.coset_cap)
-    try:
-        return draw(dist, seed)
-    except EmptyCosetError as exc:
-        raise DecodeFailure(str(exc)) from exc
+    return _decode(codec, c, y, STOCHASTIC, seed)
 
 
 def _blocks(size: int, n: int, per_block: int):
@@ -223,29 +239,15 @@ def _sample_pair_arrays(source: JointSource, n: int, rng) -> tuple:
 
 
 def _mc_error(codec: SwCodec, trials: int, seed) -> ErrorEstimate:
-    source = codec.source
-    n = codec.n
-    pos = np.arange(n)
+    cond = codec.source.cond_x_given_y
     failures = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        xi, yi = _sample_pair_arrays(source, n, rng)
+        xi, yi = _sample_pair_arrays(codec.source, codec.n, rng)
         # x itself is a particular solution of its own syndrome
         members = codec.coset_members(xi)
-        if codec.decoder == MAP_EXACT:
-            with np.errstate(divide="ignore"):
-                logw = np.log2(source.cond_x_given_y[:, yi]).T
-            pick = _map_pick(members, logw)
-            decoded = members[pick]
-        else:
-            post = source.cond_x_given_y[:, yi].T
-            nu = post[pos[None, :], members].prod(axis=1)
-            total = nu.sum()
-            if total <= 0.0:
-                failures += 1
-                continue
-            decoded = members[rng.choice(len(nu), p=nu / total)]
-        if not np.array_equal(decoded, xi):
+        pick = _pick(codec.decoder, cond, members, yi, rng)
+        if pick is None or not np.array_equal(members[pick], xi):
             failures += 1
     return ErrorEstimate(value=failures / trials, mode="monte-carlo",
                          trials=trials, std_err=wilson_std_err(failures, trials))

@@ -7,10 +7,12 @@ from cosetlab import channel_codec as cc
 from cosetlab import ensembles as ens
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
+from cosetlab.crng_sampler import EXACT, MCMC
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
 from cosetlab.rng import derived_seed
 
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 
 
 def make_setup(seed=17, n=4, l_a=2, l_b=2, p=0.1):
@@ -123,7 +125,8 @@ def test_encoder_error_marker_for_inconsistent_message():
     for m_row in codec.messages():
         m = GfVector.from_array(F2, m_row)
         if m != codec.syndrome:
-            assert cc.encode(codec, m, seed=0) is None
+            for mode in (EXACT, MCMC):
+                assert cc.encode(codec, m, seed=0, mode=mode) is None
             return
     pytest.fail("expected an inconsistent message")
 
@@ -182,9 +185,25 @@ def test_exact_error_matches_brute_force_stochastic():
         brute_force_error(codec, stochastic=True), abs=1e-12)
 
 
-def test_exact_error_matches_monte_carlo():
-    channel, _, swc, b = make_setup()
-    codec = cc.build(swc, b, channel, seed=3)
+@pytest.mark.parametrize("decoder", [sw.MAP_EXACT, sw.STOCHASTIC])
+@pytest.mark.parametrize("case", ["random-b", "b-equals-a", "zero-input-mass"])
+def test_exact_error_matches_monte_carlo(case, decoder):
+    if case == "zero-input-mass":
+        # symbol 2 carries no input mass, so some message cosets carry none
+        channel = sc.Channel(np.full((3, 3), 0.1) + 0.7 * np.eye(3))
+        source = sc.joint_from_channel(np.array([0.5, 0.5, 0.0]), channel)
+        rng = np.random.default_rng(4)
+        a = LinearMap.from_array(F3, rng.integers(0, 3, (2, 4)))
+        b = LinearMap.from_array(F3, rng.integers(0, 3, (1, 4)))
+    else:
+        channel, source, swc, b = make_setup()
+        a = swc.matrix
+        if case == "b-equals-a":
+            b = a  # every message but c has an inconsistent coset
+    codec = cc.build(sw.SwCodec(a, source, decoder=decoder), b, channel, seed=3)
+    if case != "random-b":
+        assert any(cc.encode(codec, GfVector.from_array(codec.field, m), seed=0) is None
+                   for m in codec.messages())
     exact = cc.error_probability(codec, "exact")
     mc = cc.error_probability(codec, "mc", trials=20000, seed=8)
     assert abs(exact.value - mc.value) <= 3 * mc.std_err
@@ -285,6 +304,20 @@ def test_pipeline_runs_on_feasible_window():
     assert report.h_x == pytest.approx(1.0, abs=1e-9)
     assert report.search.best_error.value <= 1.0
     assert report.rows()[0]["capacity"] == report.capacity
+
+
+def test_pipeline_reports_rate_sum_warning_once():
+    from cosetlab.capacity import blahut_arimoto
+
+    channel = sc.make_bsc(0.11)
+    # r + R = 5/8 + 4/8 >= H(X) = 1
+    report = cc.end_to_end_pipeline(
+        channel, blahut_arimoto(channel),
+        ensemble_a=ens.uniform_ensemble(F2, 5, 8),
+        ensemble_b=ens.uniform_ensemble(F2, 4, 8),
+        trials=50, seed=31, candidates=1)
+    warnings = report.warnings + report.search.warnings
+    assert sum("rate condition" in w for w in warnings) == 1
 
 
 def test_pipeline_rejects_empty_window():

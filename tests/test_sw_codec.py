@@ -6,6 +6,7 @@ import pytest
 
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
+from cosetlab.crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from cosetlab.errors import DecodeFailure
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, matvec
 
@@ -71,6 +72,36 @@ def test_decode_stochastic_flat_posterior_is_uniform():
     for seed in range(4000):
         counts[sw.decode_stochastic(codec, GfVector(F2, (0, 0)), (0, 1, 0), seed).entries] += 1
     assert abs(counts[(0, 0, 0)] / 4000 - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_decode_stochastic_equals_constrained_draw(q):
+    # reference: the constrained generator on {x : A x = c} with the
+    # per-letter posterior weights mu(. | y_k)
+    field = FieldSpec(q)
+    channel = sc.Channel(np.full((q, q), 0.2 / q) + 0.8 * np.eye(q))
+    source = sc.joint_from_channel(np.full(q, 1.0 / q), channel)
+    rng = np.random.default_rng(q)
+    a = LinearMap.from_array(field, rng.integers(0, q, (3, 6)))
+    codec = sw.SwCodec(a, source, decoder=sw.STOCHASTIC)
+    for seed in range(12):
+        c = matvec(a, GfVector.from_array(field, rng.integers(0, q, 6)))
+        y = rng.integers(0, q, 6)
+        dist = ConstrainedDistribution(source.cond_x_given_y[:, y].T,
+                                       ConstraintSet(((a, c),)), mode=EXACT)
+        assert sw.decode_stochastic(codec, c, y, seed) == draw(dist, seed)
+
+
+def test_decode_stochastic_failures():
+    codec = sw.SwCodec(LinearMap(F2, ((1, 1), (1, 1))), sc.make_dsbs(0.1),
+                       decoder=sw.STOCHASTIC)
+    with pytest.raises(DecodeFailure):
+        sw.decode_stochastic(codec, GfVector(F2, (0, 1)), (0, 0), seed=0)
+    # mu(x = 1 | y = 0) = 0, and every member of {x : x0 + x1 = 1} has a 1
+    source = sc.JointSource(np.array([[0.5, 0.25], [0.0, 0.25]]))
+    codec = sw.SwCodec(LinearMap(F2, ((1, 1),)), source, decoder=sw.STOCHASTIC)
+    with pytest.raises(DecodeFailure):
+        sw.decode_stochastic(codec, GfVector(F2, (1,)), (0, 0), seed=0)
 
 
 def test_error_zero_for_noiseless_correlation():
