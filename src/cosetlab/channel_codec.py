@@ -12,9 +12,10 @@ failures weighted by the conditional input law on each coset.  Both are
 computed exactly on small instances and by Monte Carlo otherwise.  Every
 encoder coset lies in the decoder's coset, so both evaluators sort that
 one coset into a segment per message; the Monte Carlo encoder draws its
-input from the message's segment.  The code search samples random (B, c)
-pairs and reports the best candidate against the baseline error of the
-underlying syndrome decoder on the induced joint source.
+input from the message's segment, and it draws every trial from one
+generator and decodes the trials in batches.  The code search samples
+random (B, c) pairs and reports the best candidate against the baseline
+error of the underlying syndrome decoder on the induced joint source.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .capacity import CapacityResult
 from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, GfVector, LinearMap,
-                        _row_reduce, image_codes, matvec, stack_maps)
+                        _row_reduce, concat_vectors, image_codes, matvec, stack_maps)
 from .rng import derived_seed, make_rng
 from .sources_channels import Channel, info_measures, joint_from_channel
-from .sw_codec import (MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _decode, _map_pick, _pick,
+from .sw_codec import (MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _decode, _map_pick,
                        _posterior_log_weights, _product_law,
                        error_probability as sw_error_probability, wilson_std_err)
 
@@ -102,7 +103,10 @@ class ChannelCodec:
         return GfVector.from_array(self.field, m)
 
     def encoder_distribution(self, m: GfVector, mode: str = EXACT) -> ConstrainedDistribution:
-        constraints = ConstraintSet(((self.sw.matrix, self.syndrome), (self.b_map, m)))
+        # one pair on the stacked (A; B) reuses its solver instead of re-reducing
+        # both maps; the reduced form, and so the coset order, is the same
+        constraints = ConstraintSet(((self.stacked, concat_vectors((self.syndrome, m),
+                                                                   self.field)),))
         return ConstrainedDistribution(self.sw.source.x_marginal, constraints,
                                        mode=mode, coset_cap=self.coset_cap)
 
@@ -198,26 +202,62 @@ def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
     return ErrorEstimate(value=min(max(err, 0.0), 1.0), mode="exact")
 
 
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of cumulative weights, the first index whose sum exceeds u * total.
+
+    Every row needs a positive total.  The search stops at the first entry
+    that reaches the total, so rounding in u * total never carries it onto
+    a trailing zero-weight entry: the index always has positive weight.
+    """
+    total = cum[:, -1:]
+    return np.count_nonzero((cum <= u[:, None] * total) & (cum < total), axis=1)
+
+
+def _chunks(count: int, per_chunk: int):
+    step = max(1, per_chunk)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
-    members, member_msg, starts, px, mass = _message_segments(codec)
-    ends = np.r_[starts[1:], len(members)]
-    law = np.divide(px, mass[member_msg], out=np.zeros_like(px), where=mass[member_msg] > 0.0)
+    """Message -> encoder -> channel -> decoder, every trial from one generator.
+
+    It draws, in order: the messages, spread evenly over Im B from one
+    uniform offset (unbiased, and the Wilson std_err becomes a conservative
+    bound); one uniform per sent trial for the encoder; the channel
+    outputs; and, for the stochastic decoder, one uniform per trial.
+    """
+    members, member_msg, starts, px, _ = _message_segments(codec)
+    # every consistent message's coset has q^(n - rank (A; B)) members, so
+    # the segments are the rows of one table
+    seg_cum = np.cumsum(px.reshape(len(starts), -1), axis=1)
+    size = seg_cum.shape[1]
+    rng = np.random.default_rng(seed)
+    count = codec.message_count
+    # index k < len(starts) is the message of segment k; the remaining
+    # indices are the messages with empty cosets
+    msg = np.minimum(np.floor((np.arange(trials) + rng.random()) * (count / trials)), count - 1)
+    sent = msg[msg < len(starts)].astype(np.int64)
+    sent = sent[seg_cum[sent, -1] > 0.0]  # the rest are encoder errors: failures
+    u = rng.random(len(sent))
+    x_index = np.empty(len(sent), dtype=np.int64)
+    for s in _chunks(len(sent), CHUNK_ENTRIES // size):
+        x_index[s] = sent[s] * size + _inverse_cdf(seg_cum[sent[s]], u[s])
+    y = codec.channel.sample_outputs(members[x_index], rng)
+
     cond = codec.sw.source.cond_x_given_y
-    failures = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        # uniform over Im B: index k < len(starts) is the message of segment
-        # k, and the remaining indices are the messages with empty cosets
-        mi = int(rng.integers(0, codec.message_count))
-        if mi >= len(starts) or mass[mi] <= 0.0:
-            failures += 1  # encoder error counts as a failure
-            continue
-        seg = slice(starts[mi], ends[mi])
-        x = members[seg][rng.choice(ends[mi] - starts[mi], p=law[seg])]
-        y = codec.channel.sample_outputs(x, rng)
-        pick = _pick(codec.sw.decoder, cond, members, y, rng)
-        if pick is None or member_msg[pick] != mi:
-            failures += 1
+    stochastic = codec.sw.decoder != MAP_EXACT
+    u = rng.random(len(sent)) if stochastic else None
+    hits = 0
+    for s in _chunks(len(sent), CHUNK_ENTRIES // (len(members) * codec.n)):
+        if stochastic:
+            nu = np.cumsum(_product_law(cond, members, y[s]), axis=1)
+            live = nu[:, -1] > 0.0  # a coset without posterior mass is a failure
+            picks = _inverse_cdf(nu[live], u[s][live])
+            hits += np.count_nonzero(member_msg[picks] == sent[s][live])
+        else:
+            picks = _map_pick(members, _posterior_log_weights(cond, y[s]))
+            hits += np.count_nonzero(member_msg[picks] == sent[s])
+    failures = trials - int(hits)
     return ErrorEstimate(value=failures / trials, mode="monte-carlo",
                          trials=trials, std_err=wilson_std_err(failures, trials))
 

@@ -15,7 +15,7 @@ set is empty is always decided exactly by a rank test, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -154,38 +154,47 @@ def mass(dist: ConstrainedDistribution) -> float:
     return float(probs.sum())
 
 
-def _mcmc_state(dist: ConstrainedDistribution, rng: np.random.Generator,
-                sweeps: int, state: Optional[np.ndarray] = None) -> np.ndarray:
-    """Advance the Metropolis walk; the start is the particular solution."""
+def _walk(dist: ConstrainedDistribution, rng: np.random.Generator, first: int,
+          every: int) -> Iterator[np.ndarray]:
+    """States of one Metropolis chain: after ``first`` sweeps, then after each ``every`` more.
+
+    The chain starts at the particular solution.  Each yield is the chain's
+    own state array, which the following sweeps update in place.
+    """
     sol = dist.constraints.solution
     q = dist.field.q
-    basis = np.array([b.entries for b in sol.null_basis], dtype=np.int64)
-    if state is None:
-        state = sol.particular.as_array().copy()
-    if basis.shape[0] == 0:
-        return state
-    supports = [np.flatnonzero(b) for b in basis]
+    state = sol.particular.as_array().copy()
+    # each proposal adds s times one null-basis vector, touching only its support
+    supports = [np.flatnonzero(b.entries) for b in sol.null_basis]
+    moves = [(idx, b.as_array()[idx]) for idx, b in zip(supports, sol.null_basis)]
     w = dist.weights
-    for _ in range(sweeps):
-        for j in range(basis.shape[0]):
-            s = int(rng.integers(0, q))
-            if s == 0:
-                continue  # lazy step, keeps the chain aperiodic
-            idx = supports[j]
-            new_vals = (state[idx] + s * basis[j, idx]) % q
-            num = w[idx, new_vals].prod()
-            den = w[idx, state[idx]].prod()
-            if den == 0.0:
-                accept = True  # move freely off zero-mass states
-            else:
-                accept = rng.random() < min(1.0, num / den)
-            if accept:
-                state[idx] = new_vals
-    return state
+    sweeps = first
+    while True:
+        for _ in range(sweeps):
+            for idx, step in moves:
+                s = int(rng.integers(0, q))
+                if s == 0:
+                    continue  # lazy step, keeps the chain aperiodic
+                new_vals = (state[idx] + s * step) % q
+                num = w[idx, new_vals].prod()
+                den = w[idx, state[idx]].prod()
+                if den == 0.0:
+                    accept = True  # move freely off zero-mass states
+                else:
+                    accept = rng.random() < min(1.0, num / den)
+                if accept:
+                    state[idx] = new_vals
+        yield state
+        sweeps = every
 
 
 def draw(dist: ConstrainedDistribution, seed) -> GfVector:
-    """One sample; every output is asserted to satisfy all constraints."""
+    """One sample; every output is asserted to satisfy all constraints.
+
+    Neither mode returns a state of zero weight.  The walk accepts no move
+    onto such a state, so it ends on one only when the coset may carry no
+    mass; that is then decided exactly, within the coset cap.
+    """
     if not dist.constraints.is_consistent:
         raise EmptyCosetError("constraints are inconsistent: encoder error")
     rng = make_rng(seed)
@@ -197,7 +206,17 @@ def draw(dist: ConstrainedDistribution, seed) -> GfVector:
         i = rng.choice(len(probs), p=probs / total)
         out = GfVector.from_array(dist.field, members[i])
     else:
-        state = _mcmc_state(dist, rng, dist.burn_in + dist.sweeps)
+        state = next(_walk(dist, rng, dist.burn_in + dist.sweeps, 0))
+        if not np.all(dist.weights[np.arange(dist.n), state] > 0.0):
+            size = dist.constraints.coset_size
+            if size > dist.coset_cap:
+                raise CapExceededError(
+                    f"the MCMC walk ended on a zero-weight state; deciding the mass of "
+                    f"its coset of size {size} exceeds the cap {dist.coset_cap}")
+            if mass(dist) <= 0.0:
+                raise EmptyCosetError("coset carries zero probability mass: encoder error")
+            raise RuntimeError("the MCMC walk ended on a zero-weight state of a coset "
+                               "with positive mass")
         out = GfVector.from_array(dist.field, state)
     assert dist.constraints.satisfied_by(out)
     return out
@@ -231,10 +250,9 @@ def tv_distance_check(dist: ConstrainedDistribution, draws: int, seed,
         picks = rng.choice(len(exact), size=draws, p=exact)
         counts = np.bincount(picks, minlength=len(exact)).astype(float)
     else:
-        index = {tuple(int(v) for v in row): i for i, row in enumerate(members)}
-        state = _mcmc_state(dist, rng, dist.burn_in)
+        index = {row.tobytes(): i for i, row in enumerate(members)}
+        walk = _walk(dist, rng, dist.burn_in + thin, thin)
         for _ in range(draws):
-            state = _mcmc_state(dist, rng, thin, state=state)
-            counts[index[tuple(int(v) for v in state)]] += 1
+            counts[index[next(walk).tobytes()]] += 1
     emp = counts / draws
     return float(0.5 * np.abs(emp - exact).sum())

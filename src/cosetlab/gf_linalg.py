@@ -398,9 +398,14 @@ def image_codes(maps: np.ndarray, q: int, words: np.ndarray) -> np.ndarray:
 
 
 def stack_maps(maps: Sequence[LinearMap]) -> LinearMap:
-    """Vertically stack maps sharing a field and column count."""
+    """Vertically stack maps sharing a field and column count.
+
+    A single map is returned as it is, so its cached rank and solver carry over.
+    """
     if not maps:
         raise ValueError("nothing to stack")
+    if len(maps) == 1:
+        return maps[0]
     field, cols = maps[0].field, maps[0].cols
     if any(m.field != field or m.cols != cols for m in maps):
         raise ValueError("maps must share field and column count")

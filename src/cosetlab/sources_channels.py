@@ -66,10 +66,10 @@ class Channel:
         return self.transition.shape[1]
 
     def sample_outputs(self, x_indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One output per input symbol, i.i.d. across positions."""
+        """One output per input symbol, i.i.d. across positions, in the inputs' shape."""
         cum = np.cumsum(self.transition, axis=1)
-        u = rng.random(len(x_indices))
-        return (u[:, None] < cum[x_indices]).argmax(axis=1)
+        u = rng.random(np.shape(x_indices))
+        return (u[..., None] < cum[x_indices]).argmax(axis=-1)
 
 
 @dataclass(eq=False)

@@ -165,8 +165,10 @@ def _decode(codec: SwCodec, c: GfVector, y, decoder: str, seed) -> GfVector:
     if sol.is_empty:
         raise DecodeFailure("syndrome outside the image of the encoding map")
     members = codec.coset_members(sol.particular.as_array())
-    pick = _pick(decoder, codec.source.cond_x_given_y, members, y_arr, seed)
-    if pick is None:
+    cond = codec.source.cond_x_given_y
+    pick = _pick(decoder, cond, members, y_arr, seed)
+    # a MAP pick of zero posterior means every member has zero posterior
+    if pick is None or not cond[members[pick], y_arr].all():
         raise DecodeFailure("coset carries zero posterior mass")
     return GfVector.from_array(codec.field, members[pick])
 
@@ -176,7 +178,8 @@ def decode_map(codec: SwCodec, c: GfVector, y) -> GfVector:
 
     Members whose posterior lies within a relative 1e-9 of the maximum are
     tied, and the lexicographically smallest tied member is returned, so
-    rounding in the summed log-scores never splits equal posteriors.
+    rounding in the summed log-scores never splits equal posteriors.  A
+    coset whose members all have zero posterior raises DecodeFailure.
     """
     return _decode(codec, c, y, MAP_EXACT, None)
 

@@ -7,7 +7,8 @@ from cosetlab import channel_codec as cc
 from cosetlab import ensembles as ens
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
-from cosetlab.crng_sampler import EXACT, MCMC
+from cosetlab.crng_sampler import EXACT, MCMC, ConstrainedDistribution, ConstraintSet, draw
+from cosetlab.errors import EmptyCosetError
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
 from cosetlab.rng import derived_seed
 
@@ -127,8 +128,40 @@ def test_encoder_error_marker_for_inconsistent_message():
         if m != codec.syndrome:
             for mode in (EXACT, MCMC):
                 assert cc.encode(codec, m, seed=0, mode=mode) is None
-            return
-    pytest.fail("expected an inconsistent message")
+            break
+    else:
+        pytest.fail("expected an inconsistent message")
+    # a consistent message whose coset carries no input mass: symbol 2 has none
+    channel = sc.Channel(np.full((3, 3), 0.1) + 0.7 * np.eye(3))
+    source = sc.joint_from_channel(np.array([0.5, 0.5, 0.0]), channel)
+    rng = np.random.default_rng(4)
+    a = LinearMap.from_array(F3, rng.integers(0, 3, (2, 4)))
+    b = LinearMap.from_array(F3, rng.integers(0, 3, (1, 4)))
+    codec = cc.build(sw.SwCodec(a, source), b, channel, seed=3)
+    m = GfVector(F3, (0,))
+    assert codec.encoder_distribution(m).constraints.is_consistent
+    for mode in (EXACT, MCMC):
+        assert cc.encode(codec, m, seed=0, mode=mode) is None
+
+
+@pytest.mark.parametrize("mode", [EXACT, MCMC])
+def test_encode_equals_two_pair_draw(mode):
+    # encode solves one stacked (A; B) pair; it must draw what the pair set
+    # {(A, c), (B, m)} draws at the same seed
+    channel = sc.make_bsc(0.1)
+    source = sc.joint_from_channel(np.array([0.7, 0.3]), channel)
+    rng = np.random.default_rng(20)
+    a = LinearMap.from_array(F2, rng.integers(0, 2, (2, 6)))
+    b = LinearMap.from_array(F2, rng.integers(0, 2, (2, 6)))
+    codec = cc.build(sw.SwCodec(a, source), b, channel, seed=3)
+    for seed in range(12):
+        m = codec.random_message(np.random.default_rng(seed))
+        pairs = ConstraintSet(((a, codec.syndrome), (b, m)))
+        try:
+            ref = draw(ConstrainedDistribution(source.x_marginal, pairs, mode=mode), seed)
+        except EmptyCosetError:
+            ref = None
+        assert cc.encode(codec, m, seed=seed, mode=mode) == ref
 
 
 def test_encoder_conditional_is_uniform_on_coset():
@@ -207,6 +240,23 @@ def test_exact_error_matches_monte_carlo(case, decoder):
     exact = cc.error_probability(codec, "exact")
     mc = cc.error_probability(codec, "mc", trials=20000, seed=8)
     assert abs(exact.value - mc.value) <= 3 * mc.std_err
+
+
+@pytest.mark.parametrize("decoder", [sw.MAP_EXACT, sw.STOCHASTIC])
+def test_monte_carlo_does_not_depend_on_chunking(decoder, monkeypatch):
+    channel, source, swc, b = make_setup(seed=20, n=8, l_a=3, l_b=2)
+    codec = cc.build(sw.SwCodec(swc.matrix, source, decoder=decoder), b, channel, seed=3)
+    whole = cc.error_probability(codec, "mc", trials=3000, seed=5)
+    # one trial per decode chunk and a few dozen per encoder chunk
+    monkeypatch.setattr(cc, "CHUNK_ENTRIES", 300)
+    assert cc.error_probability(codec, "mc", trials=3000, seed=5) == whole
+
+
+def test_inverse_cdf_lands_on_positive_weight():
+    # a subnormal total makes u * total round up to the total; the search
+    # must still stop on the last positive weight
+    cum = np.cumsum([[0.0, 5e-324, 0.0, 0.0], [0.25, 0.0, 0.75, 0.0]], axis=1)
+    assert cc._inverse_cdf(cum, np.array([0.9, 0.5])).tolist() == [1, 2]
 
 
 def test_error_with_zero_message_map():

@@ -121,6 +121,22 @@ def test_mcmc_degenerate_chain_is_far():
     assert crng.tv_distance_check(dist, 1000, seed=14, thin=0) > 0.5
 
 
+def test_mcmc_draw_never_returns_zero_weight_state():
+    # the coset of (1, 0) is {100, 011}, and the walk starts at 100
+    cs = kernel_constraints((1, 0))
+    one_live = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])  # only 011 has weight
+    assert crng.draw(crng.ConstrainedDistribution(one_live, cs, mode=crng.MCMC),
+                     seed=0).entries == (0, 1, 1)
+    stuck = dict(mode=crng.MCMC, sweeps=0, burn_in=0)
+    with pytest.raises(RuntimeError, match="positive mass"):
+        crng.draw(crng.ConstrainedDistribution(one_live, cs, **stuck), seed=0)
+    with pytest.raises(CapExceededError):
+        crng.draw(crng.ConstrainedDistribution(one_live, cs, coset_cap=1, **stuck), seed=0)
+    dead = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])  # neither member has weight
+    with pytest.raises(EmptyCosetError):
+        crng.draw(crng.ConstrainedDistribution(dead, cs, mode=crng.MCMC), seed=0)
+
+
 def test_per_letter_weights():
     weights = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])
     dist = crng.ConstrainedDistribution(weights, kernel_constraints())

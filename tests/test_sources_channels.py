@@ -13,6 +13,18 @@ def h2(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
+def test_sample_outputs_any_shape():
+    # a block of inputs draws what its raveled row draws at the same seed
+    rng = np.random.default_rng(0)
+    trans = rng.random((3, 4))
+    ch = sc.Channel(trans / trans.sum(axis=1, keepdims=True))
+    x = rng.integers(0, 3, (7, 9))
+    block = ch.sample_outputs(x, np.random.default_rng(3))
+    row = ch.sample_outputs(x.ravel(), np.random.default_rng(3))
+    assert block.shape == x.shape
+    assert np.array_equal(block.ravel(), row)
+
+
 def test_bsc_identity_at_zero():
     ch = sc.make_bsc(0.0)
     assert np.array_equal(ch.transition, np.eye(2))

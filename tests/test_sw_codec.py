@@ -104,6 +104,15 @@ def test_decode_stochastic_failures():
         sw.decode_stochastic(codec, GfVector(F2, (1,)), (0, 0), seed=0)
 
 
+def test_decode_map_fails_on_zero_posterior_coset():
+    # the coset of test_decode_stochastic_failures: every member scores -inf,
+    # so the MAP decoder has no member to return either
+    source = sc.JointSource(np.array([[0.5, 0.25], [0.0, 0.25]]))
+    codec = sw.SwCodec(LinearMap(F2, ((1, 1),)), source)
+    with pytest.raises(DecodeFailure):
+        sw.decode_map(codec, GfVector(F2, (1,)), (0, 0))
+
+
 def test_error_zero_for_noiseless_correlation():
     codec = sw.SwCodec(A_PARITY, sc.make_dsbs(0.0))
     assert sw.error_probability(codec, "exact").value == 0.0
