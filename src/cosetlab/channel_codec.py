@@ -162,6 +162,13 @@ def _message_segments(codec: ChannelCodec):
     return members, np.cumsum(first) - 1, starts, px, np.add.reduceat(px, starts)
 
 
+def _map_decode(cond: np.ndarray, members: np.ndarray, member_msg: np.ndarray,
+                y: np.ndarray):
+    """(live, message) per row of y; a dead row's coset has no posterior mass."""
+    picks = _map_pick(members, _posterior_log_weights(cond, y))
+    return cond[members[picks], y].all(axis=1), member_msg[picks]
+
+
 def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
     """Encoder-error share plus the decoding error, every channel output at once.
 
@@ -190,7 +197,8 @@ def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
     cond = sw.source.cond_x_given_y
     for y in _blocks(ys, n, max(1, CHUNK_ENTRIES // (len(members) * n))):
         if sw.decoder == MAP_EXACT:
-            decoded = member_msg[_map_pick(members, _posterior_log_weights(cond, y))]
+            # a dead row decodes to no message (-1), a miss for every member
+            decoded = np.where(*_map_decode(cond, members, member_msg, y), -1)
             miss = decoded[:, None] != member_msg[None, :]
         else:
             hits = np.add.reduceat(_product_law(cond, members, y), starts, axis=1)
@@ -255,8 +263,8 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
             picks = _inverse_cdf(nu[live], u[s][live])
             hits += np.count_nonzero(member_msg[picks] == sent[s][live])
         else:
-            picks = _map_pick(members, _posterior_log_weights(cond, y[s]))
-            hits += np.count_nonzero(member_msg[picks] == sent[s])
+            live, decoded = _map_decode(cond, members, member_msg, y[s])
+            hits += np.count_nonzero(live & (decoded == sent[s]))
     failures = trials - int(hits)
     return ErrorEstimate(value=failures / trials, mode="monte-carlo",
                          trials=trials, std_err=wilson_std_err(failures, trials))

@@ -6,7 +6,10 @@ solution coset and samples from the renormalized weights; MCMC mode runs
 a lazy sequential-scan Metropolis walk whose proposals add a random
 scalar multiple of a null-space basis vector, so every state of the
 chain satisfies the constraints by construction and the acceptance ratio
-needs only single-letter weight products.
+needs only single-letter weight products.  The chain's generator draws
+its proposals in blocks: BLOCK = 4096 steps ``rng.integers(0, q, size=BLOCK)``,
+then BLOCK uniforms ``rng.random(BLOCK)``.  Each proposal takes one step and
+one uniform, used or not, and a step of 0 is lazy, so a seed fixes the chain.
 
 Exact mode is capped at cosets of 2^16 members.  Whether the constraint
 set is empty is always decided exactly by a rank test, never sampled.
@@ -15,7 +18,8 @@ set is empty is always decided exactly by a rank test, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from itertools import chain, count, repeat
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +35,8 @@ MCMC = "mcmc"
 # null-basis vector per sweep.  Mixing is an empirical knob, not a claim.
 BURN_IN_SWEEPS_PER_LETTER = 50
 SWEEPS_PER_LETTER = 50
+# The walk draws its proposals' steps and uniforms this many at a time.
+BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,35 +161,40 @@ def mass(dist: ConstrainedDistribution) -> float:
 
 
 def _walk(dist: ConstrainedDistribution, rng: np.random.Generator, first: int,
-          every: int) -> Iterator[np.ndarray]:
+          every: int) -> Iterator[List[int]]:
     """States of one Metropolis chain: after ``first`` sweeps, then after each ``every`` more.
 
-    The chain starts at the particular solution.  Each yield is the chain's
-    own state array, which the following sweeps update in place.
+    The chain starts at the particular solution.  A sweep proposes one move
+    per null-basis vector, in basis order, each with the next step s and
+    uniform u of the stream (blocks of BLOCK steps, then BLOCK uniforms).
+    s = 0 is the lazy step; otherwise the move adds s times the vector and,
+    with num and den the weights of the new and old letters on its support,
+    is accepted when den = 0 (a free move off a zero-weight state) or
+    u * den < num (never when num = 0).  Each yield is the chain's own
+    state list, which the following sweeps update in place.
     """
     sol = dist.constraints.solution
     q = dist.field.q
-    state = sol.particular.as_array().copy()
-    # each proposal adds s times one null-basis vector, touching only its support
-    supports = [np.flatnonzero(b.entries) for b in sol.null_basis]
-    moves = [(idx, b.as_array()[idx]) for idx, b in zip(supports, sol.null_basis)]
-    w = dist.weights
+    state = list(sol.particular.entries)
+    # each move touches only its support: (position, step, letter weights)
+    rows = dist.weights.tolist()
+    moves = [[(i, b, rows[i]) for i, b in enumerate(v.entries) if b] for v in sol.null_basis]
+    proposals = chain.from_iterable(zip(rng.integers(0, q, size=BLOCK).tolist(),
+                                        rng.random(BLOCK).tolist()) for _ in count())
     sweeps = first
     while True:
-        for _ in range(sweeps):
-            for idx, step in moves:
-                s = int(rng.integers(0, q))
-                if s == 0:
-                    continue  # lazy step, keeps the chain aperiodic
-                new_vals = (state[idx] + s * step) % q
-                num = w[idx, new_vals].prod()
-                den = w[idx, state[idx]].prod()
-                if den == 0.0:
-                    accept = True  # move freely off zero-mass states
-                else:
-                    accept = rng.random() < min(1.0, num / den)
-                if accept:
-                    state[idx] = new_vals
+        # zip takes the move first, so no proposal is drawn past the schedule
+        for move, (s, u) in zip(chain.from_iterable(repeat(moves, sweeps)), proposals):
+            if s == 0:
+                continue  # lazy step, keeps the chain aperiodic
+            num = den = 1.0
+            for i, b, w in move:
+                a = state[i]
+                num *= w[(a + s * b) % q]
+                den *= w[a]
+            if den == 0.0 or u * den < num:
+                for i, b, _ in move:
+                    state[i] = (state[i] + s * b) % q
         yield state
         sweeps = every
 
@@ -207,7 +218,7 @@ def draw(dist: ConstrainedDistribution, seed) -> GfVector:
         out = GfVector.from_array(dist.field, members[i])
     else:
         state = next(_walk(dist, rng, dist.burn_in + dist.sweeps, 0))
-        if not np.all(dist.weights[np.arange(dist.n), state] > 0.0):
+        if not all(dist.weights[i, a] > 0.0 for i, a in enumerate(state)):
             size = dist.constraints.coset_size
             if size > dist.coset_cap:
                 raise CapExceededError(
@@ -250,9 +261,9 @@ def tv_distance_check(dist: ConstrainedDistribution, draws: int, seed,
         picks = rng.choice(len(exact), size=draws, p=exact)
         counts = np.bincount(picks, minlength=len(exact)).astype(float)
     else:
-        index = {row.tobytes(): i for i, row in enumerate(members)}
+        index = {tuple(row): i for i, row in enumerate(members.tolist())}
         walk = _walk(dist, rng, dist.burn_in + thin, thin)
         for _ in range(draws):
-            counts[index[next(walk).tobytes()]] += 1
+            counts[index[tuple(next(walk))]] += 1
     emp = counts / draws
     return float(0.5 * np.abs(emp - exact).sum())

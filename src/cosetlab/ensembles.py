@@ -262,10 +262,6 @@ class EnumeratedEnsemble:
     def count(self) -> int:
         return self.arrays.shape[0]
 
-    def maps(self):
-        for arr in self.arrays:
-            yield LinearMap.from_array(self.spec.field, arr)
-
 
 def _all_words(q: int, n: int, rows: int) -> np.ndarray:
     """Every word of GF(q)^n, once a rows x q^n image-code table fits the cap."""

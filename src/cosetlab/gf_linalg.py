@@ -286,8 +286,6 @@ class AffineSolver:
                 v[p] = (-rref[j, f]) % q
             basis.append(GfVector.from_array(a.field, v))
         self.null_basis = tuple(basis)
-        self._basis_arr = (np.array([b.entries for b in basis], dtype=np.int64)
-                           if basis else np.zeros((0, a.cols), dtype=np.int64))
 
     def solve(self, c: GfVector) -> AffineSolution:
         if len(c) != self.map.rows or c.field != self.field:
@@ -304,9 +302,6 @@ class AffineSolver:
             x[p] = t[j]
         return AffineSolution(self.field, self.n, GfVector.from_array(self.field, x),
                               self.null_basis)
-
-    def null_basis_array(self) -> np.ndarray:
-        return self._basis_arr
 
 
 def matvec(a: LinearMap, x: GfVector) -> GfVector:
@@ -439,13 +434,3 @@ def parse_matrix(text: str) -> LinearMap:
             raise ValueError("row length does not match the header")
         entries.append(row)
     return LinearMap(field, tuple(entries), cols=cols)
-
-
-def write_matrix(path, a: LinearMap) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_matrix(a))
-
-
-def read_matrix(path) -> LinearMap:
-    with open(path) as fh:
-        return parse_matrix(fh.read())

@@ -8,7 +8,7 @@ from cosetlab import ensembles as ens
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
 from cosetlab.crng_sampler import EXACT, MCMC, ConstrainedDistribution, ConstraintSet, draw
-from cosetlab.errors import EmptyCosetError
+from cosetlab.errors import DecodeFailure, EmptyCosetError
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
 from cosetlab.rng import derived_seed
 
@@ -382,6 +382,35 @@ def test_pipeline_rejects_empty_window():
                                trials=100, seed=1)
 
 
+def decode_loop_error(codec):
+    """Exact MAP error from one channel ``decode`` per output; DecodeFailure is an error."""
+    outputs = np.array(list(itertools.product(range(codec.channel.output_size),
+                                              repeat=codec.n)))
+    decoded = []
+    for y in outputs:
+        try:
+            decoded.append(cc.decode(codec, y).entries)
+        except DecodeFailure:
+            decoded.append((-1,) * codec.b_map.rows)
+    decoded = np.array(decoded)
+    msgs = codec.messages()
+    solver = codec.stacked.solver()
+    px = codec.sw.source.x_marginal
+    err = 0.0
+    for m_row in msgs:
+        rhs = codec.syndrome.entries + tuple(int(v) for v in m_row)
+        members = coset_array(solver.solve(GfVector(codec.field, rhs)))
+        weights = px[members].prod(axis=1)
+        if not len(members) or weights.sum() <= 0.0:
+            err += 1.0 / len(msgs)
+            continue
+        wrong = (decoded != m_row).any(axis=1)
+        for x, w in zip(members, weights):
+            w_y = codec.channel.transition[x[None, :], outputs].prod(axis=1)
+            err += w / (len(msgs) * weights.sum()) * float(w_y @ wrong)
+    return err
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exact_map_error_equals_decode_map_loop(seed):
     # the exact evaluator decodes every output in one batch; it must agree
@@ -393,21 +422,27 @@ def test_exact_map_error_equals_decode_map_loop(seed):
     a = LinearMap.from_array(F2, rng.integers(0, 2, (l_a, n)))
     b = LinearMap.from_array(F2, rng.integers(0, 2, (l_b, n)))
     codec = cc.build(sw.SwCodec(a, source), b, channel, seed=seed)
-    outputs = np.array(list(itertools.product(range(2), repeat=n)))
-    decoded = np.array([cc.decode(codec, y).entries for y in outputs])
-    msgs = codec.messages()
-    solver = codec.stacked.solver()
-    px = source.x_marginal
-    err = 0.0
-    for m_row in msgs:
-        sol = solver.solve(GfVector(F2, codec.syndrome.entries + tuple(int(v) for v in m_row)))
-        members = coset_array(sol)
-        weights = px[members].prod(axis=1)
-        if not len(members) or weights.sum() <= 0.0:
-            err += 1.0 / len(msgs)
-            continue
-        wrong = (decoded != m_row).any(axis=1)
-        for x, w in zip(members, weights):
-            w_y = channel.transition[x[None, :], outputs].prod(axis=1)
-            err += w / (len(msgs) * weights.sum()) * float(w_y @ wrong)
-    assert cc.error_probability(codec, "exact").value == pytest.approx(err, abs=1e-12)
+    assert cc.error_probability(codec, "exact").value == pytest.approx(
+        decode_loop_error(codec), abs=1e-12)
+
+
+def test_map_errors_count_outputs_without_posterior_mass():
+    # mismatched decoding: the decoder's Z-channel source gives some outputs
+    # of the BSC link zero posterior on the whole coset, where decode fails
+    source = sc.joint_from_channel(np.full(2, 0.5), sc.Channel(np.array([[0.9, 0.1],
+                                                                          [0.0, 1.0]])))
+    assert source.cond_x_given_y[1, 0] == 0.0
+    a = LinearMap(F2, ((1, 1, 0, 0), (0, 0, 1, 1)))
+    b = LinearMap(F2, ((1, 0, 1, 0),))
+    codec = cc.ChannelCodec(sw.SwCodec(a, source), b, GfVector(F2, (1, 1)), sc.make_bsc(0.1))
+    failures = 0
+    for y in itertools.product(range(2), repeat=4):
+        try:
+            cc.decode(codec, y)
+        except DecodeFailure:
+            failures += 1
+    assert failures == 7
+    exact = cc.error_probability(codec, "exact")
+    assert exact.value == pytest.approx(decode_loop_error(codec), abs=1e-12)
+    mc = cc.error_probability(codec, "mc", trials=20000, seed=8)
+    assert abs(exact.value - mc.value) <= 3 * mc.std_err

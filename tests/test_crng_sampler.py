@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,75 @@ def test_zero_row_constraint_spans_space():
     assert cs.coset_size == 8
     dist = crng.ConstrainedDistribution(np.array([0.5, 0.5]), cs)
     assert crng.mass(dist) == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_walk(dist, seed, sweeps):
+    """Per-proposal Metropolis walk on the documented (step, uniform) stream.
+
+    Yields the state after each sweep.  Proposals come in blocks of
+    ``BLOCK`` steps followed by ``BLOCK`` uniforms, one of each per proposal.
+    """
+    rng = np.random.default_rng(seed)
+    q = dist.field.q
+    sol = dist.constraints.solution
+    state = sol.particular.as_array()
+    k = crng.BLOCK  # proposals used from the current block
+    for _ in range(sweeps):
+        for v in sol.null_basis:
+            if k == crng.BLOCK:
+                steps = rng.integers(0, q, size=crng.BLOCK)
+                uniforms = rng.random(crng.BLOCK)
+                k = 0
+            s, u = int(steps[k]), float(uniforms[k])
+            k += 1
+            if s == 0:
+                continue
+            support = np.flatnonzero(v.as_array())
+            new = (state + s * v.as_array()) % q
+            num = math.prod(float(dist.weights[i, new[i]]) for i in support)
+            den = math.prod(float(dist.weights[i, state[i]]) for i in support)
+            if den == 0.0 or u * den < num:
+                state = new
+        yield tuple(int(a) for a in state)
+
+
+def random_coset(q, rows, n, seed):
+    field = FieldSpec(q)
+    rng = np.random.default_rng(seed)
+    while True:
+        a = LinearMap.from_array(field, rng.integers(0, q, (rows, n)))
+        if a.rank == rows:
+            return crng.ConstraintSet(((a, GfVector.from_array(field, rng.integers(0, q, rows))),))
+
+
+WALK_CASES = {
+    "gf2-iid": (2, 2, 6, [0.7, 0.3]),
+    "gf2-per-letter-zeros": (2, 2, 6, [[0.0, 1.0], [0.6, 0.4], [1.0, 0.0],
+                                       [0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]),
+    "gf3-iid-zero": (3, 2, 5, [0.5, 0.0, 0.5]),
+    "gf3-per-letter-zeros": (3, 1, 4, [[0.0, 0.5, 0.5], [0.2, 0.3, 0.5],
+                                       [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]]),
+    "gf5-iid": (5, 2, 4, [0.3, 0.25, 0.2, 0.15, 0.1]),
+    "gf5-iid-zeros": (5, 1, 4, [0.4, 0.0, 0.3, 0.0, 0.3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_walk_matches_reference_state_for_state(case):
+    q, rows, n, weights = WALK_CASES[case]
+    dist = crng.ConstrainedDistribution(np.array(weights), random_coset(q, rows, n, 2),
+                                        mode=crng.MCMC)
+    walk = crng._walk(dist, np.random.default_rng(6), 1, 1)
+    for k, ref in enumerate(reference_walk(dist, 6, 2000)):
+        assert tuple(next(walk)) == ref, f"sweep {k + 1}"
+
+
+@pytest.mark.parametrize("q, rows, n, weights", [
+    (3, 2, 5, [0.5, 0.3, 0.2]),
+    (5, 2, 4, [0.3, 0.25, 0.2, 0.25, 0.0]),
+])
+def test_mcmc_tv_default_schedule_odd_prime(q, rows, n, weights):
+    dist = crng.ConstrainedDistribution(np.array(weights), random_coset(q, rows, n, 1),
+                                        mode=crng.MCMC)
+    assert dist.constraints.coset_size == q ** (n - rows)
+    assert crng.tv_distance_check(dist, 10000, seed=15) <= 0.05
