@@ -9,8 +9,7 @@ enumeration or seeded Monte Carlo.
 
 from .errors import (CapExceededError, ConfigError, CosetLabError, DecodeFailure,
                      EmptyCosetError, ExpurgationError)
-from .gf_linalg import (AffineSolution, FieldSpec, GfVector, LinearMap,
-                        enumerate_coset, matvec, rank, solve_affine)
+from .gf_linalg import AffineSolution, FieldSpec, GfVector, LinearMap, matvec, rank, solve_affine
 from .sources_channels import (Channel, InfoMeasures, JointSource, TypicalSetSpec,
                                info_measures, joint_from_channel, make_bsc, make_dsbs,
                                make_quantized_awgn, make_zchannel, sample_pair,

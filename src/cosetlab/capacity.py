@@ -11,8 +11,11 @@ Restricting the support to at most q symbols and maximizing over all
 such supports gives the finite-signaling-alphabet capacity, which is
 non-decreasing in q and approaches the unrestricted value.  The sweep
 is one batched solve over all candidate supports whose rows are
-bit-identical to single solves.  Exhaustive support search is capped at
-alphabet size 16; larger alphabets need the sampled-subset fallback.
+bit-identical to single solves; a support whose upper bracket falls below
+a rival's lower bracket is retired, not solved to the tolerance, so only
+supports that still compete can raise "no convergence".  Exhaustive
+support search is capped at alphabet size 16; larger alphabets need the
+sampled-subset fallback.
 """
 
 from __future__ import annotations
@@ -61,15 +64,17 @@ def blahut_arimoto(channel: Channel, support: Optional[Sequence[int]] = None,
 
 
 def _solve(channel: Channel, supports, tol: float, max_iter: int,
-           trace: Optional[list] = None) -> List[CapacityResult]:
+           trace: Optional[list] = None, groups=()) -> List[Optional[CapacityResult]]:
     """Blahut-Arimoto on every sorted support at once, one masked input-law row each.
 
     Rows are combined only by elementwise products and last-axis sums (no
     BLAS), so each row's result is bit-identical to the batch of one on its
-    support.  A row retires at its own convergence; ``trace`` (batch of
-    one) receives the running bracket after every iteration.
+    support.  A row leaves at its own convergence, or with result None once
+    its upper bracket plus ``tol`` is below the best lower bracket of every
+    row of ``groups`` (boolean, maxima x supports) holding it; ``trace``
+    (batch of one) receives the running bracket after every iteration.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     w = channel.transition
     allowed = np.zeros((len(supports), channel.input_size), dtype=bool)
@@ -81,6 +86,7 @@ def _solve(channel: Channel, supports, tol: float, max_iter: int,
     w_t = np.ascontiguousarray(w.T)
     live = np.arange(len(supports))  # result slot of each live row
     best_lo, best_hi = np.full(len(supports), -math.inf), np.full(len(supports), math.inf)
+    lo_all = np.full(len(supports), -math.inf)  # lower brackets, kept after rows leave
     results = [None] * len(supports)
     for it in range(1, max_iter + 1):
         p_y = (r[:, None, :] * w_t).sum(axis=2)
@@ -94,8 +100,12 @@ def _solve(channel: Channel, supports, tol: float, max_iter: int,
             trace.append((best_lo.item(0), best_hi.item(0)))
         gap = best_hi - best_lo
         done = gap <= tol
+        if len(groups):
+            lo_all[live] = best_lo
+            rival = np.where(groups, lo_all, -math.inf).max(axis=1, keepdims=True)
+            done |= ((best_hi + tol < rival) | ~groups[:, live]).all(axis=0)
         if np.count_nonzero(done):  # cheaper than done.any() on a batch of one
-            for j in np.flatnonzero(done):
+            for j in np.flatnonzero(done & (gap <= tol)):
                 results[live[j]] = CapacityResult(
                     capacity=max(best_lo.item(j), 0.0), input_dist=r[j].copy(), iterations=it,
                     residual=gap.item(j), support=supports[live[j]])
@@ -131,7 +141,10 @@ def signaling_sweep(channel: Channel, q_values: Sequence[int], tol: float = 1e-9
     random subset sampling via ``sampled_subsets``, which loses that
     guarantee.  All candidates are one batched solve, bit-identical to
     single solves; the first maximum wins (smallest, then lexicographically
-    first support, or first drawn), re-solved alone for its bracket trace.
+    first support, or first drawn), each distinct winner re-solved alone
+    for its bracket trace.  A candidate whose upper bracket falls below a
+    rival's lower bracket for each of its q is retired, not solved to
+    ``tol``, so only competing candidates can raise "no convergence".
     """
     nx = channel.input_size
     for qv in q_values:
@@ -148,13 +161,14 @@ def signaling_sweep(channel: Channel, q_values: Sequence[int], tol: float = 1e-9
     if nx <= SUPPORT_SEARCH_CAP:
         supports = [s for k in range(1, max(q_values) + 1)
                     for s in itertools.combinations(range(nx), k)]
-        eligible = [np.array([len(s) <= qv for s in supports]) for qv in q_values]
+        eligible = np.array([[len(s) <= qv for s in supports] for qv in q_values])
     else:
         rng = make_rng(seed)
         supports = [tuple(sorted(int(x) for x in rng.choice(nx, size=qv, replace=False)))
                     for qv in q_values for _ in range(sampled_subsets)]
-        eligible = [np.arange(len(supports)) // sampled_subsets == i
-                    for i in range(len(q_values))]
-    caps = np.array([res.capacity for res in _solve(channel, supports, tol, _MAX_ITER)])
+        eligible = np.arange(len(supports)) // sampled_subsets == np.arange(len(q_values))[:, None]
+    caps = np.array([-math.inf if res is None else res.capacity
+                     for res in _solve(channel, supports, tol, _MAX_ITER, groups=eligible)])
     winners = [supports[int(np.argmax(np.where(e, caps, -math.inf)))] for e in eligible]
-    return [blahut_arimoto(channel, support=s, tol=tol) for s in winners]
+    traced = {s: blahut_arimoto(channel, support=s, tol=tol) for s in set(winners)}
+    return [traced[s] for s in winners]

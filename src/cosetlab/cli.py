@@ -147,20 +147,21 @@ def validate(experiment: str, cfg: dict) -> List[str]:
 def _run_capacity(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     channel = _make_channel(cfg)
     tol = _get_float(cfg, "tol", 1e-9)
-    params = repr(channel.param)
+    if not tol > 0:
+        raise ConfigError("tol", f"must be positive, got {tol!r}")
     header = ["channel", "params", "support", "capacity", "iterations", "tol"]
-    rows = []
     if "q_values" in cfg:
         q_values = _get_list(cfg, "q_values", conv=int)
-        for qv, res in zip(q_values, cap_mod.signaling_sweep(channel, q_values, tol=tol)):
-            rows.append({"channel": channel.kind, "params": params,
-                         "support": "|S|<=" + str(qv) + ":" + "+".join(map(str, res.support)),
-                         "capacity": res.capacity, "iterations": res.iterations, "tol": tol})
+        if not all(1 <= qv <= channel.input_size for qv in q_values):
+            raise ConfigError("q_values", f"bounds must lie in [1, {channel.input_size}]")
+        sweep = cap_mod.signaling_sweep(channel, q_values, tol=tol)
+        labelled = [(f"|S|<={qv}:", res) for qv, res in zip(q_values, sweep)]
     else:
-        res = cap_mod.blahut_arimoto(channel, tol=tol)
-        rows.append({"channel": channel.kind, "params": params,
-                     "support": "+".join(map(str, res.support)),
-                     "capacity": res.capacity, "iterations": res.iterations, "tol": tol})
+        labelled = [("", cap_mod.blahut_arimoto(channel, tol=tol))]
+    rows = [{"channel": channel.kind, "params": repr(channel.param),
+             "support": label + "+".join(map(str, res.support)),
+             "capacity": res.capacity, "iterations": res.iterations, "tol": tol}
+            for label, res in labelled]
     return header, rows
 
 

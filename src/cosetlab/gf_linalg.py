@@ -13,9 +13,8 @@ space-separated residues.  Round-trips are bit-exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -325,25 +324,9 @@ def solve_affine(a: LinearMap, c: GfVector) -> AffineSolution:
     return a.solver().solve(c)
 
 
-def enumerate_coset(sol: AffineSolution, cap: int = COSET_ENUMERATION_CAP) -> Iterator[GfVector]:
-    """Yield each coset member exactly once, in a deterministic order."""
-    if sol.is_empty:
-        return
-    if sol.size > cap:
-        raise CapExceededError(f"coset of size {sol.size} is too large to enumerate (cap {cap})")
-    q = sol.field.q
-    part = sol.particular.as_array()
-    basis = [b.as_array() for b in sol.null_basis]
-    for coeffs in itertools.product(range(q), repeat=len(basis)):
-        v = part.copy()
-        for coef, b in zip(coeffs, basis):
-            if coef:
-                v = v + coef * b
-        yield GfVector.from_array(sol.field, v % q)
-
-
 def coset_array(sol: AffineSolution, cap: int = COSET_ENUMERATION_CAP) -> np.ndarray:
-    """All coset members as a (size, n) array, same order as enumerate_coset."""
+    """All coset members as a (size, n) array; row i adds the null basis, weighted by the
+    base-q digits of i (first basis vector most significant), to the particular solution."""
     if sol.is_empty:
         return np.zeros((0, sol.n), dtype=np.int64)
     if sol.size > cap:

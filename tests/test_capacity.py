@@ -153,8 +153,14 @@ def _channel_with_dead_output():
     return sc.Channel(w)
 
 
+def _channel_with_twin_inputs():
+    # inputs 0 and 1 are identical rows, so supports (0, k) and (1, k) tie bit for bit
+    w = np.array([[0.6, 0.3, 0.1], [0.6, 0.3, 0.1], [0.1, 0.2, 0.7], [0.3, 0.4, 0.3]])
+    return sc.Channel(w)
+
+
 KERNEL_CHANNELS = [lambda: sc.make_quantized_awgn(4.0, 8), _random_channel_with_zeros,
-                   _channel_with_dead_output]
+                   _channel_with_dead_output, _channel_with_twin_inputs]
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,6 +200,18 @@ def test_sweep_winners_equal_single_solves(which):
         assert np.array_equal(res.input_dist, best.input_dist)
         assert res.bracket_trace == best.bracket_trace
         assert len(res.bracket_trace) == res.iterations
+
+
+def test_sweep_never_iterates_dominated_supports(monkeypatch):
+    # the dominated supports need 1,834 iterations; the competing ones converge well before 600
+    ch = sc.make_quantized_awgn(4.0, 8)
+    full = cap.signaling_sweep(ch, [2, 4, 8])
+    monkeypatch.setattr(cap, "_MAX_ITER", 600)
+    pruned = cap.signaling_sweep(ch, [2, 4, 8])
+    for a, b in zip(full, pruned):
+        assert (a.support, a.capacity, a.iterations) == (b.support, b.capacity, b.iterations)
+        assert np.array_equal(a.input_dist, b.input_dist)
+        assert a.bracket_trace == b.bracket_trace
 
 
 def test_sampled_sweep_returns_best_single_solve():

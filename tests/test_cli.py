@@ -153,6 +153,18 @@ def test_unknown_choice_is_named(tmp_path):
     assert cli.main(["capacity", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("body, field", [
+    ("channel = bsc\np = 0.11\nq_values = 3\n", "q_values"),
+    ("channel = bsc\np = 0.11\nq_values = 0\n", "q_values"),
+    ("channel = bsc\np = 0.11\ntol = 0\n", "tol"),
+    ("channel = quantized-awgn\nsnr = 4.0\nlevels = 8\nq_values = 2\ntol = 0\n", "tol"),
+], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep"])
+def test_bad_capacity_values_are_named(tmp_path, capsys, body, field):
+    cfg = write_cfg(tmp_path, "c.cfg", body)
+    assert cli.main(["capacity", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_shipped_configs_parse_and_validate():
     import pathlib
 

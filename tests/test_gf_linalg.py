@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from cosetlab.errors import CapExceededError
-from cosetlab.gf_linalg import (FieldSpec, GfVector, LinearMap, coset_array,
-                                enumerate_coset, format_matrix, matvec,
-                                parse_matrix, rank, solve_affine, stack_maps)
+from cosetlab.gf_linalg import (FieldSpec, GfVector, LinearMap, coset_array, format_matrix,
+                                matvec, parse_matrix, rank, solve_affine, stack_maps)
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -62,13 +61,13 @@ def test_matvec_mismatches():
 def test_solve_identity_singleton():
     sol = solve_affine(LinearMap.identity(F2, 2), GfVector(F2, (1, 0)))
     assert not sol.is_empty and sol.size == 1
-    assert list(enumerate_coset(sol))[0].entries == (1, 0)
+    assert coset_array(sol).tolist() == [[1, 0]]
 
 
 def test_solve_kernel_coset_against_enumeration():
     a = LinearMap(F2, ((1, 1, 0), (0, 1, 1)))
     sol = solve_affine(a, GfVector(F2, (0, 0)))
-    got = sorted(v.entries for v in enumerate_coset(sol))
+    got = sorted(tuple(row) for row in coset_array(sol).tolist())
     # oracle: enumerate all 8 vectors
     want = sorted(x for x in itertools.product(range(2), repeat=3)
                   if ((x[0] + x[1]) % 2, (x[1] + x[2]) % 2) == (0, 0))
@@ -79,7 +78,7 @@ def test_solve_inconsistent():
     a = LinearMap(F2, ((1, 1), (1, 1)))
     sol = solve_affine(a, GfVector(F2, (0, 1)))
     assert sol.is_empty and sol.size == 0
-    assert list(enumerate_coset(sol)) == []
+    assert coset_array(sol).shape == (0, 2)
 
 
 def test_rank_examples():
@@ -111,8 +110,10 @@ def test_coset_members_satisfy_constraint():
         if sol.is_empty:
             continue
         assert sol.size == q ** (4 - a.rank)
-        for v in enumerate_coset(sol):
-            assert matvec(a, v) == c
+        members = coset_array(sol)
+        assert len(members) == sol.size
+        for row in members:
+            assert matvec(a, GfVector.from_array(f, row)) == c
 
 
 def test_cosets_partition_the_space():
@@ -145,21 +146,27 @@ def test_enumeration_cap():
     a = LinearMap.zeros(F2, 1, 10)  # kernel is the whole space, 1024 members
     sol = solve_affine(a, GfVector(F2, (0,)))
     with pytest.raises(CapExceededError):
-        list(enumerate_coset(sol, cap=512))
+        coset_array(sol, cap=512)
     assert coset_array(sol).shape == (1024, 10)
+
+
+def _listed_coset(sol):
+    # reference order: coefficient tuples counted with the first basis vector most significant
+    q, part = sol.field.q, np.array(sol.particular.entries)
+    basis = [np.array(b.entries) for b in sol.null_basis]
+    return [tuple(int(e) for e in (part + sum(c * b for c, b in zip(coeffs, basis))) % q)
+            for coeffs in itertools.product(range(q), repeat=len(basis))]
 
 
 def test_coset_array_matches_enumeration_order():
     a = LinearMap(F2, ((1, 0, 1, 1), (0, 1, 1, 0)))
     sol = solve_affine(a, GfVector(F2, (1, 1)))
     arr = coset_array(sol)
-    listed = [v.entries for v in enumerate_coset(sol)]
-    assert [tuple(int(e) for e in row) for row in arr] == listed
+    assert [tuple(int(e) for e in row) for row in arr] == _listed_coset(sol)
     f3 = FieldSpec(3)
     a3 = LinearMap(f3, ((1, 2, 0), (0, 1, 1)))
     sol3 = solve_affine(a3, GfVector(f3, (2, 1)))
-    assert [tuple(int(e) for e in row) for row in coset_array(sol3)] == \
-        [v.entries for v in enumerate_coset(sol3)]
+    assert [tuple(int(e) for e in row) for row in coset_array(sol3)] == _listed_coset(sol3)
 
 
 def test_zero_row_map():
