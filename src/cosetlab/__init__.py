@@ -10,10 +10,9 @@ enumeration or seeded Monte Carlo.
 from .errors import (CapExceededError, ConfigError, CosetLabError, DecodeFailure,
                      EmptyCosetError, ExpurgationError)
 from .gf_linalg import AffineSolution, FieldSpec, GfVector, LinearMap, matvec, rank, solve_affine
-from .sources_channels import (Channel, InfoMeasures, JointSource, TypicalSetSpec,
-                               info_measures, joint_from_channel, make_bsc, make_dsbs,
-                               make_quantized_awgn, make_zchannel, sample_pair,
-                               spectrum_histogram, typical_membership)
+from .sources_channels import (Channel, InfoMeasures, JointSource, info_measures,
+                               joint_from_channel, make_bsc, make_dsbs, make_quantized_awgn,
+                               make_zchannel)
 from .ensembles import (EnsembleSpec, HashParams, TypeVector, certified_collision_params,
                         certify_hash_property, compute_hash_params, expurgate,
                         expurgated_params_bound, sample_map, sparse_ensemble,
@@ -24,7 +23,7 @@ from .sw_codec import (ErrorEstimate, SwCodec, decode_map, decode_stochastic,
                        rate_sweep, rows_for_rate)
 from .channel_codec import (ChannelCodec, SearchResult, build, end_to_end_pipeline,
                             search_code)
-from .capacity import CapacityResult, blahut_arimoto, entropy_difference_check, signaling_sweep
+from .capacity import CapacityResult, blahut_arimoto, signaling_sweep
 from .decision_theory import (DecisionProblem, DecisionRule, map_rule, posterior_rule,
                               rule_error, verify_factor2)
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError
 from .rng import make_rng
-from .sources_channels import Channel, info_measures, joint_from_channel
+from .sources_channels import Channel
 
 SUPPORT_SEARCH_CAP = 16
 _MAX_ITER = 200000
@@ -117,19 +117,6 @@ def _solve(channel: Channel, supports, tol: float, max_iter: int,
         r = r * np.exp2(d - hi[:, None])
         r /= r.sum(axis=1, keepdims=True)
     raise RuntimeError(f"no convergence to tol={tol} within {max_iter} iterations")
-
-
-def entropy_difference_check(channel: Channel, input_dist) -> Tuple[float, float]:
-    """(I(X;Y), H(X) - H(X|Y)) computed along independent routes."""
-    px = np.asarray(input_dist, dtype=np.float64)
-    w = channel.transition
-    p_y = px @ w
-    mask = (w > 0.0) & (px[:, None] > 0.0) & (p_y[None, :] > 0.0)
-    ratio = np.where(mask, w / np.where(p_y[None, :] > 0.0, p_y[None, :], 1.0), 1.0)
-    mutual = float((px[:, None] * np.where(mask, w * np.log2(ratio), 0.0)).sum())
-    src = joint_from_channel(px, channel)
-    measures = info_measures(src)
-    return mutual, measures.h_x - measures.h_x_given_y
 
 
 def signaling_sweep(channel: Channel, q_values: Sequence[int], tol: float = 1e-9,

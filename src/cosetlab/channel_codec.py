@@ -34,12 +34,11 @@ from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, GfVector, LinearMa
                         _row_reduce, concat_vectors, image_codes, matvec, stack_maps)
 from .rng import derived_seed, make_rng
 from .sources_channels import Channel, info_measures, joint_from_channel
-from .sw_codec import (MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _decode, _map_pick,
-                       _posterior_log_weights, _product_law,
+from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _decode,
+                       _map_pick, _posterior_log_weights, _product_law,
                        error_probability as sw_error_probability, wilson_std_err)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
-EXACT_ERROR_CAP = 2 ** 24
 
 
 class ChannelCodec:

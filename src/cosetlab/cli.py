@@ -26,7 +26,7 @@ from . import channel_codec, crng_sampler, decision_theory, ensembles, sw_codec
 from .errors import CapExceededError, ConfigError
 from .gf_linalg import FieldSpec, GfVector, matvec
 from .rng import derived_seed, make_rng
-from .sources_channels import (Channel, info_measures, joint_from_channel,
+from .sources_channels import (Channel, JointSource, info_measures, joint_from_channel,
                                make_bsc, make_dsbs, make_quantized_awgn, make_zchannel)
 
 EXPERIMENTS = ("capacity", "hash-verify", "sw", "channel", "decision", "crng-test")
@@ -97,13 +97,27 @@ def _get_choice(cfg: dict, key: str, choices, default: Optional[str] = None) -> 
     return raw
 
 
+def _named(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ValueError from it reported as a bad ``key`` value."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
 def _make_channel(cfg: dict) -> Channel:
     kind = _get_choice(cfg, "channel", {"bsc", "zchannel", "quantized-awgn"})
     if kind == "bsc":
-        return make_bsc(_get_float(cfg, "p"))
+        return _named("p", make_bsc, _get_float(cfg, "p"))
     if kind == "zchannel":
-        return make_zchannel(_get_float(cfg, "p"))
-    return make_quantized_awgn(_get_float(cfg, "snr"), _get_int(cfg, "levels"))
+        return _named("p", make_zchannel, _get_float(cfg, "p"))
+    snr, levels = _get_float(cfg, "snr"), _get_int(cfg, "levels")
+    # make_quantized_awgn checks the level count before the snr
+    return _named("levels" if levels < 2 else "snr", make_quantized_awgn, snr, levels)
+
+
+def _make_source(cfg: dict) -> JointSource:
+    return _named("p", make_dsbs, _get_float(cfg, "p"))
 
 
 def _make_ensemble(cfg: dict, field: FieldSpec, l: int, n: int) -> ensembles.EnsembleSpec:
@@ -127,7 +141,7 @@ def validate(experiment: str, cfg: dict) -> List[str]:
     regimes are legitimate experiments)."""
     warnings: List[str] = []
     if experiment == "sw":
-        measures = info_measures(make_dsbs(_get_float(cfg, "p")))
+        measures = info_measures(_make_source(cfg))
         for r in _get_list(cfg, "rates"):
             warnings += measures.converse_warnings(r)
     elif experiment == "channel":
@@ -166,7 +180,7 @@ def _run_capacity(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
 
 
 def _run_hash_verify(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
-    field = FieldSpec(_get_int(cfg, "q", 2))
+    field = _named("q", FieldSpec, _get_int(cfg, "q", 2))
     l, n = _get_int(cfg, "l"), _get_int(cfg, "n")
     gamma = _get_float(cfg, "gamma", 0.0)
     pairs = _get_int(cfg, "pairs", 20)
@@ -191,11 +205,14 @@ def _run_hash_verify(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
 
 
 def _run_sw(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
-    source = make_dsbs(_get_float(cfg, "p"))
+    source = _make_source(cfg)
+    ns = _get_list(cfg, "ns", conv=int)
+    if not all(n >= 1 for n in ns):
+        raise ConfigError("ns", f"block lengths must be at least 1, got {ns}")
     rows = sw_codec.rate_sweep(
         source,
         rates=_get_list(cfg, "rates"),
-        ns=_get_list(cfg, "ns", conv=int),
+        ns=ns,
         trials=_get_int(cfg, "trials", 10000),
         seed=seed,
         decoder=_get_choice(cfg, "decoder", {"map-exact", "stochastic"}, default="map-exact"),
@@ -246,7 +263,7 @@ def _run_decision(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
 
 
 def _run_crng_test(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
-    field = FieldSpec(_get_int(cfg, "q", 2))
+    field = _named("q", FieldSpec, _get_int(cfg, "q", 2))
     n, l = _get_int(cfg, "n"), _get_int(cfg, "l")
     p1 = _get_float(cfg, "bernoulli", 0.5)
     if field.q != 2:
@@ -261,7 +278,8 @@ def _run_crng_test(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     header = ["mode", "q", "n", "l", "coset_size", "draws", "tv", "seed"]
     rows = []
     exact_draws = _get_int(cfg, "draws", 100000)
-    dist = crng_sampler.ConstrainedDistribution(weights, constraints, mode=crng_sampler.EXACT)
+    dist = _named("bernoulli", crng_sampler.ConstrainedDistribution, weights, constraints,
+                  mode=crng_sampler.EXACT)
     tv = crng_sampler.tv_distance_check(dist, exact_draws, derived_seed(seed, 9))
     rows.append({"mode": "exact", "q": field.q, "n": n, "l": l,
                  "coset_size": constraints.coset_size, "draws": exact_draws,

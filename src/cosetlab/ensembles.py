@@ -35,8 +35,8 @@ collision check of the certifier is one mass over z that every word
 shares.
 
 Exact enumeration is capped at 2^20 ensemble members, and the image-code
-table at 2^24 entries; beyond the caps only sampled spectrum estimates
-(with standard errors) are offered.
+table at 2^24 entries; beyond the caps CapExceededError is raised and no
+sampled estimate exists.
 """
 
 from __future__ import annotations
@@ -280,8 +280,7 @@ def enumerate_ensemble(spec: EnsembleSpec,
         count = q ** (l * n)
         if count > cap:
             raise CapExceededError(
-                f"uniform ensemble has {count} members, above the cap {cap}; "
-                "use the sampled spectrum instead")
+                f"uniform ensemble has {count} members, above the cap {cap}")
         arrays = base_digits(np.arange(count), l * n, q).reshape(count, l, n)
         probs = np.full(count, 1.0 / count)
         return EnumeratedEnsemble(spec, arrays, probs)
@@ -374,31 +373,6 @@ def type_spectrum(spec: EnsembleSpec, cap: int = ENSEMBLE_ENUMERATION_CAP) -> di
     _, words, _, z = _ensemble_table(spec, cap)
     per_type = np.bincount(_type_index(words, q, types), weights=z, minlength=len(types))
     return {t: float(s) for t, s in zip(types, per_type)}
-
-
-def type_spectrum_sampled(spec: EnsembleSpec, samples: int, seed):
-    """Monte Carlo spectrum estimate: per-type mean and standard error.
-
-    ``seed`` must be a Python or numpy integer; sample s is drawn from the
-    generator seeded with (seed, s).
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    q, n = spec.field.q, spec.cols
-    types = all_types(q, n)
-    zero = GfVector.zeros(spec.field, spec.rows)
-    counts = np.zeros((samples, len(types)))
-    # per-sample generators keep the estimate independent of evaluation order
-    for s in range(samples):
-        a = sample_map(spec, np.random.default_rng([int(seed), s]))
-        kernel = coset_array(solve_affine(a, zero))
-        counts[s] = np.bincount(_type_index(kernel, q, types), minlength=len(types))
-    mean = counts.mean(axis=0)
-    se = counts.std(axis=0, ddof=1) / math.sqrt(samples)
-    return ({t: float(m) for t, m in zip(types, mean)},
-            {t: float(e) for t, e in zip(types, se)})
 
 
 def _heavy_types(q: int, n: int, gamma: float):

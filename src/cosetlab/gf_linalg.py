@@ -2,13 +2,9 @@
 
 Everything downstream (syndrome codes, cosets, constrained samplers)
 reduces to residue arithmetic mod a prime q.  Vectors and matrices are
-immutable; a matrix computes its rank once at construction (bit-packed
-elimination for GF(2), plain modular elimination otherwise) and lazily
-caches a reusable solver so many right-hand sides can be solved against
-the same matrix cheaply.
-
-Matrix text format: first line ``q l n``, then ``l`` lines of ``n``
-space-separated residues.  Round-trips are bit-exact.
+immutable; a matrix row-reduces itself once, on the first use of its
+rank or its solver, and keeps that reduction, so its rank and the
+solutions of many right-hand sides all come from one elimination.
 """
 
 from __future__ import annotations
@@ -101,35 +97,20 @@ class GfVector:
         return GfVector(self.field, tuple((a + b) % q for a, b in zip(self.entries, other.entries)))
 
 
-def _rank_gf2_bitpacked(rows: Sequence[int]) -> int:
-    """Rank over GF(2) with rows packed into Python ints (bit i = column i)."""
-    pivots = {}  # highest set bit -> reduced row
-    rank = 0
-    for row in rows:
-        while row:
-            h = row.bit_length() - 1
-            if h in pivots:
-                row ^= pivots[h]
-            else:
-                pivots[h] = row
-                rank += 1
-                break
-    return rank
-
-
 def _row_reduce(arr: np.ndarray, field: FieldSpec):
     """Full RREF of ``arr`` with the transform applied to an identity.
 
     Returns (rref, transform, pivot_cols) with transform @ arr == rref
     (mod q).  Pivot rows come first; remaining rows of rref are zero.
+    The elimination runs once on the augmented array [arr | I], so each
+    pivot takes one swap, one scaling and one outer-product update.
     """
     q = field.q
-    a = arr.astype(np.int64) % q
-    rows = a.shape[0]
-    t = np.eye(rows, dtype=np.int64)
+    rows, cols = arr.shape
+    a = np.hstack([arr.astype(np.int64) % q, np.eye(rows, dtype=np.int64)])
     pivots = []
     r = 0
-    for col in range(a.shape[1]):
+    for col in range(cols):
         if r == rows:
             break
         nz = np.nonzero(a[r:, col])[0]
@@ -138,22 +119,18 @@ def _row_reduce(arr: np.ndarray, field: FieldSpec):
         p = r + int(nz[0])
         if p != r:
             a[[r, p]] = a[[p, r]]
-            t[[r, p]] = t[[p, r]]
-        inv = field.inv(int(a[r, col]))
-        a[r] = (a[r] * inv) % q
-        t[r] = (t[r] * inv) % q
+        a[r] = (a[r] * field.inv(int(a[r, col]))) % q
         factors = a[:, col].copy()
         factors[r] = 0
         a = (a - np.outer(factors, a[r])) % q
-        t = (t - np.outer(factors, t[r])) % q
         pivots.append(col)
         r += 1
-    return a, t, pivots
+    return a[:, :cols], a[:, cols:], pivots
 
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
-    """An l x n matrix over GF(q), rank cached at construction.
+    """An l x n matrix over GF(q), row-reduced once on first use.
 
     ``cols`` only needs to be passed for matrices with zero rows, where
     it cannot be inferred from the entries.
@@ -180,18 +157,14 @@ class LinearMap:
         arr = np.array(rows, dtype=np.int64).reshape(len(rows), self.cols)
         arr.flags.writeable = False
         object.__setattr__(self, "_arr", arr)
-        object.__setattr__(self, "_rank", self._compute_rank())
+        object.__setattr__(self, "_reduced", None)
         object.__setattr__(self, "_solver", None)
 
-    def _compute_rank(self) -> int:
-        if self.rows == 0:
-            return 0
-        if self.field.q == 2:
-            packed = [int("".join(str(b) for b in reversed(row)), 2) if any(row) else 0
-                      for row in self.entries]
-            return _rank_gf2_bitpacked(packed)
-        _, _, pivots = _row_reduce(self._arr, self.field)
-        return len(pivots)
+    def _reduction(self):
+        """(rref, transform, pivot_cols) of :func:`_row_reduce`, computed on first use."""
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced", _row_reduce(self._arr, self.field))
+        return self._reduced
 
     @classmethod
     def from_array(cls, field: FieldSpec, arr) -> "LinearMap":
@@ -216,11 +189,11 @@ class LinearMap:
 
     @property
     def rank(self) -> int:
-        return self._rank
+        return len(self._reduction()[2])
 
     def image_size(self) -> int:
         """|Im A| = q^rank, the true image size even for rank-deficient maps."""
-        return self.field.q ** self._rank
+        return self.field.q ** self.rank
 
     def as_array(self) -> np.ndarray:
         return self._arr
@@ -264,16 +237,13 @@ class AffineSolution:
 
 
 class AffineSolver:
-    """Solves A x = c for many right-hand sides from a single elimination."""
+    """Solves A x = c for many right-hand sides from the map's one elimination."""
 
     def __init__(self, a: LinearMap):
         self.map = a
         self.field = a.field
         self.n = a.cols
-        rref, transform, pivots = _row_reduce(a.as_array(), a.field) if a.rows else (
-            np.zeros((0, a.cols), dtype=np.int64), np.zeros((0, 0), dtype=np.int64), [])
-        self._rref = rref
-        self._transform = transform
+        rref, self._transform, pivots = a._reduction()
         self._pivots = pivots
         q = a.field.q
         free = [c for c in range(a.cols) if c not in pivots]
@@ -289,13 +259,9 @@ class AffineSolver:
     def solve(self, c: GfVector) -> AffineSolution:
         if len(c) != self.map.rows or c.field != self.field:
             raise ValueError("right-hand side does not match the matrix")
-        r = len(self._pivots)
-        if self.map.rows:
-            t = (self._transform @ c.as_array()) % self.field.q
-            if np.any(t[r:]):
-                return AffineSolution(self.field, self.n, None, self.null_basis)
-        else:
-            t = np.zeros(0, dtype=np.int64)
+        t = (self._transform @ c.as_array()) % self.field.q
+        if np.any(t[len(self._pivots):]):
+            return AffineSolution(self.field, self.n, None, self.null_basis)
         x = np.zeros(self.n, dtype=np.int64)
         for j, p in enumerate(self._pivots):
             x[p] = t[j]
@@ -378,7 +344,7 @@ def image_codes(maps: np.ndarray, q: int, words: np.ndarray) -> np.ndarray:
 def stack_maps(maps: Sequence[LinearMap]) -> LinearMap:
     """Vertically stack maps sharing a field and column count.
 
-    A single map is returned as it is, so its cached rank and solver carry over.
+    A single map is returned as it is, so its cached reduction and solver carry over.
     """
     if not maps:
         raise ValueError("nothing to stack")
@@ -394,26 +360,3 @@ def stack_maps(maps: Sequence[LinearMap]) -> LinearMap:
 def concat_vectors(vectors: Sequence[GfVector], field: FieldSpec) -> GfVector:
     entries = tuple(e for v in vectors for e in v.entries)
     return GfVector(field, entries)
-
-
-def format_matrix(a: LinearMap) -> str:
-    lines = [f"{a.field.q} {a.rows} {a.cols}"]
-    lines += [" ".join(str(e) for e in row) for row in a.entries]
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> LinearMap:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    q, rows, cols = (int(tok) for tok in lines[0].split())
-    if len(lines) != rows + 1:
-        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
-    field = FieldSpec(q)
-    entries = []
-    for ln in lines[1:]:
-        row = tuple(int(tok) for tok in ln.split())
-        if len(row) != cols:
-            raise ValueError("row length does not match the header")
-        entries.append(row)
-    return LinearMap(field, tuple(entries), cols=cols)

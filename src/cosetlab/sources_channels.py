@@ -1,35 +1,24 @@
 """Finite-alphabet memoryless sources and channels.
 
-Single-letter objects with i.i.d. product extension, Shannon quantities
-in bits, and the typical-set diagnostics used to sanity-check the coding
-experiments.  Outputs of continuous channels enter only through explicit
-quantization to a declared number of levels, so every sum here is a
-finite sum.
+Single-letter objects with i.i.d. product extension and Shannon
+quantities in bits.  Outputs of continuous channels enter only through
+explicit quantization to a declared number of levels, so every sum here
+is a finite sum.
 
 For memoryless sources the spectral entropy rates coincide with the
 single-letter entropies; those single-letter values are what this module
 exposes (general sources are an extension point, not implemented).
-
-Text format for both channels and joint sources: a first line with the
-two alphabet sizes, then the row-major probability table.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .gf_linalg import FieldSpec, GfVector
-from .rng import make_rng
-
 _MASS_TOL = 1e-12
-
-INF_ENTROPY = "inf-entropy"          # membership set for (1/n) log 1/mu(x)
-COND_SUP_ENTROPY = "cond-sup-entropy"  # membership set for (1/n) log 1/mu(x|y)
 
 
 def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
@@ -141,21 +130,6 @@ class InfoMeasures:
                 "rate condition violated"]
 
 
-@dataclass(frozen=True)
-class TypicalSetSpec:
-    """Membership test parameters for the entropy-spectrum sets."""
-
-    epsilon: float
-    n: int
-    kind: str = INF_ENTROPY
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.kind not in (INF_ENTROPY, COND_SUP_ENTROPY):
-            raise ValueError(f"unknown typical-set kind {self.kind!r}")
-
-
 def entropy_bits(p: np.ndarray) -> float:
     """Shannon entropy in bits; 0 log 0 taken as 0."""
     p = np.asarray(p, dtype=np.float64).ravel()
@@ -226,136 +200,3 @@ def info_measures(src: JointSource) -> InfoMeasures:
     h_x_given_y = h_xy - h_y
     return InfoMeasures(h_x=h_x, h_x_given_y=h_x_given_y, h_y=h_y,
                         mutual_information=h_x - h_x_given_y)
-
-
-def sample_pair(src: JointSource, n: int, seed, field: Optional[FieldSpec] = None):
-    """n i.i.d. letters from the joint; X is returned as a GfVector.
-
-    The X alphabet is identified with GF(|X|) residues, so |X| must be
-    prime unless a compatible ``field`` is supplied.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = make_rng(seed)
-    if field is None:
-        field = FieldSpec(src.x_size)
-    elif field.q != src.x_size:
-        raise ValueError("field size does not match the X alphabet")
-    flat = rng.choice(src.joint.size, size=n, p=src.joint.ravel())
-    xi, yi = np.divmod(flat, src.y_size)
-    return GfVector.from_array(field, xi), tuple(int(v) for v in yi)
-
-
-def _neglog_rate(probs: np.ndarray) -> float:
-    """(1/n) sum log2(1/p_i); infinite when any letter has probability 0."""
-    if np.any(probs <= 0.0):
-        return math.inf
-    return float(-np.log2(probs).mean())
-
-
-def typical_membership(spec: TypicalSetSpec, src: JointSource, x, y=None) -> bool:
-    """Evaluate the defining spectrum inequality for x (and y, if conditional)."""
-    xi = np.asarray(x.entries if isinstance(x, GfVector) else x, dtype=np.int64)
-    if len(xi) != spec.n:
-        raise ValueError("x length does not match the typical-set block length")
-    measures = info_measures(src)
-    if spec.kind == INF_ENTROPY:
-        rate = _neglog_rate(src.x_marginal[xi])
-        return rate >= measures.h_x - spec.epsilon
-    if y is None:
-        raise ValueError("conditional membership needs the side-information vector")
-    yi = np.asarray(y, dtype=np.int64)
-    if len(yi) != spec.n:
-        raise ValueError("y length does not match the typical-set block length")
-    rate = _neglog_rate(src.cond_x_given_y[xi, yi])
-    return rate <= measures.h_x_given_y + spec.epsilon
-
-
-@dataclass(eq=False)
-class SpectrumSamples:
-    """Per-block empirical entropy-spectrum values from Monte Carlo sampling."""
-
-    values: np.ndarray
-    kind: str
-    n: int
-    trials: int
-    source_kind: str
-    source_param: Optional[float]
-    seed: int
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def std(self) -> float:
-        return float(self.values.std(ddof=1)) if len(self.values) > 1 else 0.0
-
-    def std_err(self) -> float:
-        return self.std() / math.sqrt(len(self.values))
-
-    def histogram(self, bins: int = 20):
-        return np.histogram(self.values, bins=bins)
-
-
-def spectrum_histogram(src: JointSource, n: int, trials: int, seed,
-                       kind: str = INF_ENTROPY) -> SpectrumSamples:
-    """Sample (1/n) log2 1/mu(x) or (1/n) log2 1/mu(x|y) over i.i.d. blocks."""
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be at least 1")
-    if kind not in (INF_ENTROPY, COND_SUP_ENTROPY):
-        raise ValueError(f"unknown spectrum kind {kind!r}")
-    rng = make_rng(seed)
-    flat = rng.choice(src.joint.size, size=(trials, n), p=src.joint.ravel())
-    xi, yi = np.divmod(flat, src.y_size)
-    if kind == INF_ENTROPY:
-        probs = src.x_marginal[xi]
-    else:
-        probs = src.cond_x_given_y[xi, yi]
-    with np.errstate(divide="ignore"):
-        vals = -np.log2(probs).mean(axis=1)
-    return SpectrumSamples(values=vals, kind=kind, n=n, trials=trials,
-                           source_kind=src.kind, source_param=src.param,
-                           seed=seed if isinstance(seed, int) else -1)
-
-
-def write_histogram_csv(samples: SpectrumSamples, path, bins: int = 20) -> None:
-    counts, edges = samples.histogram(bins=bins)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["# kind", samples.kind, "n", samples.n, "trials", samples.trials,
-                         "source", samples.source_kind, "param", samples.source_param,
-                         "seed", samples.seed])
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
-
-
-def format_channel(ch: Channel) -> str:
-    lines = [f"{ch.input_size} {ch.output_size}"]
-    lines += [" ".join(repr(float(v)) for v in row) for row in ch.transition]
-    return "\n".join(lines) + "\n"
-
-
-def parse_channel(text: str) -> Channel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    nx, ny = (int(t) for t in lines[0].split())
-    rows = [[float(t) for t in ln.split()] for ln in lines[1:]]
-    mat = np.array(rows)
-    if mat.shape != (nx, ny):
-        raise ValueError("probability table does not match the declared sizes")
-    return Channel(mat)
-
-
-def format_source(src: JointSource) -> str:
-    lines = [f"{src.x_size} {src.y_size}"]
-    lines += [" ".join(repr(float(v)) for v in row) for row in src.joint]
-    return "\n".join(lines) + "\n"
-
-
-def parse_source(text: str) -> JointSource:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    nx, ny = (int(t) for t in lines[0].split())
-    rows = [[float(t) for t in ln.split()] for ln in lines[1:]]
-    mat = np.array(rows)
-    if mat.shape != (nx, ny):
-        raise ValueError("probability table does not match the declared sizes")
-    return JointSource(mat)

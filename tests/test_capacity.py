@@ -70,6 +70,19 @@ def test_single_input_support_conveys_nothing():
     assert res.capacity == 0.0
 
 
+def direct_mutual_information(w, px):
+    # sum over x, y of p(x) W(y|x) log2(W(y|x) / p(y)), over cells with mass
+    p_y = px @ w
+    return sum(px[x] * w[x, y] * math.log2(w[x, y] / p_y[y])
+               for x in range(w.shape[0]) for y in range(w.shape[1])
+               if px[x] > 0.0 and w[x, y] > 0.0)
+
+
+def entropy_difference(w, px):
+    measures = sc.info_measures(sc.joint_from_channel(px, sc.Channel(w)))
+    return measures.h_x - measures.h_x_given_y
+
+
 def test_entropy_difference_identity_random_pairs():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -78,17 +91,15 @@ def test_entropy_difference_identity_random_pairs():
         w /= w.sum(axis=1, keepdims=True)
         px = rng.random(nx)
         px /= px.sum()
-        mutual, difference = cap.entropy_difference_check(sc.Channel(w), px)
-        assert abs(mutual - difference) <= 1e-12
+        assert abs(direct_mutual_information(w, px) - entropy_difference(w, px)) <= 1e-12
 
 
 def test_entropy_difference_deterministic_channel():
-    ch = sc.Channel(np.eye(3))
+    w = np.eye(3)
     px = np.array([0.2, 0.5, 0.3])
-    mutual, difference = cap.entropy_difference_check(ch, px)
     h_x = -sum(p * math.log2(p) for p in px)
-    assert mutual == pytest.approx(h_x, abs=1e-12)
-    assert difference == pytest.approx(h_x, abs=1e-12)
+    assert direct_mutual_information(w, px) == pytest.approx(h_x, abs=1e-12)
+    assert entropy_difference(w, px) == pytest.approx(h_x, abs=1e-12)
 
 
 def test_signaling_sweep_monotone():

@@ -153,18 +153,6 @@ def test_unknown_choice_is_named(tmp_path):
     assert cli.main(["capacity", "--config", cfg]) == 1
 
 
-@pytest.mark.parametrize("body, field", [
-    ("channel = bsc\np = 0.11\nq_values = 3\n", "q_values"),
-    ("channel = bsc\np = 0.11\nq_values = 0\n", "q_values"),
-    ("channel = bsc\np = 0.11\ntol = 0\n", "tol"),
-    ("channel = quantized-awgn\nsnr = 4.0\nlevels = 8\nq_values = 2\ntol = 0\n", "tol"),
-], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep"])
-def test_bad_capacity_values_are_named(tmp_path, capsys, body, field):
-    cfg = write_cfg(tmp_path, "c.cfg", body)
-    assert cli.main(["capacity", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
-    assert f"config field '{field}'" in capsys.readouterr().err
-
-
 def test_shipped_configs_parse_and_validate():
     import pathlib
 
@@ -210,6 +198,34 @@ TINY_CONFIGS = {
     "decision": "problems = 20\n",
     "crng-test": "q = 2\nn = 6\nl = 2\ndraws = 2000\nmcmc_draws = 500\n",
 }
+
+
+@pytest.mark.parametrize("experiment, body, field", [
+    ("capacity", "channel = bsc\np = 0.11\nq_values = 3\n", "q_values"),
+    ("capacity", "channel = bsc\np = 0.11\nq_values = 0\n", "q_values"),
+    ("capacity", "channel = bsc\np = 0.11\ntol = 0\n", "tol"),
+    ("capacity", "channel = quantized-awgn\nsnr = 4.0\nlevels = 8\nq_values = 2\ntol = 0\n",
+     "tol"),
+    ("capacity", "channel = bsc\np = 1.5\n", "p"),
+    ("capacity", "channel = quantized-awgn\nsnr = -1\nlevels = 8\n", "snr"),
+    ("capacity", "channel = quantized-awgn\nsnr = 4.0\nlevels = 1\n", "levels"),
+    ("channel", TINY_CONFIGS["channel"].replace("p = 0.11", "p = 1.5"), "p"),
+    ("channel", "channel = quantized-awgn\nsnr = -1\nlevels = 5\nn = 4\nr = 0.5\nR = 0.5\n",
+     "snr"),
+    ("channel", "channel = quantized-awgn\nsnr = 4.0\nlevels = 1\nn = 4\nr = 0.5\nR = 0.5\n",
+     "levels"),
+    ("sw", TINY_CONFIGS["sw"].replace("p = 0.11", "p = 2"), "p"),
+    ("sw", TINY_CONFIGS["sw"].replace("ns = 6", "ns = 0"), "ns"),
+    ("crng-test", TINY_CONFIGS["crng-test"] + "bernoulli = 1.5\n", "bernoulli"),
+    ("hash-verify", TINY_CONFIGS["hash-verify"].replace("q = 2", "q = 4"), "q"),
+], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
+        "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
+        "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
+        "q-composite"])
+def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
+    cfg = write_cfg(tmp_path, "c.cfg", body)
+    assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
 
 
 def test_numpy_floats_are_written_as_numbers():

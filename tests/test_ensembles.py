@@ -84,16 +84,6 @@ def test_uniform_spectrum_weight_three():
     assert total == pytest.approx(0.25, abs=1e-12)
 
 
-def test_sampled_spectrum_tracks_closed_form():
-    spec = ens.uniform_ensemble(F2, 2, 3)
-    exact = ens.type_spectrum(spec)
-    mean, se = ens.type_spectrum_sampled(spec, samples=400, seed=5)
-    for t, v in exact.items():
-        if t.weight == 0:
-            continue
-        assert abs(mean[t] - v) <= 4 * max(se[t], 1e-9)
-
-
 def test_uniform_params_are_one_zero():
     hp = ens.compute_hash_params(ens.uniform_ensemble(F2, 2, 4), gamma=0.0)
     assert hp.alpha == pytest.approx(1.0) and hp.beta == 0.0
@@ -273,16 +263,6 @@ def test_csv_row_shape():
     assert list(row.keys()) == ["kind", "q", "l", "n", "gamma", "alpha", "beta",
                                 "violations", "checked"]
     assert row["violations"] == 0 and row["gamma"] == 0.0
-
-
-def test_sampled_spectrum_seed_types():
-    spec = ens.uniform_ensemble(F2, 2, 3)
-    mean, se = ens.type_spectrum_sampled(spec, samples=20, seed=5)
-    assert ens.type_spectrum_sampled(spec, samples=20, seed=np.int64(5)) == (mean, se)
-    assert ens.type_spectrum_sampled(spec, samples=20, seed=6)[0] != mean
-    for bad in (np.random.default_rng(5), 5.0, "5", None):
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            ens.type_spectrum_sampled(spec, samples=20, seed=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from cosetlab.gf_linalg import (FieldSpec, GfVector, LinearMap, _row_reduce,  # noqa: E402
-                                coset_array, format_matrix, matvec, parse_matrix,
-                                solve_affine)
+                                base_digits, coset_array, matvec, solve_affine)
 
 SETTINGS = hypothesis.settings(max_examples=40, deadline=None, database=None,
                                derandomize=True)
@@ -50,6 +49,10 @@ def test_coset_rows_solve_the_system(a, data):
 
 
 @SETTINGS
-@hypothesis.given(maps())
-def test_format_parse_round_trip(a):
-    assert parse_matrix(format_matrix(a)) == a
+@hypothesis.given(maps(max_rows=3, max_cols=5))
+def test_rank_counts_the_image(a):
+    # q^rank = |{A x : x in GF(q)^n}|, counted without any elimination
+    q = a.field.q
+    words = base_digits(np.arange(q ** a.cols), a.cols, q)
+    images = {tuple(row) for row in (words @ a.as_array().T) % q}
+    assert q ** a.rank == a.image_size() == len(images)
