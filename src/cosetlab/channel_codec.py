@@ -21,21 +21,20 @@ error of the underlying syndrome decoder on the induced joint source.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .capacity import CapacityResult
-from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
+from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _inverse_cdf, draw
 from .errors import CapExceededError, EmptyCosetError
-from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, GfVector, LinearMap,
-                        _row_reduce, concat_vectors, image_codes, matvec, stack_maps)
+from .gf_linalg import (CHUNK_ENTRIES, GfVector, LinearMap, _row_reduce, concat_vectors,
+                        image_codes, matvec, span_array, stack_maps)
 from .rng import derived_seed, make_rng
 from .sources_channels import Channel, info_measures, joint_from_channel
-from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, ErrorEstimate, SwCodec, _blocks, _decode,
-                       _map_pick, _posterior_log_weights, _product_law,
+from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _blocks,
+                       _decide, _decode, _product_law,
                        error_probability as sw_error_probability, wilson_std_err)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
@@ -44,8 +43,7 @@ MESSAGE_ENUMERATION_CAP = 2 ** 16
 class ChannelCodec:
     """Bundle (A via the SW codec, B, c) with the channel it is used on."""
 
-    def __init__(self, sw: SwCodec, b_map: LinearMap, syndrome: GfVector,
-                 channel: Channel, coset_cap: int = COSET_ENUMERATION_CAP):
+    def __init__(self, sw: SwCodec, b_map: LinearMap, syndrome: GfVector, channel: Channel):
         if b_map.field != sw.field or b_map.cols != sw.n:
             raise ValueError("message map must match the code field and length")
         if channel.input_size != sw.field.q:
@@ -58,15 +56,12 @@ class ChannelCodec:
         self.b_map = b_map
         self.syndrome = syndrome
         self.channel = channel
-        self.coset_cap = coset_cap
         self.n = sw.n
         self.field = sw.field
         self.stacked = stack_maps([sw.matrix, b_map])
-        self._msg_basis = self._column_space_basis()
-
-    def _column_space_basis(self) -> np.ndarray:
-        rref, _, pivots = _row_reduce(self.b_map.as_array().T, self.field)
-        return rref[:len(pivots)]  # (rank, l) basis of Im B
+        # one reduction of B^T gives a basis of Im B, and its row count is rank B
+        rref, _, pivots = _row_reduce(b_map.as_array().T, self.field)
+        self._msg_basis = rref[:len(pivots)]  # (rank, l)
 
     @property
     def r(self) -> float:
@@ -75,23 +70,18 @@ class ChannelCodec:
     @property
     def R(self) -> float:
         """(1/n) log2 |Im B| = (rank B / n) log2 q."""
-        return self.b_map.rank / self.n * math.log2(self.field.q)
+        return len(self._msg_basis) / self.n * math.log2(self.field.q)
 
     @property
     def message_count(self) -> int:
-        return self.field.q ** self.b_map.rank
+        return self.field.q ** len(self._msg_basis)
 
     def messages(self, cap: int = MESSAGE_ENUMERATION_CAP) -> np.ndarray:
         """All of Im B as an (|M|, l) array, in deterministic order."""
         if self.message_count > cap:
             raise CapExceededError(
                 f"message space of size {self.message_count} exceeds the cap {cap}")
-        q = self.field.q
-        d = self._msg_basis.shape[0]
-        if d == 0:
-            return np.zeros((1, self.b_map.rows), dtype=np.int64)
-        coeffs = np.indices((q,) * d).reshape(d, -1).T
-        return (coeffs @ self._msg_basis) % q
+        return span_array(self._msg_basis, self.field.q)
 
     def random_message(self, rng: np.random.Generator) -> GfVector:
         """Uniform over Im B: uniform coefficients of the image basis."""
@@ -106,8 +96,7 @@ class ChannelCodec:
         # both maps; the reduced form, and so the coset order, is the same
         constraints = ConstraintSet(((self.stacked, concat_vectors((self.syndrome, m),
                                                                    self.field)),))
-        return ConstrainedDistribution(self.sw.source.x_marginal, constraints,
-                                       mode=mode, coset_cap=self.coset_cap)
+        return ConstrainedDistribution(self.sw.source.x_marginal, constraints, mode=mode)
 
 
 def build(sw: SwCodec, b_map: LinearMap, channel: Channel, seed) -> ChannelCodec:
@@ -161,14 +150,7 @@ def _message_segments(codec: ChannelCodec):
     return members, np.cumsum(first) - 1, starts, px, np.add.reduceat(px, starts)
 
 
-def _map_decode(cond: np.ndarray, members: np.ndarray, member_msg: np.ndarray,
-                y: np.ndarray):
-    """(live, message) per row of y; a dead row's coset has no posterior mass."""
-    picks = _map_pick(members, _posterior_log_weights(cond, y))
-    return cond[members[picks], y].all(axis=1), member_msg[picks]
-
-
-def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
+def _exact_error(codec: ChannelCodec) -> ErrorEstimate:
     """Encoder-error share plus the decoding error, every channel output at once.
 
     The message segments of the decoder's coset give both the conditional
@@ -179,10 +161,10 @@ def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
     ys = codec.channel.output_size
     m_count = codec.message_count
     max_coset = q ** (n - codec.stacked.rank)
-    if m_count * max_coset * (ys ** n) > cap:
+    if m_count * max_coset * (ys ** n) > EXACT_ERROR_CAP:
         raise CapExceededError(
             f"exact channel error needs {m_count * max_coset * ys ** n} terms, "
-            f"above the cap {cap}")
+            f"above the cap {EXACT_ERROR_CAP}")
 
     members, member_msg, starts, px, mass = _message_segments(codec)
     # encoder law: x given its message m, drawn uniformly; mass-zero or
@@ -197,7 +179,8 @@ def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
     for y in _blocks(ys, n, max(1, CHUNK_ENTRIES // (len(members) * n))):
         if sw.decoder == MAP_EXACT:
             # a dead row decodes to no message (-1), a miss for every member
-            decoded = np.where(*_map_decode(cond, members, member_msg, y), -1)
+            picks, live = _decide(MAP_EXACT, cond, members, y)
+            decoded = np.where(live, member_msg[picks], -1)
             miss = decoded[:, None] != member_msg[None, :]
         else:
             hits = np.add.reduceat(_product_law(cond, members, y), starts, axis=1)
@@ -207,17 +190,6 @@ def _exact_error(codec: ChannelCodec, cap: int) -> ErrorEstimate:
         w_y = _product_law(codec.channel.transition, members, y)  # W(y | x)
         err += float((w_y * miss).sum(axis=0) @ encoder_weight)
     return ErrorEstimate(value=min(max(err, 0.0), 1.0), mode="exact")
-
-
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row of cumulative weights, the first index whose sum exceeds u * total.
-
-    Every row needs a positive total.  The search stops at the first entry
-    that reaches the total, so rounding in u * total never carries it onto
-    a trailing zero-weight entry: the index always has positive weight.
-    """
-    total = cum[:, -1:]
-    return np.count_nonzero((cum <= u[:, None] * total) & (cum < total), axis=1)
 
 
 def _chunks(count: int, per_chunk: int):
@@ -233,44 +205,38 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
     bound); one uniform per sent trial for the encoder; the channel
     outputs; and, for the stochastic decoder, one uniform per trial.
     """
-    members, member_msg, starts, px, _ = _message_segments(codec)
+    members, member_msg, starts, px, mass = _message_segments(codec)
     # every consistent message's coset has q^(n - rank (A; B)) members, so
     # the segments are the rows of one table
-    seg_cum = np.cumsum(px.reshape(len(starts), -1), axis=1)
-    size = seg_cum.shape[1]
+    seg_px = px.reshape(len(starts), -1)
+    size = seg_px.shape[1]
     rng = np.random.default_rng(seed)
     count = codec.message_count
     # index k < len(starts) is the message of segment k; the remaining
     # indices are the messages with empty cosets
     msg = np.minimum(np.floor((np.arange(trials) + rng.random()) * (count / trials)), count - 1)
     sent = msg[msg < len(starts)].astype(np.int64)
-    sent = sent[seg_cum[sent, -1] > 0.0]  # the rest are encoder errors: failures
+    sent = sent[mass[sent] > 0.0]  # the rest are encoder errors: failures
     u = rng.random(len(sent))
     x_index = np.empty(len(sent), dtype=np.int64)
     for s in _chunks(len(sent), CHUNK_ENTRIES // size):
-        x_index[s] = sent[s] * size + _inverse_cdf(seg_cum[sent[s]], u[s])
+        x_index[s] = sent[s] * size + _inverse_cdf(seg_px[sent[s]], u[s])
     y = codec.channel.sample_outputs(members[x_index], rng)
 
-    cond = codec.sw.source.cond_x_given_y
-    stochastic = codec.sw.decoder != MAP_EXACT
-    u = rng.random(len(sent)) if stochastic else None
+    decoder, cond = codec.sw.decoder, codec.sw.source.cond_x_given_y
+    u = rng.random(len(sent)) if decoder == STOCHASTIC else None
     hits = 0
     for s in _chunks(len(sent), CHUNK_ENTRIES // (len(members) * codec.n)):
-        if stochastic:
-            nu = np.cumsum(_product_law(cond, members, y[s]), axis=1)
-            live = nu[:, -1] > 0.0  # a coset without posterior mass is a failure
-            picks = _inverse_cdf(nu[live], u[s][live])
-            hits += np.count_nonzero(member_msg[picks] == sent[s][live])
-        else:
-            live, decoded = _map_decode(cond, members, member_msg, y[s])
-            hits += np.count_nonzero(live & (decoded == sent[s]))
+        picks, live = _decide(decoder, cond, members, y[s], None if u is None else u[s])
+        # a coset without posterior mass is a failure
+        hits += np.count_nonzero(live & (member_msg[picks] == sent[s]))
     failures = trials - int(hits)
     return ErrorEstimate(value=failures / trials, mode="monte-carlo",
                          trials=trials, std_err=wilson_std_err(failures, trials))
 
 
 def error_probability(codec: ChannelCodec, mode: str = "exact", trials: int = 10000,
-                      seed: int = 0, exact_cap: int = EXACT_ERROR_CAP) -> ErrorEstimate:
+                      seed: int = 0) -> ErrorEstimate:
     """Message error probability of the assembled channel code.
 
     Exact mode evaluates both terms of the error expression: the uniform
@@ -280,7 +246,7 @@ def error_probability(codec: ChannelCodec, mode: str = "exact", trials: int = 10
     errors count as failures.
     """
     if mode == "exact":
-        return _exact_error(codec, exact_cap)
+        return _exact_error(codec)
     if mode in ("mc", "monte-carlo"):
         if trials < 1:
             raise ValueError("trials must be positive")
@@ -301,17 +267,8 @@ class SearchResult:
     warnings: List[str]
 
     @property
-    def best_index(self) -> int:
-        vals = [e.value for e in self.candidate_errors]
-        return int(np.argmin(vals))
-
-    @property
     def delta_hat(self) -> float:
         return self.best_error.value - self.baseline_error.value
-
-    @property
-    def median_error(self) -> float:
-        return float(statistics.median(e.value for e in self.candidate_errors))
 
     def rows(self) -> List[dict]:
         codec = self.best_codec

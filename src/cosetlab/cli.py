@@ -68,6 +68,14 @@ def _get_int(cfg: dict, key: str, default: Optional[int] = None) -> int:
         raise ConfigError(key, f"not an integer: {raw!r}") from exc
 
 
+def _get_count(cfg: dict, key: str, default: int) -> int:
+    """A positive integer; the layers it feeds would reject 0 with an unnamed ValueError."""
+    value = _get_int(cfg, key, default)
+    if value < 1:
+        raise ConfigError(key, f"must be at least 1, got {value}")
+    return value
+
+
 def _get_float(cfg: dict, key: str, default: Optional[float] = None) -> float:
     raw = cfg.get(key)
     if raw is None:
@@ -213,7 +221,7 @@ def _run_sw(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
         source,
         rates=_get_list(cfg, "rates"),
         ns=ns,
-        trials=_get_int(cfg, "trials", 10000),
+        trials=_get_count(cfg, "trials", 10000),
         seed=seed,
         decoder=_get_choice(cfg, "decoder", {"map-exact", "stochastic"}, default="map-exact"),
         matrices_per_point=_get_int(cfg, "matrices", 1))
@@ -238,8 +246,8 @@ def _run_channel(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     sw = sw_codec.SwCodec(a, source, decoder=decoder)
     result = channel_codec.search_code(
         sw, ensembles.uniform_ensemble(field, l_b, n), channel,
-        candidates=_get_int(cfg, "candidates", 8),
-        trials=_get_int(cfg, "trials", 2000),
+        candidates=_get_count(cfg, "candidates", 8),
+        trials=_get_count(cfg, "trials", 2000),
         seed=seed)
     header = ["channel", "p", "n", "lA", "lB", "r", "R", "candidate",
               "error", "std_err", "baseline_error", "delta_hat", "seed"]
@@ -248,8 +256,8 @@ def _run_channel(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
 
 def _run_decision(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     count = _get_int(cfg, "problems", 1000)
-    max_u = _get_int(cfg, "max_u", 4)
-    max_v = _get_int(cfg, "max_v", 4)
+    max_u = _get_count(cfg, "max_u", 4)
+    max_v = _get_count(cfg, "max_v", 4)
     header = ["seed", "|U|", "|V|", "err_map", "err_posterior", "ratio"]
     rows = []
     rng = make_rng(seed)
@@ -277,14 +285,14 @@ def _run_crng_test(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     constraints = crng_sampler.ConstraintSet(((a, c),))
     header = ["mode", "q", "n", "l", "coset_size", "draws", "tv", "seed"]
     rows = []
-    exact_draws = _get_int(cfg, "draws", 100000)
+    exact_draws = _get_count(cfg, "draws", 100000)
+    mcmc_draws = _get_count(cfg, "mcmc_draws", 10000)
     dist = _named("bernoulli", crng_sampler.ConstrainedDistribution, weights, constraints,
                   mode=crng_sampler.EXACT)
     tv = crng_sampler.tv_distance_check(dist, exact_draws, derived_seed(seed, 9))
     rows.append({"mode": "exact", "q": field.q, "n": n, "l": l,
                  "coset_size": constraints.coset_size, "draws": exact_draws,
                  "tv": tv, "seed": seed})
-    mcmc_draws = _get_int(cfg, "mcmc_draws", 10000)
     dist_m = crng_sampler.ConstrainedDistribution(weights, constraints, mode=crng_sampler.MCMC)
     tv_m = crng_sampler.tv_distance_check(dist_m, mcmc_draws, derived_seed(seed, 10))
     rows.append({"mode": "mcmc", "q": field.q, "n": n, "l": l,

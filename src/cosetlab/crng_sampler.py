@@ -2,11 +2,15 @@
 
 Draw x from an i.i.d. (or per-letter) distribution conditioned on a set
 of linear constraints A x = c, B x = m, ...  Exact mode enumerates the
-solution coset and samples from the renormalized weights; MCMC mode runs
-a lazy sequential-scan Metropolis walk whose proposals add a random
-scalar multiple of a null-space basis vector, so every state of the
-chain satisfies the constraints by construction and the acceptance ratio
-needs only single-letter weight products.  The chain's generator draws
+solution coset and samples from the renormalized weights by the rule of
+``Generator.choice(p=w / w.sum())``: normalize, take the cumulative sum,
+divide it by its last entry, and count its entries at or below one
+uniform u.  ``_inverse_cdf`` applies that rule to a batch of rows and the
+coset decoders share it, so a seed gives the draw ``choice`` would give.
+MCMC mode runs a lazy sequential-scan Metropolis walk whose proposals add
+a random scalar multiple of a null-space basis vector, so every state of
+the chain satisfies the constraints by construction and the acceptance
+ratio needs only single-letter weight products.  The chain's generator draws
 its proposals in blocks: BLOCK = 4096 steps ``rng.integers(0, q, size=BLOCK)``,
 then BLOCK uniforms ``rng.random(BLOCK)``.  Each proposal takes one step and
 one uniform, used or not, and a step of 0 is lazy, so a seed fixes the chain.
@@ -152,6 +156,21 @@ def _member_weights(dist: ConstrainedDistribution) -> Tuple[np.ndarray, np.ndarr
     return members, probs
 
 
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of non-negative weights, the index ``Generator.choice`` draws at uniform u.
+
+    A single row of weights serves every uniform.  Every row needs a
+    positive total.  The normalized cumulative sum ends at exactly 1 > u
+    and stays flat across zero weights, so the index always has positive
+    weight.
+    """
+    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    if len(cdf) == 1:  # one row for every uniform: a sorted search, as choice runs it
+        return cdf[0].searchsorted(u, side="right")
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
+
+
 def mass(dist: ConstrainedDistribution) -> float:
     """Total probability the unconstrained law puts on the coset (exact mode)."""
     if not dist.constraints.is_consistent:
@@ -214,7 +233,7 @@ def draw(dist: ConstrainedDistribution, seed) -> GfVector:
         total = probs.sum()
         if total <= 0.0:
             raise EmptyCosetError("coset carries zero probability mass: encoder error")
-        i = rng.choice(len(probs), p=probs / total)
+        i = _inverse_cdf(probs[None], rng.random(1))[0]
         out = GfVector.from_array(dist.field, members[i])
     else:
         state = next(_walk(dist, rng, dist.burn_in + dist.sweeps, 0))
@@ -258,7 +277,7 @@ def tv_distance_check(dist: ConstrainedDistribution, draws: int, seed,
     rng = make_rng(seed)
     counts = np.zeros(len(exact))
     if dist.mode == EXACT:
-        picks = rng.choice(len(exact), size=draws, p=exact)
+        picks = _inverse_cdf(exact[None], rng.random(draws))
         counts = np.bincount(picks, minlength=len(exact)).astype(float)
     else:
         index = {tuple(row): i for i, row in enumerate(members.tolist())}

@@ -56,8 +56,6 @@ UNIFORM = "uniform-linear"
 SYSTEMATIC_SPARSE = "systematic-sparse"
 EXPURGATED = "expurgated"
 
-BALANCED_COLORING = "balanced-coloring"
-COLLISION_RESISTANCE = "collision-resistance"
 
 ENSEMBLE_ENUMERATION_CAP = 2 ** 20
 IMAGE_TABLE_CAP = 2 ** 24
@@ -118,15 +116,12 @@ class HashParams:
 
     alpha: float
     beta: float
-    kind: str = COLLISION_RESISTANCE
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.kind not in (BALANCED_COLORING, COLLISION_RESISTANCE):
-            raise ValueError(f"unknown hash-property kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -387,7 +382,6 @@ def _heavy_types(q: int, n: int, gamma: float):
 
 
 def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None,
-                        kind: str = COLLISION_RESISTANCE,
                         cap: int = ENSEMBLE_ENUMERATION_CAP) -> HashParams:
     """(alpha, beta) of the ensemble's own distribution at the given gamma.
 
@@ -421,11 +415,11 @@ def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None,
     if spec.kind == EXPURGATED:
         # expurgation empties the light types by construction
         assert beta == 0.0, "expurgated ensemble kept a light kernel word"
-        return HashParams(alpha=alpha, beta=0.0, kind=kind)
-    return HashParams(alpha=alpha, beta=beta, kind=kind)
+        return HashParams(alpha=alpha, beta=0.0)
+    return HashParams(alpha=alpha, beta=beta)
 
 
-def certified_collision_params(spec: EnsembleSpec, kind: str = COLLISION_RESISTANCE,
+def certified_collision_params(spec: EnsembleSpec,
                                cap: int = ENSEMBLE_ENUMERATION_CAP) -> HashParams:
     """Tightest (alpha, 0) pair from the exact pairwise collision probabilities.
 
@@ -438,23 +432,22 @@ def certified_collision_params(spec: EnsembleSpec, kind: str = COLLISION_RESISTA
     certify it with.
     """
     _, _, _, z = _ensemble_table(spec, cap)
-    return HashParams(alpha=ensemble_image_size(spec) * float(z[1:].max()), beta=0.0, kind=kind)
+    return HashParams(alpha=ensemble_image_size(spec) * float(z[1:].max()), beta=0.0)
 
 
 def expurgated_params_bound(inner: EnsembleSpec, gamma: float,
-                            kind: str = COLLISION_RESISTANCE,
                             cap: int = ENSEMBLE_ENUMERATION_CAP) -> HashParams:
     """Closed-form pair (alpha/(1-beta), 0) for the expurgated ensemble.
 
     Valid only when the parent ensemble's beta at this gamma is below 1;
     otherwise the bound degenerates and an ExpurgationError is raised.
     """
-    parent = compute_hash_params(inner, gamma=gamma, kind=kind, cap=cap)
+    parent = compute_hash_params(inner, gamma=gamma, cap=cap)
     if parent.beta >= 1.0:
         raise ExpurgationError(
             f"expurgation invalid: beta={parent.beta} >= 1 at gamma={gamma}, "
             "the closed-form expurgated alpha is undefined")
-    return HashParams(alpha=parent.alpha / (1.0 - parent.beta), beta=0.0, kind=kind)
+    return HashParams(alpha=parent.alpha / (1.0 - parent.beta), beta=0.0)
 
 
 # ---------------------------------------------------------------------------

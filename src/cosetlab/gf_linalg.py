@@ -298,13 +298,21 @@ def coset_array(sol: AffineSolution, cap: int = COSET_ENUMERATION_CAP) -> np.nda
     if sol.size > cap:
         raise CapExceededError(f"coset of size {sol.size} is too large to enumerate (cap {cap})")
     q = sol.field.q
-    d = len(sol.null_basis)
-    part = sol.particular.as_array()
+    basis = np.array([b.entries for b in sol.null_basis], dtype=np.int64).reshape(-1, sol.n)
+    return (sol.particular.as_array()[None, :] + span_array(basis, q)) % q
+
+
+def span_array(basis: np.ndarray, q: int) -> np.ndarray:
+    """Every GF(q) combination of the (d, n) basis rows, as a (q^d, n) array.
+
+    Row i weights the basis by the base-q digits of i, first basis vector
+    most significant; with no basis rows the span is the zero word.
+    """
+    d = basis.shape[0]
     if d == 0:
-        return part[None, :].copy()
+        return np.zeros((1, basis.shape[1]), dtype=np.int64)
     coeffs = np.indices((q,) * d).reshape(d, -1).T  # (q^d, d), row-major counting
-    basis = np.array([b.entries for b in sol.null_basis], dtype=np.int64)
-    return (part[None, :] + coeffs @ basis) % q
+    return (coeffs @ basis) % q
 
 
 def base_digits(idx: np.ndarray, positions: int, base: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .crng_sampler import _inverse_cdf
 from .errors import CapExceededError, DecodeFailure
 from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, FieldSpec, GfVector,
                         LinearMap, base_digits, coset_array, image_codes, matvec)
@@ -65,7 +66,7 @@ class SwCodec:
     """
 
     def __init__(self, matrix: LinearMap, source: JointSource,
-                 decoder: str = MAP_EXACT, coset_cap: int = COSET_ENUMERATION_CAP):
+                 decoder: str = MAP_EXACT):
         if decoder not in (MAP_EXACT, STOCHASTIC):
             raise ValueError(f"unknown decoder kind {decoder!r}")
         if source.x_size != matrix.field.q:
@@ -73,15 +74,13 @@ class SwCodec:
         self.matrix = matrix
         self.source = source
         self.decoder = decoder
-        self.coset_cap = coset_cap
         self.field: FieldSpec = matrix.field
         self.n: int = matrix.cols
         self.solver = matrix.solver()
         kernel_size = self.field.q ** (self.n - matrix.rank)
         self._kernel = None
-        if kernel_size <= coset_cap:
-            zero = GfVector.zeros(self.field, matrix.rows)
-            self._kernel = coset_array(self.solver.solve(zero), cap=coset_cap)
+        if kernel_size <= COSET_ENUMERATION_CAP:
+            self._kernel = coset_array(self.solver.solve(GfVector.zeros(self.field, matrix.rows)))
 
     @property
     def rate(self) -> float:
@@ -92,7 +91,7 @@ class SwCodec:
         if self._kernel is None:
             raise CapExceededError(
                 f"coset of size {self.field.q ** (self.n - self.matrix.rank)} exceeds "
-                f"the decoding cap {self.coset_cap}")
+                f"the decoding cap {COSET_ENUMERATION_CAP}")
         return (particular[None, :] + self._kernel) % self.field.q
 
 
@@ -115,13 +114,15 @@ _TIE_LOG2 = math.log2(1.0 - _MAP_TIE_RTOL)
 
 
 def _map_pick(members: np.ndarray, logw: np.ndarray):
-    """Index of the MAP member of the coset for each posterior table.
+    """(index of the MAP member, live) of the coset for each posterior table.
 
     ``logw[..., k, a] = log2 mu(a | y_k)``; leading axes index a batch of
     side-information blocks.  Ties follow the rule stated on decode_map.
+    A table is live when some member has positive posterior.
     """
     scores = logw[..., np.arange(members.shape[1]), members].sum(axis=-1)
-    tied = scores >= scores.max(axis=-1, keepdims=True) + _TIE_LOG2
+    best = scores.max(axis=-1, keepdims=True)
+    tied = scores >= best + _TIE_LOG2
     picks = tied.argmax(axis=-1)
     if np.count_nonzero(tied) > picks.size:
         # rank the members tied in any row; column 0 is the primary key
@@ -129,7 +130,7 @@ def _map_pick(members: np.ndarray, logw: np.ndarray):
         rank = np.full(len(members), len(members))
         rank[cand[np.lexsort(members[cand].T[::-1])]] = np.arange(len(cand))
         picks = np.where(tied, rank, len(members)).argmin(axis=-1)
-    return picks
+    return picks, best[..., 0] > -np.inf
 
 
 def _check_y(codec: SwCodec, y) -> np.ndarray:
@@ -141,22 +142,23 @@ def _check_y(codec: SwCodec, y) -> np.ndarray:
     return y_arr
 
 
-def _pick(decoder: str, cond: np.ndarray, members: np.ndarray, y: np.ndarray,
-          seed) -> Optional[int]:
-    """Index of the coset member the decoder returns for side information y.
+def _decide(decoder: str, cond: np.ndarray, members: np.ndarray, y: np.ndarray,
+            u: Optional[np.ndarray] = None):
+    """(picks, live): the coset member each row of y decodes to, and whether
+    that row's coset carries posterior mass (a dead row's pick means nothing).
 
-    MAP decoding takes the _map_pick member.  Posterior sampling draws
-    member i with probability proportional to prod_k mu(members[i, k] | y_k)
-    from ``seed`` (a seed or a Generator) and returns None when the coset
-    carries no posterior mass.
+    ``y`` is a (batch, n) array of side-information blocks.  MAP decoding
+    takes the _map_pick member.  Posterior sampling draws member i with
+    probability proportional to prod_k mu(members[i, k] | y_k), by the
+    sampler's inverse-CDF rule at the row's uniform in ``u``.
     """
     if decoder == MAP_EXACT:
-        return int(_map_pick(members, _posterior_log_weights(cond, y)))
-    nu = cond[members, y].prod(axis=1)
-    total = nu.sum()
-    if total <= 0.0:
-        return None
-    return int(make_rng(seed).choice(len(nu), p=nu / total))
+        return _map_pick(members, _posterior_log_weights(cond, y))
+    nu = cond[members, y[:, None, :]].prod(axis=-1)
+    live = nu.sum(axis=1) > 0.0
+    picks = np.zeros(len(y), dtype=np.int64)
+    picks[live] = _inverse_cdf(nu[live], u[live])
+    return picks, live
 
 
 def _decode(codec: SwCodec, c: GfVector, y, decoder: str, seed) -> GfVector:
@@ -165,10 +167,9 @@ def _decode(codec: SwCodec, c: GfVector, y, decoder: str, seed) -> GfVector:
     if sol.is_empty:
         raise DecodeFailure("syndrome outside the image of the encoding map")
     members = codec.coset_members(sol.particular.as_array())
-    cond = codec.source.cond_x_given_y
-    pick = _pick(decoder, cond, members, y_arr, seed)
-    # a MAP pick of zero posterior means every member has zero posterior
-    if pick is None or not cond[members[pick], y_arr].all():
+    u = make_rng(seed).random(1) if decoder == STOCHASTIC else None
+    (pick,), (live,) = _decide(decoder, codec.source.cond_x_given_y, members, y_arr[None], u)
+    if not live:
         raise DecodeFailure("coset carries zero posterior mass")
     return GfVector.from_array(codec.field, members[pick])
 
@@ -204,7 +205,7 @@ def _product_law(letters: np.ndarray, words: np.ndarray, y: np.ndarray) -> np.nd
     return out
 
 
-def _exact_error(codec: SwCodec, cap: int) -> ErrorEstimate:
+def _exact_error(codec: SwCodec) -> ErrorEstimate:
     """Sum over (y, coset) of the coset's probability mass the decoder loses.
 
     With p = mu(x, y) over the members of one syndrome coset, MAP decoding
@@ -214,9 +215,9 @@ def _exact_error(codec: SwCodec, cap: int) -> ErrorEstimate:
     """
     q, n = codec.field.q, codec.n
     ys = codec.source.y_size
-    if (q ** n) * (ys ** n) > cap:
-        raise CapExceededError(
-            f"exact error needs {(q ** n) * (ys ** n)} joint outcomes, above the cap {cap}")
+    if (q ** n) * (ys ** n) > EXACT_ERROR_CAP:
+        raise CapExceededError(f"exact error needs {(q ** n) * (ys ** n)} joint outcomes, "
+                               f"above the cap {EXACT_ERROR_CAP}")
     words = base_digits(np.arange(q ** n), n, q)
     codes = image_codes(codec.matrix.as_array()[None], q, words)[0]
     order = np.argsort(codes, kind="stable")
@@ -243,21 +244,24 @@ def _sample_pair_arrays(source: JointSource, n: int, rng) -> tuple:
 
 def _mc_error(codec: SwCodec, trials: int, seed) -> ErrorEstimate:
     cond = codec.source.cond_x_given_y
+    stochastic = codec.decoder == STOCHASTIC
     failures = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         xi, yi = _sample_pair_arrays(codec.source, codec.n, rng)
-        # x itself is a particular solution of its own syndrome
+        # x itself is a particular solution of its own syndrome, and its
+        # positive posterior keeps the coset live
         members = codec.coset_members(xi)
-        pick = _pick(codec.decoder, cond, members, yi, rng)
-        if pick is None or not np.array_equal(members[pick], xi):
+        (pick,), _ = _decide(codec.decoder, cond, members, yi[None],
+                             rng.random(1) if stochastic else None)
+        if not np.array_equal(members[pick], xi):
             failures += 1
     return ErrorEstimate(value=failures / trials, mode="monte-carlo",
                          trials=trials, std_err=wilson_std_err(failures, trials))
 
 
 def error_probability(codec: SwCodec, mode: str = "exact", trials: int = 10000,
-                      seed: int = 0, exact_cap: int = EXACT_ERROR_CAP) -> ErrorEstimate:
+                      seed: int = 0) -> ErrorEstimate:
     """Decoding error probability, exact or Monte Carlo.
 
     Exact mode sums mu(x, y) * [decode(A x, y) != x] over the whole joint
@@ -265,7 +269,7 @@ def error_probability(codec: SwCodec, mode: str = "exact", trials: int = 10000,
     closed form).  Monte Carlo samples i.i.d. pairs with per-trial seeds.
     """
     if mode == "exact":
-        return _exact_error(codec, exact_cap)
+        return _exact_error(codec)
     if mode in ("mc", "monte-carlo"):
         if trials < 1:
             raise ValueError("trials must be positive")
@@ -285,8 +289,7 @@ def rows_for_rate(n: int, rate: float, q: int) -> int:
 
 
 def rate_sweep(source: JointSource, rates, ns, trials: int, seed: int,
-               decoder: str = MAP_EXACT, matrices_per_point: int = 1,
-               coset_cap: int = COSET_ENUMERATION_CAP):
+               decoder: str = MAP_EXACT, matrices_per_point: int = 1):
     """Monte Carlo error of sampled codes across a (rate, n) grid.
 
     Each grid point samples ``matrices_per_point`` uniform matrices at the
@@ -309,7 +312,7 @@ def rate_sweep(source: JointSource, rates, ns, trials: int, seed: int,
                 else:
                     a = sample_map(uniform_ensemble(field, l, n),
                                    np.random.default_rng(point_seed))
-                codec = SwCodec(a, source, decoder=decoder, coset_cap=coset_cap)
+                codec = SwCodec(a, source, decoder=decoder)
                 est = error_probability(codec, mode="mc", trials=trials, seed=point_seed)
                 rows.append({
                     "source": source.kind,

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cosetlab import channel_codec as cc
+from cosetlab import crng_sampler as crng
 from cosetlab import ensembles as ens
+from cosetlab import gf_linalg
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
 from cosetlab.crng_sampler import EXACT, MCMC, ConstrainedDistribution, ConstraintSet, draw
-from cosetlab.errors import DecodeFailure, EmptyCosetError
+from cosetlab.errors import CapExceededError, DecodeFailure, EmptyCosetError
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
 from cosetlab.rng import derived_seed
 
@@ -253,10 +255,45 @@ def test_monte_carlo_does_not_depend_on_chunking(decoder, monkeypatch):
 
 
 def test_inverse_cdf_lands_on_positive_weight():
-    # a subnormal total makes u * total round up to the total; the search
-    # must still stop on the last positive weight
-    cum = np.cumsum([[0.0, 5e-324, 0.0, 0.0], [0.25, 0.0, 0.75, 0.0]], axis=1)
-    assert cc._inverse_cdf(cum, np.array([0.9, 0.5])).tolist() == [1, 2]
+    # a subnormal total and trailing zero weights: the draw must still stop
+    # on the last positive weight
+    weights = np.array([[0.0, 5e-324, 0.0, 0.0], [0.25, 0.0, 0.75, 0.0]])
+    assert crng._inverse_cdf(weights, np.array([0.9, 0.5])).tolist() == [1, 2]
+
+
+def test_codec_reduces_message_map_once(monkeypatch):
+    channel, _, swc, b = make_setup(seed=4, n=6, l_a=2, l_b=3)
+    b = LinearMap.from_array(F2, b.as_array())  # fresh map: nothing cached
+    reduced = []
+    real = gf_linalg._row_reduce
+
+    def counting(arr, field):
+        reduced.append(np.array(arr))
+        return real(arr, field)
+
+    monkeypatch.setattr(gf_linalg, "_row_reduce", counting)
+    monkeypatch.setattr(cc, "_row_reduce", counting)
+    codec = cc.build(swc, b, channel, seed=1)
+    assert codec.message_count == len(codec.messages())
+    assert codec.R == pytest.approx(np.log2(codec.message_count) / codec.n)
+    for_b = [arr for arr in reduced
+             if np.array_equal(arr, b.as_array()) or np.array_equal(arr, b.as_array().T)]
+    assert len(for_b) == 1
+
+
+def test_exact_error_cap_is_checked_before_enumeration(monkeypatch):
+    # 4 messages x 2^9-member cosets x 2^14 outputs = 2^25 terms > 2^24
+    channel, _, swc, b = make_setup(seed=3, n=14, l_a=3, l_b=2)
+    codec = cc.build(swc, b, channel, seed=1)
+    assert codec.message_count * 2 ** (14 - codec.stacked.rank) * 2 ** 14 > sw.EXACT_ERROR_CAP
+
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated before the cap check")
+
+    monkeypatch.setattr(cc, "_message_segments", enumerate_nothing)
+    monkeypatch.setattr(cc, "_blocks", enumerate_nothing)
+    with pytest.raises(CapExceededError):
+        cc.error_probability(codec, "exact")
 
 
 def test_error_with_zero_message_map():

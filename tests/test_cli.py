@@ -218,14 +218,31 @@ TINY_CONFIGS = {
     ("sw", TINY_CONFIGS["sw"].replace("ns = 6", "ns = 0"), "ns"),
     ("crng-test", TINY_CONFIGS["crng-test"] + "bernoulli = 1.5\n", "bernoulli"),
     ("hash-verify", TINY_CONFIGS["hash-verify"].replace("q = 2", "q = 4"), "q"),
+    ("sw", TINY_CONFIGS["sw"].replace("trials = 50", "trials = 0"), "trials"),
+    ("channel", TINY_CONFIGS["channel"].replace("trials = 50", "trials = 0"), "trials"),
+    ("channel", TINY_CONFIGS["channel"].replace("candidates = 2", "candidates = 0"),
+     "candidates"),
+    ("decision", TINY_CONFIGS["decision"] + "max_u = 0\n", "max_u"),
+    ("decision", TINY_CONFIGS["decision"] + "max_v = 0\n", "max_v"),
+    ("crng-test", TINY_CONFIGS["crng-test"].replace("\ndraws = 2000", "\ndraws = 0"), "draws"),
+    ("crng-test", TINY_CONFIGS["crng-test"].replace("mcmc_draws = 500", "mcmc_draws = 0"),
+     "mcmc_draws"),
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
-        "q-composite"])
+        "q-composite", "sw-trials-zero", "channel-trials-zero", "candidates-zero",
+        "max-u-zero", "max-v-zero", "draws-zero", "mcmc-draws-zero"])
 def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
     cfg = write_cfg(tmp_path, "c.cfg", body)
     assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_sw_coset_above_the_cap_exits_2(tmp_path, capsys):
+    # n = 24 at rate 0.3 keeps 7 syndrome rows: a 2^17-member coset
+    cfg = write_cfg(tmp_path, "c.cfg", "p = 0.11\nrates = 0.3\nns = 24\ntrials = 5\n")
+    assert cli.main(["sw", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
+    assert "cap exceeded: coset of size 131072" in capsys.readouterr().err
 
 
 def test_numpy_floats_are_written_as_numbers():

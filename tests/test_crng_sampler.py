@@ -15,6 +15,20 @@ def kernel_constraints(c=(0, 0)):
     return crng.ConstraintSet(((A_PARITY, GfVector(F2, c)),))
 
 
+def test_inverse_cdf_matches_generator_choice():
+    rng = np.random.default_rng(11)
+    weights = rng.random((200, 9)) * (rng.random((200, 9)) < 0.5)
+    weights[np.arange(200), rng.integers(0, 9, 200)] += 0.1  # every row has mass
+    weights[::7] *= 1e-300  # tiny totals too
+    seeds = rng.integers(0, 2 ** 32, 200)
+    u = np.array([np.random.default_rng(s).random() for s in seeds])
+    expected = [np.random.default_rng(s).choice(9, p=w / w.sum()) for s, w in zip(seeds, weights)]
+    assert crng._inverse_cdf(weights, u).tolist() == expected
+    # one row of weights serves every uniform
+    first = [np.random.default_rng(s).choice(9, p=weights[0] / weights[0].sum()) for s in seeds]
+    assert crng._inverse_cdf(weights[:1], u).tolist() == first
+
+
 def test_constraint_set_basics():
     cs = kernel_constraints()
     assert cs.is_consistent and cs.coset_size == 2 and cs.n == 3

@@ -7,8 +7,8 @@ import pytest
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
 from cosetlab.crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
-from cosetlab.errors import DecodeFailure
-from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, matvec
+from cosetlab.errors import CapExceededError, DecodeFailure
+from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
 
 F2 = FieldSpec(2)
 A_PARITY = LinearMap(F2, ((1, 1, 0), (0, 1, 1)))
@@ -111,6 +111,42 @@ def test_decode_map_fails_on_zero_posterior_coset():
     codec = sw.SwCodec(LinearMap(F2, ((1, 1),)), source)
     with pytest.raises(DecodeFailure):
         sw.decode_map(codec, GfVector(F2, (1,)), (0, 0))
+
+
+@pytest.mark.parametrize("decoder", [sw.MAP_EXACT, sw.STOCHASTIC])
+def test_decide_batch_equals_row_by_row(decoder):
+    # mu(x = 1 | y = 0) = 0 and mu(. | y = 1) is flat: every y with y0 = y1 = 0
+    # kills the coset {x : x0 + x1 = 1, x2 + x3 = 0}, and y = 1111 ties all four
+    cond = sc.JointSource(np.array([[0.5, 0.25], [0.0, 0.25]])).cond_x_given_y
+    a = LinearMap(F2, ((1, 1, 0, 0), (0, 0, 1, 1)))
+    members = coset_array(a.solver().solve(GfVector(F2, (1, 0))))
+    y = np.array(list(itertools.product(range(2), repeat=4)))
+    u = np.random.default_rng(5).random(len(y))
+    picks, live = sw._decide(decoder, cond, members, y, u)
+    assert not live[0] and live[-1] and not live.all()
+    for i in range(len(y)):
+        row = sw._decide(decoder, cond, members, y[i:i + 1], u[i:i + 1])
+        assert (row[0][0], row[1][0]) == (picks[i], live[i])
+
+
+def test_decode_map_coset_above_the_cap():
+    # a 1 x 18 map leaves a 2^17-member coset, above the default cap of 2^16
+    codec = sw.SwCodec(LinearMap(F2, ((1,) * 18,)), sc.make_dsbs(0.1))
+    with pytest.raises(CapExceededError):
+        sw.decode_map(codec, GfVector(F2, (0,)), (0,) * 18)
+
+
+def test_exact_error_cap_is_checked_before_enumeration(monkeypatch):
+    # 2^13 source blocks x 2^13 side-information blocks = 2^26 > 2^24
+    codec = sw.SwCodec(LinearMap(F2, ((1,) * 13,)), sc.make_dsbs(0.1))
+
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated before the cap check")
+
+    monkeypatch.setattr(sw, "base_digits", enumerate_nothing)
+    monkeypatch.setattr(sw, "_blocks", enumerate_nothing)
+    with pytest.raises(CapExceededError):
+        sw.error_probability(codec, "exact")
 
 
 def test_error_zero_for_noiseless_correlation():
