@@ -9,7 +9,7 @@ enumeration or seeded Monte Carlo.
 
 from .errors import (CapExceededError, ConfigError, CosetLabError, DecodeFailure,
                      EmptyCosetError, ExpurgationError)
-from .gf_linalg import AffineSolution, FieldSpec, GfVector, LinearMap, matvec, rank, solve_affine
+from .gf_linalg import AffineSolution, FieldSpec, GfVector, LinearMap, matvec, solve_affine
 from .sources_channels import (Channel, InfoMeasures, JointSource, info_measures,
                                joint_from_channel, make_bsc, make_dsbs, make_quantized_awgn,
                                make_zchannel)
@@ -21,8 +21,7 @@ from .crng_sampler import (ConstrainedDistribution, ConstraintSet, draw, mass,
                            tv_distance_check)
 from .sw_codec import (ErrorEstimate, SwCodec, decode_map, decode_stochastic,
                        rate_sweep, rows_for_rate)
-from .channel_codec import (ChannelCodec, SearchResult, build, end_to_end_pipeline,
-                            search_code)
+from .channel_codec import ChannelCodec, SearchResult, build, search_code
 from .capacity import CapacityResult, blahut_arimoto, signaling_sweep
 from .decision_theory import (DecisionProblem, DecisionRule, map_rule, posterior_rule,
                               rule_error, verify_factor2)

@@ -14,8 +14,8 @@ is one batched solve over all candidate supports whose rows are
 bit-identical to single solves; a support whose upper bracket falls below
 a rival's lower bracket is retired, not solved to the tolerance, so only
 supports that still compete can raise "no convergence".  Exhaustive
-support search is capped at alphabet size 16; larger alphabets need the
-sampled-subset fallback.
+support search is capped at alphabet size 16; larger alphabets raise
+CapExceededError.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError
-from .rng import make_rng
 from .sources_channels import Channel
 
 SUPPORT_SEARCH_CAP = 16
@@ -52,18 +51,18 @@ class CapacityResult:
 
 
 def blahut_arimoto(channel: Channel, support: Optional[Sequence[int]] = None,
-                   tol: float = 1e-9, max_iter: int = _MAX_ITER) -> CapacityResult:
+                   tol: float = 1e-9) -> CapacityResult:
     """Capacity of a discrete memoryless channel, inputs outside ``support`` pinned to 0."""
     nx = channel.input_size
     support = tuple(range(nx)) if support is None else tuple(sorted(set(int(s) for s in support)))
     if not support or any(not 0 <= s < nx for s in support):
         raise ValueError("support must be a non-empty subset of the input alphabet")
     trace = []
-    (res,) = _solve(channel, [support], tol, max_iter, trace)
+    (res,) = _solve(channel, [support], tol, trace)
     return replace(res, bracket_trace=tuple(trace))
 
 
-def _solve(channel: Channel, supports, tol: float, max_iter: int,
+def _solve(channel: Channel, supports, tol: float,
            trace: Optional[list] = None, groups=()) -> List[Optional[CapacityResult]]:
     """Blahut-Arimoto on every sorted support at once, one masked input-law row each.
 
@@ -73,6 +72,7 @@ def _solve(channel: Channel, supports, tol: float, max_iter: int,
     its upper bracket plus ``tol`` is below the best lower bracket of every
     row of ``groups`` (boolean, maxima x supports) holding it; ``trace``
     (batch of one) receives the running bracket after every iteration.
+    Rows still open after _MAX_ITER iterations raise RuntimeError.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -88,7 +88,7 @@ def _solve(channel: Channel, supports, tol: float, max_iter: int,
     best_lo, best_hi = np.full(len(supports), -math.inf), np.full(len(supports), math.inf)
     lo_all = np.full(len(supports), -math.inf)  # lower brackets, kept after rows leave
     results = [None] * len(supports)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         p_y = (r[:, None, :] * w_t).sum(axis=2)
         log_py = np.log2(np.where(p_y > 0.0, p_y, 1.0))  # 0 where p_y = 0
         d = (w * (logw - log_py[:, None, :])).sum(axis=2)  # KL(W(.|x) || p_y) in bits
@@ -116,46 +116,36 @@ def _solve(channel: Channel, supports, tol: float, max_iter: int,
                 a[keep] for a in (live, pin, r, d, hi, best_lo, best_hi))
         r = r * np.exp2(d - hi[:, None])
         r /= r.sum(axis=1, keepdims=True)
-    raise RuntimeError(f"no convergence to tol={tol} within {max_iter} iterations")
+    raise RuntimeError(f"no convergence to tol={tol} within {_MAX_ITER} iterations")
 
 
-def signaling_sweep(channel: Channel, q_values: Sequence[int], tol: float = 1e-9,
-                    sampled_subsets: Optional[int] = None, seed: int = 0):
+def signaling_sweep(channel: Channel, q_values: Sequence[int], tol: float = 1e-9):
     """Best capacity over supports of size at most q, for each requested q.
 
-    Exhaustive over all supports for alphabets up to 16 symbols, so the
-    sweep is exactly non-decreasing in q; larger alphabets must opt into
-    random subset sampling via ``sampled_subsets``, which loses that
-    guarantee.  All candidates are one batched solve, bit-identical to
-    single solves; the first maximum wins (smallest, then lexicographically
-    first support, or first drawn), each distinct winner re-solved alone
-    for its bracket trace.  A candidate whose upper bracket falls below a
-    rival's lower bracket for each of its q is retired, not solved to
-    ``tol``, so only competing candidates can raise "no convergence".
+    Exhaustive over all supports, so the sweep is exactly non-decreasing
+    in q; alphabets above 16 symbols raise CapExceededError.  All
+    candidates are one batched solve, bit-identical to single solves; the
+    first maximum wins (smallest, then lexicographically first support),
+    each distinct winner re-solved alone for its bracket trace.  A
+    candidate whose upper bracket falls below a rival's lower bracket for
+    each of its q is retired, not solved to ``tol``, so only competing
+    candidates can raise "no convergence".
     """
     nx = channel.input_size
     for qv in q_values:
         if not 1 <= qv <= nx:
             raise ValueError("support size bound must lie in [1, input alphabet size]")
-    if sampled_subsets is not None and sampled_subsets < 1:
-        raise ValueError("sampled_subsets must be a positive count")
-    if nx > SUPPORT_SEARCH_CAP and sampled_subsets is None:
+    if nx > SUPPORT_SEARCH_CAP:
         raise CapExceededError(
             f"alphabet of size {nx} is too large for exhaustive support search "
-            f"(cap {SUPPORT_SEARCH_CAP}); pass sampled_subsets=<count> to sample")
+            f"(cap {SUPPORT_SEARCH_CAP})")
     if not q_values:
         return []
-    if nx <= SUPPORT_SEARCH_CAP:
-        supports = [s for k in range(1, max(q_values) + 1)
-                    for s in itertools.combinations(range(nx), k)]
-        eligible = np.array([[len(s) <= qv for s in supports] for qv in q_values])
-    else:
-        rng = make_rng(seed)
-        supports = [tuple(sorted(int(x) for x in rng.choice(nx, size=qv, replace=False)))
-                    for qv in q_values for _ in range(sampled_subsets)]
-        eligible = np.arange(len(supports)) // sampled_subsets == np.arange(len(q_values))[:, None]
+    supports = [s for k in range(1, max(q_values) + 1)
+                for s in itertools.combinations(range(nx), k)]
+    eligible = np.array([[len(s) <= qv for s in supports] for qv in q_values])
     caps = np.array([-math.inf if res is None else res.capacity
-                     for res in _solve(channel, supports, tol, _MAX_ITER, groups=eligible)])
+                     for res in _solve(channel, supports, tol, groups=eligible)])
     winners = [supports[int(np.argmax(np.where(e, caps, -math.inf)))] for e in eligible]
     traced = {s: blahut_arimoto(channel, support=s, tol=tol) for s in set(winners)}
     return [traced[s] for s in winners]

@@ -26,13 +26,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .capacity import CapacityResult
 from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _inverse_cdf, draw
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (CHUNK_ENTRIES, GfVector, LinearMap, _row_reduce, concat_vectors,
                         image_codes, matvec, span_array, stack_maps)
 from .rng import derived_seed, make_rng
-from .sources_channels import Channel, info_measures, joint_from_channel
+from .sources_channels import Channel, info_measures
 from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _blocks,
                        _decide, _decode, _product_law,
                        error_probability as sw_error_probability, wilson_std_err)
@@ -76,11 +75,11 @@ class ChannelCodec:
     def message_count(self) -> int:
         return self.field.q ** len(self._msg_basis)
 
-    def messages(self, cap: int = MESSAGE_ENUMERATION_CAP) -> np.ndarray:
+    def messages(self) -> np.ndarray:
         """All of Im B as an (|M|, l) array, in deterministic order."""
-        if self.message_count > cap:
-            raise CapExceededError(
-                f"message space of size {self.message_count} exceeds the cap {cap}")
+        if self.message_count > MESSAGE_ENUMERATION_CAP:
+            raise CapExceededError(f"message space of size {self.message_count} exceeds "
+                                   f"the cap {MESSAGE_ENUMERATION_CAP}")
         return span_array(self._msg_basis, self.field.q)
 
     def random_message(self, rng: np.random.Generator) -> GfVector:
@@ -247,7 +246,7 @@ def error_probability(codec: ChannelCodec, mode: str = "exact", trials: int = 10
     """
     if mode == "exact":
         return _exact_error(codec)
-    if mode in ("mc", "monte-carlo"):
+    if mode == "mc":
         if trials < 1:
             raise ValueError("trials must be positive")
         return _mc_error(codec, trials, seed)
@@ -322,55 +321,3 @@ def search_code(sw: SwCodec, ensemble_b, channel: Channel, candidates: int,
     return SearchResult(best_codec=codecs[best_k], best_error=errors[best_k],
                         baseline_error=baseline, candidate_errors=errors,
                         candidate_seeds=seeds, master_seed=seed, warnings=warnings)
-
-
-@dataclass
-class PipelineReport:
-    """End-to-end run: capacity target, rates, baseline, and search outcome."""
-
-    capacity: float
-    h_x: float
-    h_x_given_y: float
-    r: float
-    R_nominal: float
-    warnings: List[str]
-    search: SearchResult
-
-    def rows(self) -> List[dict]:
-        out = self.search.rows()
-        for row in out:
-            row["capacity"] = self.capacity
-        return out
-
-
-def end_to_end_pipeline(channel: Channel, capacity_result: CapacityResult,
-                        ensemble_a, ensemble_b, trials: int, seed: int,
-                        candidates: int = 8, decoder: str = MAP_EXACT) -> PipelineReport:
-    """Capacity-targeted construction: optimal input, sampled A, searched (B, c).
-
-    The input law is the capacity result's optimizer; the rate window
-    requires H(X) - H(X|Y) > 0 on the induced joint, and the nominal
-    rates should satisfy r > H(X|Y) and r + R < H(X) (violations are
-    reported as warnings, since converse-regime runs are legitimate: the
-    report holds the r warning, its search the r + R warning).
-    """
-    from .ensembles import sample_map
-
-    source = joint_from_channel(capacity_result.input_dist, channel)
-    measures = info_measures(source)
-    window = measures.h_x - measures.h_x_given_y
-    if window <= 1e-9:
-        raise ValueError(
-            f"infeasible rate window: H(X) - H(X|Y) = {window} leaves no room for a message rate")
-    n = ensemble_a.cols
-    if ensemble_b.cols != n:
-        raise ValueError("both ensembles must produce maps of the same length")
-    q = ensemble_a.field.q
-    a = sample_map(ensemble_a, np.random.default_rng(derived_seed(seed, 10)))
-    sw = SwCodec(a, source, decoder=decoder)
-    r = sw.rate
-    R_nominal = ensemble_b.rows / n * math.log2(q)
-    search = search_code(sw, ensemble_b, channel, candidates, trials, seed)
-    return PipelineReport(capacity=capacity_result.capacity, h_x=measures.h_x,
-                          h_x_given_y=measures.h_x_given_y, r=r, R_nominal=R_nominal,
-                          warnings=measures.converse_warnings(r), search=search)

@@ -69,7 +69,7 @@ def _get_int(cfg: dict, key: str, default: Optional[int] = None) -> int:
 
 
 def _get_count(cfg: dict, key: str, default: int) -> int:
-    """A positive integer; the layers it feeds would reject 0 with an unnamed ValueError."""
+    """A positive integer; below 1, what it feeds raises an unnamed ValueError or runs nothing."""
     value = _get_int(cfg, key, default)
     if value < 1:
         raise ConfigError(key, f"must be at least 1, got {value}")
@@ -132,12 +132,15 @@ def _make_ensemble(cfg: dict, field: FieldSpec, l: int, n: int) -> ensembles.Ens
     kind = _get_choice(cfg, "ensemble",
                        {"uniform-linear", "systematic-sparse", "expurgated-uniform"},
                        default="uniform-linear")
-    if kind == "uniform-linear":
-        return ensembles.uniform_ensemble(field, l, n)
     if kind == "systematic-sparse":
-        return ensembles.sparse_ensemble(field, l, n, _get_int(cfg, "row_weight"))
-    return ensembles.expurgate(ensembles.uniform_ensemble(field, l, n),
-                               _get_float(cfg, "gamma"))
+        row_weight = _get_int(cfg, "row_weight")
+        # the spec checks its shape before its row weight
+        return _named("l" if not 1 <= l < n else "row_weight",
+                      ensembles.sparse_ensemble, field, l, n, row_weight)
+    uniform = _named("l", ensembles.uniform_ensemble, field, l, n)
+    if kind == "uniform-linear":
+        return uniform
+    return _named("gamma", ensembles.expurgate, uniform, _get_float(cfg, "gamma"))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +194,7 @@ def _run_hash_verify(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     field = _named("q", FieldSpec, _get_int(cfg, "q", 2))
     l, n = _get_int(cfg, "l"), _get_int(cfg, "n")
     gamma = _get_float(cfg, "gamma", 0.0)
-    pairs = _get_int(cfg, "pairs", 20)
+    pairs = _get_count(cfg, "pairs", 20)
     spec = _make_ensemble(cfg, field, l, n)
     # the type-spectrum pair assumes type-invariant collision probabilities;
     # 'certified' computes the direct pairwise-collision pair instead, which
@@ -202,7 +205,7 @@ def _run_hash_verify(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     elif spec.kind == ensembles.EXPURGATED:
         params = ensembles.compute_hash_params(spec)
     else:
-        params = ensembles.compute_hash_params(spec, gamma=gamma)
+        params = _named("gamma", ensembles.compute_hash_params, spec, gamma=gamma)
     report = ensembles.certify_hash_property(
         spec, params,
         partition_pairs=ensembles.random_partition_pairs(field, n, pairs, seed),
@@ -224,7 +227,7 @@ def _run_sw(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
         trials=_get_count(cfg, "trials", 10000),
         seed=seed,
         decoder=_get_choice(cfg, "decoder", {"map-exact", "stochastic"}, default="map-exact"),
-        matrices_per_point=_get_int(cfg, "matrices", 1))
+        matrices_per_point=_get_count(cfg, "matrices", 1))
     header = ["source", "p", "n", "l", "rate", "decoder", "mode",
               "error", "std_err", "trials", "seed"]
     return header, rows
@@ -255,7 +258,7 @@ def _run_channel(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
 
 
 def _run_decision(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
-    count = _get_int(cfg, "problems", 1000)
+    count = _get_count(cfg, "problems", 1000)
     max_u = _get_count(cfg, "max_u", 4)
     max_v = _get_count(cfg, "max_v", 4)
     header = ["seed", "|U|", "|V|", "err_map", "err_posterior", "ratio"]
@@ -277,7 +280,7 @@ def _run_crng_test(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     if field.q != 2:
         raise ConfigError("bernoulli", "single-parameter weights are binary only")
     weights = np.array([1.0 - p1, p1])
-    a = ensembles.sample_map(ensembles.uniform_ensemble(field, l, n),
+    a = ensembles.sample_map(_named("l", ensembles.uniform_ensemble, field, l, n),
                              np.random.default_rng(derived_seed(seed, 7)))
     rng = make_rng(derived_seed(seed, 8))
     x = GfVector.from_array(field, rng.integers(0, field.q, size=n))

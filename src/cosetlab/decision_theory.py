@@ -17,6 +17,7 @@ import numpy as np
 from .rng import make_rng
 
 _MASS_TOL = 1e-12
+_ZERO_FRACTION = 0.3  # share of cells zeroed in the half of random problems that get zeros
 
 DETERMINISTIC = "deterministic"
 STOCHASTIC = "stochastic"
@@ -130,14 +131,13 @@ def verify_factor2(prob: DecisionProblem) -> FactorTwoReport:
                            passed=err_post <= 2.0 * err_map + _MASS_TOL)
 
 
-def random_problem(rng: np.random.Generator, max_u: int = 4, max_v: int = 4,
-                   zero_fraction: float = 0.3) -> DecisionProblem:
+def random_problem(rng: np.random.Generator, max_u: int = 4, max_v: int = 4) -> DecisionProblem:
     """Random joint with occasional hard zeros for edge coverage."""
     u = int(rng.integers(1, max_u + 1))
     v = int(rng.integers(1, max_v + 1))
     mat = rng.random((u, v))
     if rng.random() < 0.5:
-        mat = np.where(rng.random((u, v)) < zero_fraction, 0.0, mat)
+        mat = np.where(rng.random((u, v)) < _ZERO_FRACTION, 0.0, mat)
     if mat.sum() <= 0.0:
         mat[0, 0] = 1.0
     return DecisionProblem(mat / mat.sum())

@@ -48,8 +48,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, ExpurgationError
-from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, FieldSpec, GfVector,
-                        LinearMap, base_digits, coset_array, image_codes, solve_affine)
+from .gf_linalg import (CHUNK_ENTRIES, FieldSpec, GfVector, LinearMap, base_digits,
+                        coset_array, image_codes, solve_affine)
 from .rng import make_rng
 
 UNIFORM = "uniform-linear"
@@ -59,6 +59,9 @@ EXPURGATED = "expurgated"
 
 ENSEMBLE_ENUMERATION_CAP = 2 ** 20
 IMAGE_TABLE_CAP = 2 ** 24
+
+# Expurgated sampling gives up after this many rejected draws.
+_MAX_REJECTIONS = 10000
 
 # Strict comparisons against float thresholds get this much relative slack,
 # so borderline-equal collision probabilities are not misread as violations.
@@ -169,10 +172,6 @@ def all_types(q: int, n: int):
     return out
 
 
-def zero_type(q: int, n: int) -> TypeVector:
-    return TypeVector((n,) + (0,) * (q - 1))
-
-
 def type_class_size(t: TypeVector) -> int:
     """Number of words with the given type (multinomial coefficient)."""
     size = math.factorial(t.n)
@@ -196,10 +195,10 @@ def ensemble_image_size(spec: EnsembleSpec) -> int:
 # sampling
 # ---------------------------------------------------------------------------
 
-def kernel_min_weight(a: LinearMap, cap: int = COSET_ENUMERATION_CAP) -> float:
+def kernel_min_weight(a: LinearMap) -> float:
     """Minimum weight over non-zero kernel words; inf for a trivial kernel."""
     sol = solve_affine(a, GfVector.zeros(a.field, a.rows))
-    members = coset_array(sol, cap=cap)
+    members = coset_array(sol)
     weights = np.count_nonzero(members, axis=1)
     nz = weights[weights > 0]
     return float(nz.min()) if nz.size else math.inf
@@ -220,7 +219,7 @@ def _sample_sparse_block(rng, q, rows, cols_random, row_weight):
     return block
 
 
-def sample_map(spec: EnsembleSpec, seed, max_rejections: int = 10000) -> LinearMap:
+def sample_map(spec: EnsembleSpec, seed) -> LinearMap:
     """Draw one matrix from the ensemble (deterministic per seed)."""
     rng = make_rng(seed)
     q = spec.field.q
@@ -232,13 +231,13 @@ def sample_map(spec: EnsembleSpec, seed, max_rejections: int = 10000) -> LinearM
         return LinearMap.from_array(spec.field, np.hstack([ident, block]))
     # expurgated: reject until the kernel clears the weight threshold
     threshold = spec.gamma * spec.cols
-    for _ in range(max_rejections):
+    for _ in range(_MAX_REJECTIONS):
         cand = sample_map(spec.inner, rng)
         if kernel_min_weight(cand) > threshold:
             return cand
     raise ExpurgationError(
         f"expurgation infeasible at gamma={spec.gamma}: no matrix with kernel "
-        f"minimum weight > {threshold} found in {max_rejections} attempts")
+        f"minimum weight > {threshold} found in {_MAX_REJECTIONS} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +266,14 @@ def _all_words(q: int, n: int, rows: int) -> np.ndarray:
     return base_digits(np.arange(q ** n), n, q)
 
 
-def enumerate_ensemble(spec: EnsembleSpec,
-                       cap: int = ENSEMBLE_ENUMERATION_CAP) -> EnumeratedEnsemble:
+def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
     """Materialize the full ensemble; raises CapExceededError beyond the cap."""
     q, l, n = spec.field.q, spec.rows, spec.cols
     if spec.kind == UNIFORM:
         count = q ** (l * n)
-        if count > cap:
-            raise CapExceededError(
-                f"uniform ensemble has {count} members, above the cap {cap}")
+        if count > ENSEMBLE_ENUMERATION_CAP:
+            raise CapExceededError(f"uniform ensemble has {count} members, "
+                                   f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
         arrays = base_digits(np.arange(count), l * n, q).reshape(count, l, n)
         probs = np.full(count, 1.0 / count)
         return EnumeratedEnsemble(spec, arrays, probs)
@@ -284,9 +282,9 @@ def enumerate_ensemble(spec: EnsembleSpec,
         base = m * (q - 1)
         picks = spec.row_weight * l
         count = base ** picks
-        if count > cap:
-            raise CapExceededError(
-                f"sparse ensemble enumeration needs {count} pick sequences, above the cap {cap}")
+        if count > ENSEMBLE_ENUMERATION_CAP:
+            raise CapExceededError(f"sparse ensemble enumeration needs {count} pick sequences, "
+                                   f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
         digits = base_digits(np.arange(count), picks, base)
         arrays = np.zeros((count, l, n), dtype=np.int64)
         arrays[:, :, :l] = np.eye(l, dtype=np.int64)[None, :, :]
@@ -301,7 +299,7 @@ def enumerate_ensemble(spec: EnsembleSpec,
         return EnumeratedEnsemble(spec, arrays, probs)
     # expurgated: keep the members that map no light non-zero word to 0,
     # i.e. whose kernel minimum weight exceeds gamma * n
-    inner = enumerate_ensemble(spec.inner, cap=cap)
+    inner = enumerate_ensemble(spec.inner)
     words = _all_words(q, n, inner.count)
     weights = np.count_nonzero(words, axis=1)
     light = words[(weights > 0) & (weights <= spec.gamma * n)]
@@ -314,9 +312,9 @@ def enumerate_ensemble(spec: EnsembleSpec,
     return EnumeratedEnsemble(spec, arrays, probs / probs.sum())
 
 
-def members(spec: EnsembleSpec, cap: int = ENSEMBLE_ENUMERATION_CAP):
+def members(spec: EnsembleSpec):
     """(LinearMap, probability) pairs of the full ensemble."""
-    ens = enumerate_ensemble(spec, cap=cap)
+    ens = enumerate_ensemble(spec)
     for arr, p in zip(ens.arrays, ens.probs):
         yield LinearMap.from_array(spec.field, arr), float(p)
 
@@ -325,13 +323,13 @@ def members(spec: EnsembleSpec, cap: int = ENSEMBLE_ENUMERATION_CAP):
 # type spectrum and (alpha, beta)
 # ---------------------------------------------------------------------------
 
-def _ensemble_table(spec: EnsembleSpec, cap: int):
+def _ensemble_table(spec: EnsembleSpec):
     """(members, all words, image codes, kernel mass z) of the full ensemble.
 
     codes[b, i] encodes A_b applied to word i, and z[d] = sum_b p_b [A_b d = 0]
     is accumulated a block of members at a time.  Word 0 is the zero word.
     """
-    ens = enumerate_ensemble(spec, cap=cap)
+    ens = enumerate_ensemble(spec)
     words = _all_words(spec.field.q, spec.cols, ens.count)
     codes = image_codes(ens.arrays, spec.field.q, words)
     z = np.zeros(len(words))
@@ -349,7 +347,7 @@ def _type_index(words: np.ndarray, q: int, types) -> np.ndarray:
     return np.array([position[tuple(int(c) for c in k)] for k in keys])[inverse.ravel()]
 
 
-def type_spectrum(spec: EnsembleSpec, cap: int = ENSEMBLE_ENUMERATION_CAP) -> dict:
+def type_spectrum(spec: EnsembleSpec) -> dict:
     """Expected number of kernel words per type, S(p, t), exactly.
 
     Closed form for the uniform kind; otherwise the kernel mass z summed
@@ -365,7 +363,7 @@ def type_spectrum(spec: EnsembleSpec, cap: int = ENSEMBLE_ENUMERATION_CAP) -> di
             else:
                 out[t] = type_class_size(t) * float(q) ** (-l)
         return out
-    _, words, _, z = _ensemble_table(spec, cap)
+    _, words, _, z = _ensemble_table(spec)
     per_type = np.bincount(_type_index(words, q, types), weights=z, minlength=len(types))
     return {t: float(s) for t, s in zip(types, per_type)}
 
@@ -381,8 +379,7 @@ def _heavy_types(q: int, n: int, gamma: float):
     return heavy, light
 
 
-def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None,
-                        cap: int = ENSEMBLE_ENUMERATION_CAP) -> HashParams:
+def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None) -> HashParams:
     """(alpha, beta) of the ensemble's own distribution at the given gamma.
 
     For an expurgated spec the threshold is the spec's own gamma and the
@@ -405,7 +402,7 @@ def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None,
     heavy, light = _heavy_types(q, n, gamma)
     if not heavy:
         raise ValueError("no types above the weight threshold; gamma too large")
-    spectrum = type_spectrum(spec, cap=cap)
+    spectrum = type_spectrum(spec)
     ratio = 0.0
     for t in heavy:
         ref = type_class_size(t) * float(q) ** (-l)
@@ -419,8 +416,7 @@ def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None,
     return HashParams(alpha=alpha, beta=beta)
 
 
-def certified_collision_params(spec: EnsembleSpec,
-                               cap: int = ENSEMBLE_ENUMERATION_CAP) -> HashParams:
+def certified_collision_params(spec: EnsembleSpec) -> HashParams:
     """Tightest (alpha, 0) pair from the exact pairwise collision probabilities.
 
     alpha = |Im| * max over x != x' of P(A x = A x'), which certifies the
@@ -431,18 +427,17 @@ def certified_collision_params(spec: EnsembleSpec,
     pins the first coordinates), so this direct pair is the one to
     certify it with.
     """
-    _, _, _, z = _ensemble_table(spec, cap)
+    _, _, _, z = _ensemble_table(spec)
     return HashParams(alpha=ensemble_image_size(spec) * float(z[1:].max()), beta=0.0)
 
 
-def expurgated_params_bound(inner: EnsembleSpec, gamma: float,
-                            cap: int = ENSEMBLE_ENUMERATION_CAP) -> HashParams:
+def expurgated_params_bound(inner: EnsembleSpec, gamma: float) -> HashParams:
     """Closed-form pair (alpha/(1-beta), 0) for the expurgated ensemble.
 
     Valid only when the parent ensemble's beta at this gamma is below 1;
     otherwise the bound degenerates and an ExpurgationError is raised.
     """
-    parent = compute_hash_params(inner, gamma=gamma, cap=cap)
+    parent = compute_hash_params(inner, gamma=gamma)
     if parent.beta >= 1.0:
         raise ExpurgationError(
             f"expurgation invalid: beta={parent.beta} >= 1 at gamma={gamma}, "
@@ -554,8 +549,7 @@ def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarra
 def certify_hash_property(spec: EnsembleSpec, params: HashParams,
                           partition_pairs: Sequence = (),
                           collision_pairs: Sequence = (),
-                          gamma: Optional[float] = None,
-                          cap: int = ENSEMBLE_ENUMERATION_CAP) -> CertificationReport:
+                          gamma: Optional[float] = None) -> CertificationReport:
     """Exhaustively verify the collision bound and the two derived bounds.
 
     For every word x the certified inequality is checked exactly: the
@@ -572,7 +566,7 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
 
     Violations are collected in the report, never raised.
     """
-    ens, words, codes, z = _ensemble_table(spec, cap)
+    ens, words, codes, z = _ensemble_table(spec)
     q, l = spec.field.q, spec.rows
     probs = ens.probs
     im_size = ensemble_image_size(spec)

@@ -79,11 +79,6 @@ class GfVector:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-zero entries (Hamming weight)."""
-        return sum(1 for e in self.entries if e)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -191,10 +186,6 @@ class LinearMap:
     def rank(self) -> int:
         return len(self._reduction()[2])
 
-    def image_size(self) -> int:
-        """|Im A| = q^rank, the true image size even for rank-deficient maps."""
-        return self.field.q ** self.rank
-
     def as_array(self) -> np.ndarray:
         return self._arr
 
@@ -279,10 +270,6 @@ def matvec(a: LinearMap, x: GfVector) -> GfVector:
         return GfVector(a.field, ())
     out = (a.as_array() @ x.as_array()) % a.field.q
     return GfVector.from_array(a.field, out)
-
-
-def rank(a: LinearMap) -> int:
-    return a.rank
 
 
 def solve_affine(a: LinearMap, c: GfVector) -> AffineSolution:

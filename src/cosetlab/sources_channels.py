@@ -82,12 +82,10 @@ class JointSource:
         self.joint = mat
         self.x_marginal = mat.sum(axis=1)
         self.y_marginal = mat.sum(axis=0)
-        # Conditionals with 0/0 -> 0; Bayes identity then holds on every cell.
+        # Conditional with 0/0 -> 0; Bayes identity then holds on every cell.
         with np.errstate(divide="ignore", invalid="ignore"):
-            cxy = np.where(self.y_marginal[None, :] > 0.0, mat / self.y_marginal[None, :], 0.0)
-            cyx = np.where(self.x_marginal[:, None] > 0.0, mat / self.x_marginal[:, None], 0.0)
-        self.cond_x_given_y = cxy
-        self.cond_y_given_x = cyx
+            self.cond_x_given_y = np.where(self.y_marginal[None, :] > 0.0,
+                                           mat / self.y_marginal[None, :], 0.0)
 
     @property
     def x_size(self) -> int:
@@ -96,12 +94,6 @@ class JointSource:
     @property
     def y_size(self) -> int:
         return self.joint.shape[1]
-
-    def channel_view(self) -> Channel:
-        """The conditional Y|X as a channel (requires full-support X)."""
-        if np.any(self.x_marginal <= 0.0):
-            raise ValueError("X marginal must have full support")
-        return Channel(self.cond_y_given_x, kind=self.kind, param=self.param)
 
 
 @dataclass(frozen=True)

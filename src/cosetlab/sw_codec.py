@@ -270,7 +270,7 @@ def error_probability(codec: SwCodec, mode: str = "exact", trials: int = 10000,
     """
     if mode == "exact":
         return _exact_error(codec)
-    if mode in ("mc", "monte-carlo"):
+    if mode == "mc":
         if trials < 1:
             raise ValueError("trials must be positive")
         return _mc_error(codec, trials, seed)

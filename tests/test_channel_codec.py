@@ -377,48 +377,6 @@ def test_noiseless_search_delta_is_non_positive():
     assert result.delta_hat <= 0.05
 
 
-def test_pipeline_runs_on_feasible_window():
-    from cosetlab.capacity import blahut_arimoto
-
-    channel = sc.make_bsc(0.11)
-    cap = blahut_arimoto(channel)
-    report = cc.end_to_end_pipeline(
-        channel, cap,
-        ensemble_a=ens.uniform_ensemble(F2, 5, 8),
-        ensemble_b=ens.uniform_ensemble(F2, 2, 8),
-        trials=400, seed=31, candidates=4)
-    assert report.capacity == pytest.approx(0.5000840, abs=1e-5)
-    assert report.h_x == pytest.approx(1.0, abs=1e-9)
-    assert report.search.best_error.value <= 1.0
-    assert report.rows()[0]["capacity"] == report.capacity
-
-
-def test_pipeline_reports_rate_sum_warning_once():
-    from cosetlab.capacity import blahut_arimoto
-
-    channel = sc.make_bsc(0.11)
-    # r + R = 5/8 + 4/8 >= H(X) = 1
-    report = cc.end_to_end_pipeline(
-        channel, blahut_arimoto(channel),
-        ensemble_a=ens.uniform_ensemble(F2, 5, 8),
-        ensemble_b=ens.uniform_ensemble(F2, 4, 8),
-        trials=50, seed=31, candidates=1)
-    warnings = report.warnings + report.search.warnings
-    assert sum("rate condition" in w for w in warnings) == 1
-
-
-def test_pipeline_rejects_empty_window():
-    from cosetlab.capacity import blahut_arimoto
-
-    channel = sc.make_bsc(0.5)
-    cap = blahut_arimoto(channel)
-    with pytest.raises(ValueError, match="infeasible rate window"):
-        cc.end_to_end_pipeline(channel, cap,
-                               ensemble_a=ens.uniform_ensemble(F2, 5, 8),
-                               ensemble_b=ens.uniform_ensemble(F2, 2, 8),
-                               trials=100, seed=1)
-
-
 def decode_loop_error(codec):
     """Exact MAP error from one channel ``decode`` per output; DecodeFailure is an error."""
     outputs = np.array(list(itertools.product(range(codec.channel.output_size),

@@ -227,11 +227,26 @@ TINY_CONFIGS = {
     ("crng-test", TINY_CONFIGS["crng-test"].replace("\ndraws = 2000", "\ndraws = 0"), "draws"),
     ("crng-test", TINY_CONFIGS["crng-test"].replace("mcmc_draws = 500", "mcmc_draws = 0"),
      "mcmc_draws"),
+    ("hash-verify", TINY_CONFIGS["hash-verify"].replace("l = 2", "l = 5"), "l"),
+    ("hash-verify", TINY_CONFIGS["hash-verify"].replace("l = 2", "l = 0"), "l"),
+    ("hash-verify", TINY_CONFIGS["hash-verify"].replace("gamma = 0.25", "gamma = 1.5"), "gamma"),
+    ("hash-verify", "q = 2\nl = 2\nn = 4\ngamma = 1.0\n", "gamma"),
+    ("hash-verify", "ensemble = systematic-sparse\nq = 2\nl = 2\nn = 4\nrow_weight = 0\n",
+     "row_weight"),
+    ("hash-verify", TINY_CONFIGS["hash-verify"].replace("pairs = 5", "pairs = -3"), "pairs"),
+    ("crng-test", TINY_CONFIGS["crng-test"].replace("l = 2", "l = 7"), "l"),
+    ("crng-test", TINY_CONFIGS["crng-test"].replace("l = 2", "l = 0"), "l"),
+    ("sw", TINY_CONFIGS["sw"] + "matrices = 0\n", "matrices"),
+    ("decision", "problems = 0\n", "problems"),
+    ("decision", "problems = -2\n", "problems"),
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
         "q-composite", "sw-trials-zero", "channel-trials-zero", "candidates-zero",
-        "max-u-zero", "max-v-zero", "draws-zero", "mcmc-draws-zero"])
+        "max-u-zero", "max-v-zero", "draws-zero", "mcmc-draws-zero", "hash-l-above-n",
+        "hash-l-zero", "expurgated-gamma-above-one", "spectrum-gamma-one", "row-weight-zero",
+        "pairs-negative", "crng-l-above-n", "crng-l-zero", "matrices-zero", "problems-zero",
+        "problems-negative"])
 def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
     cfg = write_cfg(tmp_path, "c.cfg", body)
     assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
@@ -243,6 +258,13 @@ def test_sw_coset_above_the_cap_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.cfg", "p = 0.11\nrates = 0.3\nns = 24\ntrials = 5\n")
     assert cli.main(["sw", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
     assert "cap exceeded: coset of size 131072" in capsys.readouterr().err
+
+
+def test_hash_verify_ensemble_above_the_cap_exits_2(tmp_path, capsys):
+    # a uniform 3 x 8 binary ensemble has 2^24 members, above the 2^20 cap
+    cfg = write_cfg(tmp_path, "c.cfg", "q = 2\nl = 3\nn = 8\npairs = 1\n")
+    assert cli.main(["hash-verify", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
+    assert "cap exceeded: uniform ensemble has 16777216 members" in capsys.readouterr().err
 
 
 def test_numpy_floats_are_written_as_numbers():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cosetlab import ensembles as ens
-from cosetlab.errors import ExpurgationError
+from cosetlab.errors import CapExceededError, ExpurgationError
 from cosetlab.gf_linalg import FieldSpec, LinearMap
 
 F2 = FieldSpec(2)
@@ -44,18 +44,27 @@ def test_expurgated_sample_kernel_weight():
         assert all(w >= 2 for w in weights)  # weight > 0.5 * 3
 
 
-def test_expurgation_infeasible_raises():
+def test_expurgation_infeasible_raises(monkeypatch):
     # kernel min weight > 2 is unreachable for a 1x3 binary map
     spec = ens.expurgate(ens.uniform_ensemble(F2, 1, 3), 2 / 3)
-    with pytest.raises(ExpurgationError):
-        ens.sample_map(spec, 0, max_rejections=200)
+    monkeypatch.setattr(ens, "_MAX_REJECTIONS", 200)
+    with pytest.raises(ExpurgationError, match="in 200 attempts"):
+        ens.sample_map(spec, 0)
+
+
+def test_enumeration_caps_raise_before_building():
+    # 2^21 uniform members are above the 2^20 member cap
+    with pytest.raises(CapExceededError, match="2097152 members"):
+        ens.enumerate_ensemble(ens.uniform_ensemble(F2, 3, 7))
+    # 21 sparse members fit, but 21 x 2^22 image codes are above the 2^24 table cap
+    with pytest.raises(CapExceededError, match="image-code table of 21 members"):
+        ens.certified_collision_params(ens.sparse_ensemble(F2, 1, 22, 1))
 
 
 def test_type_vector_basics():
     t = ens.TypeVector.of((1, 0, 1, 1), 2)
     assert t.counts == (1, 3) and t.weight == 3 and t.n == 4
     assert ens.type_class_size(t) == 4
-    assert ens.zero_type(2, 4).weight == 0
     assert len(ens.all_types(2, 4)) == 5
     assert len(ens.all_types(3, 3)) == 10
 

@@ -95,12 +95,3 @@ def test_joint_from_channel():
     src = sc.joint_from_channel(np.array([0.5, 0.5]), sc.make_bsc(0.11))
     dsbs = sc.make_dsbs(0.11)
     assert np.abs(src.joint - dsbs.joint).max() < 1e-15
-
-
-def test_channel_view_requires_full_support():
-    src = sc.make_dsbs(0.11)
-    view = src.channel_view()
-    assert np.abs(view.transition - sc.make_bsc(0.11).transition).max() < 1e-12
-    degenerate = sc.JointSource(np.array([[1.0], [0.0]]))
-    with pytest.raises(ValueError):
-        degenerate.channel_view()
