@@ -13,10 +13,10 @@ from .gf_linalg import AffineSolution, FieldSpec, GfVector, LinearMap, matvec, s
 from .sources_channels import (Channel, InfoMeasures, JointSource, info_measures,
                                joint_from_channel, make_bsc, make_dsbs, make_quantized_awgn,
                                make_zchannel)
-from .ensembles import (EnsembleSpec, HashParams, TypeVector, certified_collision_params,
+from .ensembles import (EnsembleSpec, HashParams, certified_collision_params,
                         certify_hash_property, compute_hash_params, expurgate,
-                        expurgated_params_bound, sample_map, sparse_ensemble,
-                        type_spectrum, uniform_ensemble)
+                        expurgated_params_bound, sample_map, sparse_ensemble, type_spectrum,
+                        uniform_ensemble)
 from .crng_sampler import (ConstrainedDistribution, ConstraintSet, draw, mass,
                            tv_distance_check)
 from .sw_codec import (ErrorEstimate, SwCodec, decode_map, decode_stochastic,

@@ -29,12 +29,12 @@ import numpy as np
 from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _inverse_cdf, draw
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (CHUNK_ENTRIES, GfVector, LinearMap, _row_reduce, concat_vectors,
-                        image_codes, matvec, span_array, stack_maps)
+                        image_codes, matvec, span_array, stack_maps, word_table)
 from .rng import derived_seed, make_rng
 from .sources_channels import Channel, info_measures
-from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _blocks,
-                       _decide, _decode, _product_law,
-                       error_probability as sw_error_probability, wilson_std_err)
+from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _decide,
+                       _decode, _product_law, error_probability as sw_error_probability,
+                       wilson_std_err)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
 
@@ -175,7 +175,9 @@ def _exact_error(codec: ChannelCodec) -> ErrorEstimate:
 
     sw = codec.sw
     cond = sw.source.cond_x_given_y
-    for y in _blocks(ys, n, max(1, CHUNK_ENTRIES // (len(members) * n))):
+    step = max(1, CHUNK_ENTRIES // (len(members) * n))
+    for start in range(0, ys ** n, step):
+        y = word_table(ys, n, start, start + step)
         if sw.decoder == MAP_EXACT:
             # a dead row decodes to no message (-1), a miss for every member
             picks, live = _decide(MAP_EXACT, cond, members, y)

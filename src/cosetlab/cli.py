@@ -68,7 +68,7 @@ def _get_int(cfg: dict, key: str, default: Optional[int] = None) -> int:
         raise ConfigError(key, f"not an integer: {raw!r}") from exc
 
 
-def _get_count(cfg: dict, key: str, default: int) -> int:
+def _get_count(cfg: dict, key: str, default: Optional[int] = None) -> int:
     """A positive integer; below 1, what it feeds raises an unnamed ValueError or runs nothing."""
     value = _get_int(cfg, key, default)
     if value < 1:
@@ -91,9 +91,12 @@ def _get_float(cfg: dict, key: str, default: Optional[float] = None) -> float:
 def _get_list(cfg: dict, key: str, conv=float) -> list:
     raw = _req(cfg, key)
     try:
-        return [conv(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        values = [conv(tok.strip()) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(key, f"not a comma-separated list: {raw!r}") from exc
+    if not values:
+        raise ConfigError(key, f"lists no values: {raw!r}")
+    return values
 
 
 def _get_choice(cfg: dict, key: str, choices, default: Optional[str] = None) -> str:
@@ -235,8 +238,8 @@ def _run_sw(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
 
 def _run_channel(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
     channel = _make_channel(cfg)
-    n = _get_int(cfg, "n")
-    field = FieldSpec(channel.input_size)
+    n = _get_count(cfg, "n")
+    field = _named("levels", FieldSpec, channel.input_size)
     l_a = sw_codec.rows_for_rate(n, _get_float(cfg, "r"), field.q)
     l_b = sw_codec.rows_for_rate(n, _get_float(cfg, "R"), field.q)
     if l_a == 0 or l_b == 0:

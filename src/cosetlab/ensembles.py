@@ -6,14 +6,18 @@ computed from the type spectrum
 
     S(p, t) = sum_A p(A) |{x : A x = 0, type(x) = t}|,
 
-the expected number of kernel words of each type t:
+the expected number of kernel words of each type t, where a type is a
+word's symbol-count tuple (c_0, ..., c_{q-1}):
 
-    alpha = (|Im ensemble| / q^l) * max over heavy types of S(p, t) / S(uniform, t)
+    alpha = max over heavy types of S(p, t) / S(uniform, t)
     beta  = sum over light types of S(p, t)
 
-where "heavy" means Hamming weight > gamma * n.  The pair certifies the
-collision bound: for every x, the total probability of x' colliding with
-x more often than alpha / |Im ensemble| is at most beta.
+where "heavy" means Hamming weight > gamma * n and S(uniform, t) =
+|T| q^-l.  The pair certifies the collision bound: for every x, the total
+probability of x' colliding with x more often than alpha / |Im ensemble|
+is at most beta.  Every kind contains full-rank members (the sparse kind
+by its identity block, the uniform kind because l <= n, and expurgation
+keeps a full-rank member whenever it keeps any), so |Im ensemble| = q^l.
 
 Expurgation conditions the ensemble on the kernel containing no light
 (low-weight) words, which drives beta to exactly 0 at the price of a
@@ -27,16 +31,18 @@ the two words:
 
     P(A x = A x') = z[x' - x],   z[d] = sum_b p_b [A_b d = 0].
 
-All exact results come from one members x words table of image codes and
-this kernel mass z: expurgation keeps a member iff no light non-zero word
-maps to 0, the type spectrum is z summed by word type, the direct
-collision pair takes the maximum of z over d != 0, and the per-word
-collision check of the certifier is one mass over z that every word
-shares.
+All exact results come from one table of every word of GF(q)^n, one
+members x words table of image codes and this kernel mass z:
+expurgation keeps a member iff no light non-zero word maps to 0, the
+types and their class sizes are the word table grouped by symbol counts,
+the type spectrum is z summed over each group, the direct collision pair
+takes the maximum of z over d != 0, and the per-word collision check of
+the certifier is one mass over z that every word shares.
 
 Exact enumeration is capped at 2^20 ensemble members, and the image-code
-table at 2^24 entries; beyond the caps CapExceededError is raised and no
-sampled estimate exists.
+table at 2^24 entries (the uniform closed form too goes through the word
+table, as a one-member table); beyond the caps CapExceededError is
+raised and no sampled estimate exists.
 """
 
 from __future__ import annotations
@@ -48,8 +54,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, ExpurgationError
-from .gf_linalg import (CHUNK_ENTRIES, FieldSpec, GfVector, LinearMap, base_digits,
-                        coset_array, image_codes, solve_affine)
+from .gf_linalg import (CHUNK_ENTRIES, FieldSpec, GfVector, LinearMap, coset_array,
+                        image_codes, solve_affine, word_table)
 from .rng import make_rng
 
 UNIFORM = "uniform-linear"
@@ -127,70 +133,6 @@ class HashParams:
             raise ValueError("alpha and beta must be non-negative")
 
 
-@dataclass(frozen=True)
-class TypeVector:
-    """Empirical symbol counts of a length-n word; counts sum to n."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValueError("type counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-zero symbols."""
-        return self.n - self.counts[0]
-
-    @classmethod
-    def of(cls, x, q: int) -> "TypeVector":
-        entries = x.entries if isinstance(x, GfVector) else x
-        counts = [0] * q
-        for e in entries:
-            counts[int(e)] += 1
-        return cls(tuple(counts))
-
-
-def all_types(q: int, n: int):
-    """Every symbol-count vector of length q summing to n."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(TypeVector(tuple(prefix + [remaining])))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], n, q)
-    return out
-
-
-def type_class_size(t: TypeVector) -> int:
-    """Number of words with the given type (multinomial coefficient)."""
-    size = math.factorial(t.n)
-    for c in t.counts:
-        size //= math.factorial(c)
-    return size
-
-
-def ensemble_image_size(spec: EnsembleSpec) -> int:
-    """|Im| of the ensemble as a set of maps.
-
-    Both supported base kinds contain full-rank members (the sparse kind
-    by its identity block, the uniform kind because l <= n), and
-    expurgation shrinks only the distribution, never the set, so the
-    union of images is always the whole of GF(q)^l.
-    """
-    return spec.field.q ** spec.rows
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -263,7 +205,7 @@ def _all_words(q: int, n: int, rows: int) -> np.ndarray:
         raise CapExceededError(
             f"image-code table of {rows} members x {q ** n} words is above the cap "
             f"{IMAGE_TABLE_CAP}; shrink l or n")
-    return base_digits(np.arange(q ** n), n, q)
+    return word_table(q, n)
 
 
 def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
@@ -274,7 +216,7 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
         if count > ENSEMBLE_ENUMERATION_CAP:
             raise CapExceededError(f"uniform ensemble has {count} members, "
                                    f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
-        arrays = base_digits(np.arange(count), l * n, q).reshape(count, l, n)
+        arrays = word_table(q, l * n).reshape(count, l, n)
         probs = np.full(count, 1.0 / count)
         return EnumeratedEnsemble(spec, arrays, probs)
     if spec.kind == SYSTEMATIC_SPARSE:
@@ -285,7 +227,7 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
         if count > ENSEMBLE_ENUMERATION_CAP:
             raise CapExceededError(f"sparse ensemble enumeration needs {count} pick sequences, "
                                    f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
-        digits = base_digits(np.arange(count), picks, base)
+        digits = word_table(base, picks)
         arrays = np.zeros((count, l, n), dtype=np.int64)
         arrays[:, :, :l] = np.eye(l, dtype=np.int64)[None, :, :]
         rows_of_pick = np.repeat(np.arange(l), spec.row_weight)
@@ -339,44 +281,37 @@ def _ensemble_table(spec: EnsembleSpec):
     return ens, words, codes, z
 
 
-def _type_index(words: np.ndarray, q: int, types) -> np.ndarray:
-    """Position in ``types`` of the type of each word (row)."""
+def _spectrum(spec: EnsembleSpec):
+    """(types, class sizes, S) over the types of GF(q)^n, one row per type.
+
+    A type is a word's symbol-count tuple; the types come out in
+    lexicographic order, so the zero type (n, 0, ..., 0) is last.
+    """
+    q, l, n = spec.field.q, spec.rows, spec.cols
+    z = None
+    if spec.kind == UNIFORM:
+        words = _all_words(q, n, 1)
+    else:
+        _, words, _, z = _ensemble_table(spec)
     counts = np.stack([np.count_nonzero(words == a, axis=1) for a in range(q)], axis=1)
-    keys, inverse = np.unique(counts, axis=0, return_inverse=True)
-    position = {t.counts: i for i, t in enumerate(types)}
-    return np.array([position[tuple(int(c) for c in k)] for k in keys])[inverse.ravel()]
+    types, inverse, sizes = np.unique(counts, axis=0, return_inverse=True, return_counts=True)
+    if z is None:
+        s = sizes * float(q) ** (-l)
+        s[types[:, 0] == n] = 1.0  # the zero word is in every kernel
+    else:
+        s = np.bincount(inverse.ravel(), weights=z)
+    return types, sizes, s
 
 
 def type_spectrum(spec: EnsembleSpec) -> dict:
     """Expected number of kernel words per type, S(p, t), exactly.
 
-    Closed form for the uniform kind; otherwise the kernel mass z summed
-    over the words of each type.
+    Keyed by symbol-count tuples (c_0, ..., c_{q-1}) summing to n.
+    Closed form |T| q^-l for the uniform kind; otherwise the kernel mass z
+    summed over the words of each type.
     """
-    q, l, n = spec.field.q, spec.rows, spec.cols
-    types = all_types(q, n)
-    if spec.kind == UNIFORM:
-        out = {}
-        for t in types:
-            if t.weight == 0:
-                out[t] = 1.0  # the zero word is in every kernel
-            else:
-                out[t] = type_class_size(t) * float(q) ** (-l)
-        return out
-    _, words, _, z = _ensemble_table(spec)
-    per_type = np.bincount(_type_index(words, q, types), weights=z, minlength=len(types))
-    return {t: float(s) for t, s in zip(types, per_type)}
-
-
-def _heavy_types(q: int, n: int, gamma: float):
-    """Split of the non-zero types into heavy (weight > gamma n) and light."""
-    threshold = gamma * n
-    heavy, light = [], []
-    for t in all_types(q, n):
-        if t.weight == 0:
-            continue
-        (heavy if t.weight > threshold else light).append(t)
-    return heavy, light
+    types, _, s = _spectrum(spec)
+    return {tuple(int(c) for c in t): float(v) for t, v in zip(types, s)}
 
 
 def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None) -> HashParams:
@@ -399,16 +334,14 @@ def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None) -> Ha
     elif gamma is None:
         raise ValueError("gamma is required for non-expurgated ensembles")
     q, l, n = spec.field.q, spec.rows, spec.cols
-    heavy, light = _heavy_types(q, n, gamma)
-    if not heavy:
+    threshold = gamma * n
+    if not n > threshold:
         raise ValueError("no types above the weight threshold; gamma too large")
-    spectrum = type_spectrum(spec)
-    ratio = 0.0
-    for t in heavy:
-        ref = type_class_size(t) * float(q) ** (-l)
-        ratio = max(ratio, spectrum.get(t, 0.0) / ref)
-    alpha = ensemble_image_size(spec) / float(q) ** l * ratio
-    beta = sum(spectrum.get(t, 0.0) for t in light)
+    types, sizes, s = _spectrum(spec)
+    weights = n - types[:, 0]
+    heavy = weights > threshold
+    alpha = float((s[heavy] / (sizes[heavy] * float(q) ** (-l))).max())
+    beta = sum(float(v) for v in s[(weights > 0) & ~heavy])
     if spec.kind == EXPURGATED:
         # expurgation empties the light types by construction
         assert beta == 0.0, "expurgated ensemble kept a light kernel word"
@@ -428,7 +361,7 @@ def certified_collision_params(spec: EnsembleSpec) -> HashParams:
     certify it with.
     """
     _, _, _, z = _ensemble_table(spec)
-    return HashParams(alpha=ensemble_image_size(spec) * float(z[1:].max()), beta=0.0)
+    return HashParams(alpha=spec.field.q ** spec.rows * float(z[1:].max()), beta=0.0)
 
 
 def expurgated_params_bound(inner: EnsembleSpec, gamma: float) -> HashParams:
@@ -569,7 +502,7 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
     ens, words, codes, z = _ensemble_table(spec)
     q, l = spec.field.q, spec.rows
     probs = ens.probs
-    im_size = ensemble_image_size(spec)
+    im_size = q ** l
     threshold = params.alpha / im_size
 
     # P(A x = A x') = z[x' - x]: every word sees the same partner masses

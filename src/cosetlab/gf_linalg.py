@@ -295,22 +295,19 @@ def span_array(basis: np.ndarray, q: int) -> np.ndarray:
     Row i weights the basis by the base-q digits of i, first basis vector
     most significant; with no basis rows the span is the zero word.
     """
-    d = basis.shape[0]
-    if d == 0:
-        return np.zeros((1, basis.shape[1]), dtype=np.int64)
-    coeffs = np.indices((q,) * d).reshape(d, -1).T  # (q^d, d), row-major counting
-    return (coeffs @ basis) % q
+    return (word_table(q, basis.shape[0])[:, ::-1] @ basis) % q
 
 
-def base_digits(idx: np.ndarray, positions: int, base: int) -> np.ndarray:
-    """Base-``base`` digits of each integer in ``idx``, least significant first.
+def word_table(base: int, n: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Rows ``start..stop`` (default: all base^n) of the length-n words over range(base).
 
-    ``base_digits(np.arange(q ** n), n, q)`` lists every length-n word in
-    the order that ``digits @ q ** arange(n)`` maps back to the index.
+    Row i holds the base-``base`` digits of i, position 0 least significant,
+    so ``row @ base ** arange(n) == i``.  ``stop`` is clipped to base^n.
     """
-    rem = np.array(idx, dtype=np.int64)
-    digits = np.empty((rem.size, positions), dtype=np.int64)
-    for pos in range(positions):
+    total = base ** n
+    rem = np.arange(start, total if stop is None else min(stop, total), dtype=np.int64)
+    digits = np.empty((rem.size, n), dtype=np.int64)
+    for pos in range(n):
         digits[:, pos] = rem % base
         rem //= base
     return digits

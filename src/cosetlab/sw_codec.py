@@ -23,7 +23,7 @@ import numpy as np
 from .crng_sampler import _inverse_cdf
 from .errors import CapExceededError, DecodeFailure
 from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, FieldSpec, GfVector,
-                        LinearMap, base_digits, coset_array, image_codes, matvec)
+                        LinearMap, coset_array, image_codes, matvec, word_table)
 from .rng import derived_seed, make_rng
 from .sources_channels import JointSource
 
@@ -190,13 +190,6 @@ def decode_stochastic(codec: SwCodec, c: GfVector, y, seed) -> GfVector:
     return _decode(codec, c, y, STOCHASTIC, seed)
 
 
-def _blocks(size: int, n: int, per_block: int):
-    """Every length-n block over range(size), per_block at a time, in base_digits order."""
-    total = size ** n
-    for start in range(0, total, per_block):
-        yield base_digits(np.arange(start, min(start + per_block, total)), n, size)
-
-
 def _product_law(letters: np.ndarray, words: np.ndarray, y: np.ndarray) -> np.ndarray:
     """out[j, i] = prod_k letters[words[i, k], y[j, k]] for a single-letter table."""
     out = letters[words[None, :, 0], y[:, :1]]
@@ -218,14 +211,16 @@ def _exact_error(codec: SwCodec) -> ErrorEstimate:
     if (q ** n) * (ys ** n) > EXACT_ERROR_CAP:
         raise CapExceededError(f"exact error needs {(q ** n) * (ys ** n)} joint outcomes, "
                                f"above the cap {EXACT_ERROR_CAP}")
-    words = base_digits(np.arange(q ** n), n, q)
+    words = word_table(q, n)
     codes = image_codes(codec.matrix.as_array()[None], q, words)[0]
     order = np.argsort(codes, kind="stable")
     words, codes = words[order], codes[order]
     starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
 
     err = 0.0
-    for y in _blocks(ys, n, max(1, CHUNK_ENTRIES // len(words))):
+    step = max(1, CHUNK_ENTRIES // len(words))
+    for start in range(0, ys ** n, step):
+        y = word_table(ys, n, start, start + step)
         pxy = _product_law(codec.source.joint, words, y)
         total = np.add.reduceat(pxy, starts, axis=1)
         if codec.decoder == MAP_EXACT:

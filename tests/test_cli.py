@@ -239,6 +239,14 @@ TINY_CONFIGS = {
     ("sw", TINY_CONFIGS["sw"] + "matrices = 0\n", "matrices"),
     ("decision", "problems = 0\n", "problems"),
     ("decision", "problems = -2\n", "problems"),
+    ("sw", TINY_CONFIGS["sw"].replace("rates = 0.7", "rates = ,"), "rates"),
+    ("sw", TINY_CONFIGS["sw"].replace("ns = 6", "ns = ,"), "ns"),
+    ("capacity", "channel = quantized-awgn\nsnr = 4.0\nlevels = 8\nq_values = ,\n",
+     "q_values"),
+    ("channel", "channel = quantized-awgn\nsnr = 4.0\nlevels = 4\nn = 4\nr = 0.5\nR = 0.5\n",
+     "levels"),
+    ("channel", TINY_CONFIGS["channel"].replace("n = 8", "n = -3"), "n"),
+    ("channel", TINY_CONFIGS["channel"].replace("n = 8", "n = 0"), "n"),
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
@@ -246,11 +254,13 @@ TINY_CONFIGS = {
         "max-u-zero", "max-v-zero", "draws-zero", "mcmc-draws-zero", "hash-l-above-n",
         "hash-l-zero", "expurgated-gamma-above-one", "spectrum-gamma-one", "row-weight-zero",
         "pairs-negative", "crng-l-above-n", "crng-l-zero", "matrices-zero", "problems-zero",
-        "problems-negative"])
+        "problems-negative", "rates-empty", "ns-empty", "q-values-empty",
+        "channel-levels-composite", "channel-n-negative", "channel-n-zero"])
 def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
     cfg = write_cfg(tmp_path, "c.cfg", body)
     assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
     assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_sw_coset_above_the_cap_exits_2(tmp_path, capsys):

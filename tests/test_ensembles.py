@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from cosetlab.errors import CapExceededError, ExpurgationError
 from cosetlab.gf_linalg import FieldSpec, LinearMap
 
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 
 
 def brute_kernel(arr, q, n):
@@ -17,6 +20,24 @@ def brute_kernel(arr, q, n):
         if all(sum(row[i] * x[i] for i in range(n)) % q == 0 for row in arr):
             out.append(x)
     return out
+
+
+def word_type(x, q):
+    """Symbol-count tuple (c_0, ..., c_{q-1}) of a word."""
+    counts = Counter(int(e) for e in x)
+    return tuple(counts[a] for a in range(q))
+
+
+def class_size(t):
+    """Number of words of type t: the multinomial n! / prod c_a!."""
+    size = math.factorial(sum(t))
+    for c in t:
+        size //= math.factorial(c)
+    return size
+
+
+def all_types(q, n):
+    return sorted({word_type(x, q) for x in itertools.product(range(q), repeat=n)})
 
 
 def test_sample_is_deterministic_per_seed():
@@ -59,14 +80,20 @@ def test_enumeration_caps_raise_before_building():
     # 21 sparse members fit, but 21 x 2^22 image codes are above the 2^24 table cap
     with pytest.raises(CapExceededError, match="image-code table of 21 members"):
         ens.certified_collision_params(ens.sparse_ensemble(F2, 1, 22, 1))
+    # the uniform closed form reads its types from the word table, capped the same way
+    with pytest.raises(CapExceededError, match="image-code table of 1 members"):
+        ens.compute_hash_params(ens.uniform_ensemble(F2, 1, 25), gamma=0.0)
 
 
 def test_type_vector_basics():
-    t = ens.TypeVector.of((1, 0, 1, 1), 2)
-    assert t.counts == (1, 3) and t.weight == 3 and t.n == 4
-    assert ens.type_class_size(t) == 4
-    assert len(ens.all_types(2, 4)) == 5
-    assert len(ens.all_types(3, 3)) == 10
+    assert word_type((1, 0, 1, 1), 2) == (1, 3) and class_size((1, 3)) == 4
+    # the spectrum has one count-tuple key per type, and the uniform closed form
+    # puts |T| q^-l on each non-zero type
+    for q, n, count in ((2, 4, 5), (3, 3, 10), (3, 4, 15)):
+        spectrum = ens.type_spectrum(ens.uniform_ensemble(FieldSpec(q), 2, n))
+        assert list(spectrum) == all_types(q, n) and len(spectrum) == count
+        for t, s in spectrum.items():
+            assert s == (1.0 if t[0] == n else class_size(t) * float(q) ** -2)
 
 
 def test_uniform_spectrum_against_brute_enumeration():
@@ -74,17 +101,17 @@ def test_uniform_spectrum_against_brute_enumeration():
     counts = {}
     for rows in itertools.product(range(2), repeat=2):
         for x in brute_kernel((rows,), 2, 2):
-            t = ens.TypeVector.of(x, 2)
+            t = word_type(x, 2)
             counts[t] = counts.get(t, 0) + 0.25
     spec = ens.type_spectrum(ens.uniform_ensemble(F2, 1, 2))
     for t, v in counts.items():
         assert spec[t] == pytest.approx(v, abs=1e-12)
-    assert spec[ens.TypeVector((1, 1))] == pytest.approx(1.0, abs=1e-12)
+    assert spec[(1, 1)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uniform_spectrum_weight_three():
     spec = ens.type_spectrum(ens.uniform_ensemble(F2, 2, 3))
-    assert spec[ens.TypeVector((0, 3))] == pytest.approx(0.25, abs=1e-12)
+    assert spec[(0, 3)] == pytest.approx(0.25, abs=1e-12)
     # oracle: all 64 matrices
     total = 0.0
     for flat in itertools.product(range(2), repeat=6):
@@ -142,8 +169,15 @@ def test_expurgated_ensemble_empty_raises():
 
 
 def test_image_size_is_full_range():
-    assert ens.ensemble_image_size(ens.uniform_ensemble(F2, 2, 4)) == 4
-    assert ens.ensemble_image_size(ens.expurgate(ens.uniform_ensemble(F2, 2, 4), 0.25)) == 4
+    # the certifier takes |Im| = q^l: the members' images of all words cover GF(q)^l
+    for spec in (ens.uniform_ensemble(F2, 2, 4),
+                 ens.expurgate(ens.uniform_ensemble(F2, 2, 4), 0.25),
+                 ens.sparse_ensemble(F3, 2, 3, 1)):
+        q = spec.field.q
+        images = {tuple(int(v) % q for v in a.as_array() @ np.array(x))
+                  for a, _ in ens.members(spec)
+                  for x in itertools.product(range(q), repeat=spec.cols)}
+        assert images == set(itertools.product(range(q), repeat=spec.rows))
 
 
 def test_certify_uniform_tiny():
@@ -279,7 +313,6 @@ def test_csv_row_shape():
 # enumeration per member, one pass over the ensemble per word
 # ---------------------------------------------------------------------------
 
-F3 = FieldSpec(3)
 EQUIVALENCE_SPECS = {
     "uniform-2x4": ens.uniform_ensemble(F2, 2, 4),
     "gf3-uniform-1x3": ens.uniform_ensemble(F3, 1, 3),
@@ -307,18 +340,19 @@ def ref_images(spec):
 
 def ref_spectrum(spec):
     q = spec.field.q
-    out = {t: 0.0 for t in ens.all_types(q, spec.cols)}
+    out = {t: 0.0 for t in all_types(q, spec.cols)}
     for a, p in ens.members(spec):
         for x in brute_kernel(a.entries, q, spec.cols):
-            out[ens.TypeVector.of(x, q)] += p
+            out[word_type(x, q)] += p
     return out
 
 
 def ref_spectrum_params(spec, gamma):
     q, l, n = spec.field.q, spec.rows, spec.cols
     spectrum = ref_spectrum(spec)
-    heavy, light = ens._heavy_types(q, n, gamma)
-    alpha = max(spectrum[t] / (ens.type_class_size(t) * float(q) ** -l) for t in heavy)
+    heavy = [t for t in spectrum if n - t[0] > gamma * n]
+    light = [t for t in spectrum if 0 < n - t[0] <= gamma * n]
+    alpha = max(spectrum[t] / (class_size(t) * float(q) ** -l) for t in heavy)
     return ens.HashParams(alpha=alpha, beta=sum(spectrum[t] for t in light))
 
 
@@ -327,7 +361,7 @@ def ref_collision_params(spec):
     size = len(images[0])
     worst = max(sum(p for p, img in zip(probs, images) if img[i] == img[j])
                 for i in range(size) for j in range(size) if i != j)
-    return ens.HashParams(alpha=ens.ensemble_image_size(spec) * worst, beta=0.0)
+    return ens.HashParams(alpha=spec.field.q ** spec.rows * worst, beta=0.0)
 
 
 def ref_certify(spec, params, partition_pairs, collision_pairs):
@@ -335,7 +369,7 @@ def ref_certify(spec, params, partition_pairs, collision_pairs):
     slack = ens._REL_SLACK
     probs, images = ref_images(spec)
     size = len(images[0])
-    im_size = ens.ensemble_image_size(spec)
+    im_size = spec.field.q ** spec.rows
     threshold = params.alpha / im_size
     image_set = {m for img in images for m in img}
     violations = 0

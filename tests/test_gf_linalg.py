@@ -173,6 +173,24 @@ def test_coset_array_matches_enumeration_order():
     assert [tuple(int(e) for e in row) for row in coset_array(sol3)] == _listed_coset(sol3)
 
 
+def test_span_array_row_order():
+    # the channel Monte Carlo draws messages from this order, so it is part of
+    # the CSV contract: row 3 c0 + c1 is c0 b0 + c1 b1, first basis vector most significant
+    basis = np.array([[1, 0, 2, 1], [0, 1, 1, 2]], dtype=np.int64)
+    expected = [[(c0 * b0 + c1 * b1) % 3 for b0, b1 in zip(*basis)]
+                for c0 in range(3) for c1 in range(3)]
+    assert gf_linalg.span_array(basis, 3).tolist() == expected
+    assert gf_linalg.span_array(np.zeros((0, 4), dtype=np.int64), 3).tolist() == [[0] * 4]
+
+
+def test_word_table_counts_in_index_order():
+    table = gf_linalg.word_table(3, 3)
+    assert table.tolist() == [list(reversed(w)) for w in itertools.product(range(3), repeat=3)]
+    assert np.array_equal(table @ 3 ** np.arange(3), np.arange(27))
+    assert np.array_equal(gf_linalg.word_table(3, 3, 5, 40), table[5:])  # stop clipped to 27
+    assert gf_linalg.word_table(1, 4).tolist() == [[0] * 4]  # base 1 has one word
+
+
 def test_zero_row_map():
     z = LinearMap(F2, (), cols=3)
     assert z.rank == 0 and z.rows == 0 and z.cols == 3

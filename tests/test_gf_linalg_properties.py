@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from cosetlab.gf_linalg import (FieldSpec, GfVector, LinearMap, _row_reduce,  # noqa: E402
-                                base_digits, coset_array, matvec, solve_affine)
+                                coset_array, matvec, solve_affine, word_table)
 
 SETTINGS = hypothesis.settings(max_examples=40, deadline=None, database=None,
                                derandomize=True)
@@ -53,6 +53,6 @@ def test_coset_rows_solve_the_system(a, data):
 def test_rank_counts_the_image(a):
     # q^rank = |{A x : x in GF(q)^n}|, counted without any elimination
     q = a.field.q
-    words = base_digits(np.arange(q ** a.cols), a.cols, q)
+    words = word_table(q, a.cols)
     images = {tuple(row) for row in (words @ a.as_array().T) % q}
     assert q ** a.rank == len(images)

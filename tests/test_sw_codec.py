@@ -143,8 +143,7 @@ def test_exact_error_cap_is_checked_before_enumeration(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("enumerated before the cap check")
 
-    monkeypatch.setattr(sw, "base_digits", enumerate_nothing)
-    monkeypatch.setattr(sw, "_blocks", enumerate_nothing)
+    monkeypatch.setattr(sw, "word_table", enumerate_nothing)
     with pytest.raises(CapExceededError):
         sw.error_probability(codec, "exact")
 
