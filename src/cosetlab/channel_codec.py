@@ -31,7 +31,7 @@ from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (CHUNK_ENTRIES, GfVector, LinearMap, _row_reduce, concat_vectors,
                         image_codes, matvec, span_array, stack_maps, word_table)
 from .rng import derived_seed, make_rng
-from .sources_channels import Channel, info_measures
+from .sources_channels import Channel
 from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _decide,
                        _decode, _product_law, error_probability as sw_error_probability,
                        wilson_std_err)
@@ -211,7 +211,7 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
     # the segments are the rows of one table
     seg_px = px.reshape(len(starts), -1)
     size = seg_px.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     count = codec.message_count
     # index k < len(starts) is the message of segment k; the remaining
     # indices are the messages with empty cosets
@@ -265,7 +265,6 @@ class SearchResult:
     candidate_errors: List[ErrorEstimate]
     candidate_seeds: List[int]
     master_seed: int
-    warnings: List[str]
 
     @property
     def delta_hat(self) -> float:
@@ -299,27 +298,23 @@ def search_code(sw: SwCodec, ensemble_b, channel: Channel, candidates: int,
 
     The baseline is the error of the underlying syndrome decoder on the
     codec's own joint source (for a matched setup, the joint induced by
-    the input law and the channel).  A nominal rate sum at or above the
-    input entropy is recorded as an advisory warning, not an error.
-    Candidate evaluations depend only on (seed, candidate index), so each
-    can be reproduced in isolation.
+    the input law and the channel).  Candidate evaluations depend only on
+    (seed, candidate index), so each can be reproduced in isolation.
     """
     from .ensembles import sample_map
 
     if candidates < 1:
         raise ValueError("need at least one candidate")
-    nominal_R = ensemble_b.rows / sw.n * math.log2(sw.field.q)
-    warnings = info_measures(sw.source).rate_sum_warnings(sw.rate, nominal_R)
     baseline = sw_error_probability(sw, mode="mc", trials=trials,
                                     seed=derived_seed(seed, 0))
 
     codecs, errors, seeds = [], [], []
     for k in range(candidates):
-        b = sample_map(ensemble_b, np.random.default_rng(derived_seed(seed, 1, k)))
-        codecs.append(build(sw, b, channel, np.random.default_rng(derived_seed(seed, 2, k))))
+        b = sample_map(ensemble_b, derived_seed(seed, 1, k))
+        codecs.append(build(sw, b, channel, derived_seed(seed, 2, k)))
         seeds.append(derived_seed(seed, 3, k))
         errors.append(error_probability(codecs[-1], mode="mc", trials=trials, seed=seeds[-1]))
     best_k = int(np.argmin([e.value for e in errors]))  # ties: lowest index
     return SearchResult(best_codec=codecs[best_k], best_error=errors[best_k],
                         baseline_error=baseline, candidate_errors=errors,
-                        candidate_seeds=seeds, master_seed=seed, warnings=warnings)
+                        candidate_seeds=seeds, master_seed=seed)

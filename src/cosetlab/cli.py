@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import math
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -99,6 +100,13 @@ def _get_list(cfg: dict, key: str, conv=float) -> list:
     return values
 
 
+def _get_ns(cfg: dict) -> List[int]:
+    ns = _get_list(cfg, "ns", conv=int)
+    if not all(n >= 1 for n in ns):
+        raise ConfigError("ns", f"block lengths must be at least 1, got {ns}")
+    return ns
+
+
 def _get_choice(cfg: dict, key: str, choices, default: Optional[str] = None) -> str:
     raw = cfg.get(key, default)
     if raw is None:
@@ -150,34 +158,42 @@ def _make_ensemble(cfg: dict, field: FieldSpec, l: int, n: int) -> ensembles.Ens
 # advisory validation (warnings only; hard errors raise ConfigError)
 # ---------------------------------------------------------------------------
 
+def _realized_rate(n: int, rate: float, q: int) -> float:
+    """l/n log2 q for the l = rows_for_rate(n, rate, q) syndrome rows a run builds."""
+    return sw_codec.rows_for_rate(n, rate, q) / n * math.log2(q)
+
+
 def validate(experiment: str, cfg: dict) -> List[str]:
-    """Rate-condition warnings; the run is still permitted (converse
-    regimes are legitimate experiments)."""
+    """Rate-condition warnings at the realized rates of the maps the run
+    builds, one per distinct message in order; the run is still permitted
+    (converse regimes are legitimate experiments)."""
     warnings: List[str] = []
     if experiment == "sw":
-        measures = info_measures(_make_source(cfg))
+        source = _make_source(cfg)
+        measures = info_measures(source)
+        ns = _get_ns(cfg)
         for r in _get_list(cfg, "rates"):
-            warnings += measures.converse_warnings(r)
+            for n in ns:
+                warnings += measures.converse_warnings(_realized_rate(n, r, source.x_size))
     elif experiment == "channel":
         channel = _make_channel(cfg)
-        px = np.full(channel.input_size, 1.0 / channel.input_size)
-        measures = info_measures(joint_from_channel(px, channel))
-        r = _get_float(cfg, "r")
+        q, n = channel.input_size, _get_count(cfg, "n")
+        measures = info_measures(joint_from_channel(np.full(q, 1.0 / q), channel))
+        r = _realized_rate(n, _get_float(cfg, "r"), q)
         warnings += measures.converse_warnings(r)
-        warnings += measures.rate_sum_warnings(r, _get_float(cfg, "R"))
-    return warnings
+        warnings += measures.rate_sum_warnings(r, _realized_rate(n, _get_float(cfg, "R"), q))
+    return list(dict.fromkeys(warnings))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def _run_capacity(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
+def _run_capacity(cfg: dict, seed: int) -> List[dict]:
     channel = _make_channel(cfg)
     tol = _get_float(cfg, "tol", 1e-9)
     if not tol > 0:
         raise ConfigError("tol", f"must be positive, got {tol!r}")
-    header = ["channel", "params", "support", "capacity", "iterations", "tol"]
     if "q_values" in cfg:
         q_values = _get_list(cfg, "q_values", conv=int)
         if not all(1 <= qv <= channel.input_size for qv in q_values):
@@ -186,16 +202,15 @@ def _run_capacity(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
         labelled = [(f"|S|<={qv}:", res) for qv, res in zip(q_values, sweep)]
     else:
         labelled = [("", cap_mod.blahut_arimoto(channel, tol=tol))]
-    rows = [{"channel": channel.kind, "params": repr(channel.param),
+    return [{"channel": channel.kind, "params": repr(channel.param),
              "support": label + "+".join(map(str, res.support)),
              "capacity": res.capacity, "iterations": res.iterations, "tol": tol}
             for label, res in labelled]
-    return header, rows
 
 
-def _run_hash_verify(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
+def _run_hash_verify(cfg: dict, seed: int) -> List[dict]:
     field = _named("q", FieldSpec, _get_int(cfg, "q", 2))
-    l, n = _get_int(cfg, "l"), _get_int(cfg, "n")
+    l, n = _get_int(cfg, "l"), _get_count(cfg, "n")
     gamma = _get_float(cfg, "gamma", 0.0)
     pairs = _get_count(cfg, "pairs", 20)
     spec = _make_ensemble(cfg, field, l, n)
@@ -214,29 +229,21 @@ def _run_hash_verify(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
         partition_pairs=ensembles.random_partition_pairs(field, n, pairs, seed),
         collision_pairs=ensembles.random_collision_pairs(field, n, pairs, seed + 1),
         gamma=spec.gamma if spec.kind == ensembles.EXPURGATED else gamma)
-    row = report.csv_row()
-    return list(row.keys()), [row]
+    return [report.csv_row()]
 
 
-def _run_sw(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
-    source = _make_source(cfg)
-    ns = _get_list(cfg, "ns", conv=int)
-    if not all(n >= 1 for n in ns):
-        raise ConfigError("ns", f"block lengths must be at least 1, got {ns}")
-    rows = sw_codec.rate_sweep(
-        source,
+def _run_sw(cfg: dict, seed: int) -> List[dict]:
+    return sw_codec.rate_sweep(
+        _make_source(cfg),
         rates=_get_list(cfg, "rates"),
-        ns=ns,
+        ns=_get_ns(cfg),
         trials=_get_count(cfg, "trials", 10000),
         seed=seed,
         decoder=_get_choice(cfg, "decoder", {"map-exact", "stochastic"}, default="map-exact"),
         matrices_per_point=_get_count(cfg, "matrices", 1))
-    header = ["source", "p", "n", "l", "rate", "decoder", "mode",
-              "error", "std_err", "trials", "seed"]
-    return header, rows
 
 
-def _run_channel(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
+def _run_channel(cfg: dict, seed: int) -> List[dict]:
     channel = _make_channel(cfg)
     n = _get_count(cfg, "n")
     field = _named("levels", FieldSpec, channel.input_size)
@@ -246,8 +253,7 @@ def _run_channel(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
         raise ConfigError("r" if l_a == 0 else "R", "target rate rounds to an empty map")
     px = np.full(field.q, 1.0 / field.q)
     source = joint_from_channel(px, channel)
-    a = ensembles.sample_map(ensembles.uniform_ensemble(field, l_a, n),
-                             np.random.default_rng(derived_seed(seed, 99)))
+    a = ensembles.sample_map(ensembles.uniform_ensemble(field, l_a, n), derived_seed(seed, 99))
     decoder = _get_choice(cfg, "decoder", {"map-exact", "stochastic"}, default="map-exact")
     sw = sw_codec.SwCodec(a, source, decoder=decoder)
     result = channel_codec.search_code(
@@ -255,56 +261,45 @@ def _run_channel(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
         candidates=_get_count(cfg, "candidates", 8),
         trials=_get_count(cfg, "trials", 2000),
         seed=seed)
-    header = ["channel", "p", "n", "lA", "lB", "r", "R", "candidate",
-              "error", "std_err", "baseline_error", "delta_hat", "seed"]
-    return header, result.rows()
+    return result.rows()
 
 
-def _run_decision(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
+def _run_decision(cfg: dict, seed: int) -> List[dict]:
     count = _get_count(cfg, "problems", 1000)
     max_u = _get_count(cfg, "max_u", 4)
     max_v = _get_count(cfg, "max_v", 4)
-    header = ["seed", "|U|", "|V|", "err_map", "err_posterior", "ratio"]
     rows = []
-    rng = make_rng(seed)
-    for _ in range(count):
-        prob = decision_theory.random_problem(rng, max_u=max_u, max_v=max_v)
+    for prob in decision_theory.random_problems(count, seed, max_u, max_v):
         rep = decision_theory.verify_factor2(prob)
         rows.append({"seed": seed, "|U|": prob.u_size, "|V|": prob.v_size,
                      "err_map": rep.err_map, "err_posterior": rep.err_posterior,
                      "ratio": rep.ratio})
-    return header, rows
+    return rows
 
 
-def _run_crng_test(cfg: dict, seed: int) -> Tuple[List[str], List[dict]]:
+def _run_crng_test(cfg: dict, seed: int) -> List[dict]:
     field = _named("q", FieldSpec, _get_int(cfg, "q", 2))
-    n, l = _get_int(cfg, "n"), _get_int(cfg, "l")
+    n, l = _get_count(cfg, "n"), _get_int(cfg, "l")
     p1 = _get_float(cfg, "bernoulli", 0.5)
     if field.q != 2:
         raise ConfigError("bernoulli", "single-parameter weights are binary only")
     weights = np.array([1.0 - p1, p1])
     a = ensembles.sample_map(_named("l", ensembles.uniform_ensemble, field, l, n),
-                             np.random.default_rng(derived_seed(seed, 7)))
+                             derived_seed(seed, 7))
     rng = make_rng(derived_seed(seed, 8))
     x = GfVector.from_array(field, rng.integers(0, field.q, size=n))
     c = matvec(a, x)
     constraints = crng_sampler.ConstraintSet(((a, c),))
-    header = ["mode", "q", "n", "l", "coset_size", "draws", "tv", "seed"]
     rows = []
-    exact_draws = _get_count(cfg, "draws", 100000)
-    mcmc_draws = _get_count(cfg, "mcmc_draws", 10000)
-    dist = _named("bernoulli", crng_sampler.ConstrainedDistribution, weights, constraints,
-                  mode=crng_sampler.EXACT)
-    tv = crng_sampler.tv_distance_check(dist, exact_draws, derived_seed(seed, 9))
-    rows.append({"mode": "exact", "q": field.q, "n": n, "l": l,
-                 "coset_size": constraints.coset_size, "draws": exact_draws,
-                 "tv": tv, "seed": seed})
-    dist_m = crng_sampler.ConstrainedDistribution(weights, constraints, mode=crng_sampler.MCMC)
-    tv_m = crng_sampler.tv_distance_check(dist_m, mcmc_draws, derived_seed(seed, 10))
-    rows.append({"mode": "mcmc", "q": field.q, "n": n, "l": l,
-                 "coset_size": constraints.coset_size, "draws": mcmc_draws,
-                 "tv": tv_m, "seed": seed})
-    return header, rows
+    for mode, draws, path in ((crng_sampler.EXACT, _get_count(cfg, "draws", 100000), 9),
+                              (crng_sampler.MCMC, _get_count(cfg, "mcmc_draws", 10000), 10)):
+        dist = _named("bernoulli", crng_sampler.ConstrainedDistribution, weights, constraints,
+                      mode=mode)
+        rows.append({"mode": mode, "q": field.q, "n": n, "l": l,
+                     "coset_size": constraints.coset_size, "draws": draws,
+                     "tv": crng_sampler.tv_distance_check(dist, draws, derived_seed(seed, path)),
+                     "seed": seed})
+    return rows
 
 
 _RUNNERS = {
@@ -325,9 +320,11 @@ def run(experiment: str, cfg: dict, seed: Optional[int] = None,
     master = seed if seed is not None else _get_int(cfg, "seed", 0)
     for warning in validate(experiment, cfg):
         print(f"warning: {warning}", file=sys.stderr)
-    header, rows = _RUNNERS[experiment](cfg, master)
+    rows = _RUNNERS[experiment](cfg, master)
     path = out or f"{experiment}.csv"
-    write_csv(path, header, rows)
+    # every runner checks its counts, so there is a first row, and its keys
+    # are the header
+    write_csv(path, list(rows[0]), rows)
     return path
 
 

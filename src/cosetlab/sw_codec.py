@@ -8,8 +8,11 @@ the posterior restricted to the coset.
 
 Error probabilities are computed exactly by summing the joint law over
 all (x, y) pairs when the state space fits the cap, and otherwise by
-Monte Carlo with per-trial seeds and a Wilson-style standard error that
-stays positive at observed counts of 0.
+Monte Carlo with a Wilson-style standard error that stays positive at
+observed counts of 0.  A Monte Carlo estimate draws every trial from one
+generator seeded by its seed: first all (x, y) pairs, as one
+``choice`` over the flattened joint of shape (trials, n), then, for the
+stochastic decoder only, one uniform per trial.
 """
 
 from __future__ import annotations
@@ -232,24 +235,22 @@ def _exact_error(codec: SwCodec) -> ErrorEstimate:
     return ErrorEstimate(value=min(max(err, 0.0), 1.0), mode="exact")
 
 
-def _sample_pair_arrays(source: JointSource, n: int, rng) -> tuple:
-    flat = rng.choice(source.joint.size, size=n, p=source.joint.ravel())
-    return np.divmod(flat, source.y_size)
-
-
 def _mc_error(codec: SwCodec, trials: int, seed) -> ErrorEstimate:
+    """Every trial from one generator, in the order the module docstring states."""
+    joint = codec.source.joint
+    rng = make_rng(seed)
+    flat = rng.choice(joint.size, size=(trials, codec.n), p=joint.ravel())
+    x, y = np.divmod(flat, codec.source.y_size)
+    u = rng.random(trials) if codec.decoder == STOCHASTIC else None
     cond = codec.source.cond_x_given_y
-    stochastic = codec.decoder == STOCHASTIC
     failures = 0
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        xi, yi = _sample_pair_arrays(codec.source, codec.n, rng)
         # x itself is a particular solution of its own syndrome, and its
         # positive posterior keeps the coset live
-        members = codec.coset_members(xi)
-        (pick,), _ = _decide(codec.decoder, cond, members, yi[None],
-                             rng.random(1) if stochastic else None)
-        if not np.array_equal(members[pick], xi):
+        members = codec.coset_members(x[t])
+        (pick,), _ = _decide(codec.decoder, cond, members, y[t:t + 1],
+                             None if u is None else u[t:t + 1])
+        if not np.array_equal(members[pick], x[t]):
             failures += 1
     return ErrorEstimate(value=failures / trials, mode="monte-carlo",
                          trials=trials, std_err=wilson_std_err(failures, trials))
@@ -261,7 +262,9 @@ def error_probability(codec: SwCodec, mode: str = "exact", trials: int = 10000,
 
     Exact mode sums mu(x, y) * [decode(A x, y) != x] over the whole joint
     space (stochastic decoders integrate the decoder's own randomness in
-    closed form).  Monte Carlo samples i.i.d. pairs with per-trial seeds.
+    closed form).  Monte Carlo samples i.i.d. pairs from one generator
+    seeded by ``seed``: all pairs first, then one uniform per trial for the
+    stochastic decoder.
     """
     if mode == "exact":
         return _exact_error(codec)
@@ -305,8 +308,7 @@ def rate_sweep(source: JointSource, rates, ns, trials: int, seed: int,
                 if l == 0:
                     a = LinearMap(field, (), cols=n)
                 else:
-                    a = sample_map(uniform_ensemble(field, l, n),
-                                   np.random.default_rng(point_seed))
+                    a = sample_map(uniform_ensemble(field, l, n), point_seed)
                 codec = SwCodec(a, source, decoder=decoder)
                 est = error_probability(codec, mode="mc", trials=trials, seed=point_seed)
                 rows.append({

@@ -343,15 +343,6 @@ def test_search_best_is_minimum():
     assert result.best_error.value == min(values)
     assert len(result.rows()) == 6
     assert result.rows()[0]["delta_hat"] == pytest.approx(result.delta_hat)
-    # rate sum 0.5 + 0.5 >= H(X) = 1: advisory warning, run still performed
-    assert any("rate condition" in w for w in result.warnings)
-
-
-def test_search_no_warning_inside_rate_window():
-    channel, _, swc, _ = make_setup(n=8, l_a=4, l_b=2)
-    result = cc.search_code(swc, ens.uniform_ensemble(F2, 2, 8), channel,
-                            candidates=2, trials=200, seed=2)
-    assert result.warnings == []
 
 
 def test_search_candidate_depends_only_on_seed_and_index():

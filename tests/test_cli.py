@@ -172,22 +172,47 @@ def test_shipped_configs_parse_and_validate():
         cfg = cli.parse_config(str(config_dir / name))
         warnings = cli.validate(experiment, cfg)
         if name == "sw-trend.cfg":
-            assert len(warnings) == 1  # the converse-regime rate is intentional
+            # the converse-regime rate is intentional: 0.3 builds a realized
+            # rate of 0.25 at every n, which warns once
+            assert len(warnings) == 1 and warnings[0].startswith("r = 0.2500 <= H(X|Y)")
         else:
             assert warnings == []
 
 
 def test_validate_rate_conditions():
-    ok = {"channel": "bsc", "p": "0.11", "r": "0.7", "R": "0.25"}
+    ok = {"channel": "bsc", "p": "0.11", "n": "16", "r": "0.7", "R": "0.25"}
     assert cli.validate("channel", ok) == []
-    tight = {"channel": "bsc", "p": "0.11", "r": "0.7", "R": "0.35"}
+    tight = {"channel": "bsc", "p": "0.11", "n": "16", "r": "0.7", "R": "0.35"}
     assert any("H(X)" in w for w in cli.validate("channel", tight))
-    low = {"channel": "bsc", "p": "0.11", "r": "0.3", "R": "0.25"}
+    low = {"channel": "bsc", "p": "0.11", "n": "16", "r": "0.3", "R": "0.25"}
     assert any("H(X|Y)" in w for w in cli.validate("channel", low))
-    converse = {"p": "0.11", "rates": "0.3"}
+    # realized r + R = 0.5 + 0.5 reaches H(X) = 1; at n = 8, 0.5 + 0.25 does not
+    full = {"channel": "bsc", "p": "0.1", "n": "4", "r": "0.5", "R": "0.5"}
+    assert any("rate condition" in w for w in cli.validate("channel", full))
+    assert cli.validate("channel", dict(full, n="8", R="0.25")) == []
+    converse = {"p": "0.11", "rates": "0.3", "ns": "6"}
     assert any("decay not expected" in w for w in cli.validate("sw", converse))
-    fine = {"p": "0.11", "rates": "0.7"}
+    fine = {"p": "0.11", "rates": "0.7", "ns": "6"}
     assert cli.validate("sw", fine) == []
+    # the realized rates decide: rate 0.55 at n = 9 builds l = 4, a realized
+    # 0.4444 <= H(X|Y) = 0.4999
+    sw_cfg = {"p": "0.11", "rates": "0.55", "ns": "9"}
+    assert cli.validate("sw", sw_cfg) == [
+        "r = 0.4444 <= H(X|Y) = 0.4999: converse regime, decay not expected"]
+    # nominal r + R = 1.01, but n = 16 builds 0.6875 + 0.25 < H(X) = 1
+    ch_cfg = {"channel": "bsc", "p": "0.11", "n": "16", "r": "0.74", "R": "0.27"}
+    assert cli.validate("channel", ch_cfg) == []
+
+
+def test_run_prints_each_distinct_warning_once(tmp_path, capsys):
+    # rate 0.3 builds a realized 0.25 at n = 8 and n = 12 (one message) and
+    # 0.2222 at n = 9; rate 0.55 builds 0.5 at n = 8 and 12 and 0.4444 at n = 9
+    cfg = write_cfg(tmp_path, "sw.cfg",
+                    "p = 0.11\nrates = 0.3, 0.55\nns = 8, 12, 9\ntrials = 20\n")
+    assert cli.main(["sw", "--config", cfg, "--out", str(tmp_path / "sw.csv")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: r = {r} <= H(X|Y) = 0.4999: converse regime, decay not expected"
+        for r in ("0.2500", "0.2222", "0.4444")]
 
 
 TINY_CONFIGS = {
@@ -247,6 +272,10 @@ TINY_CONFIGS = {
      "levels"),
     ("channel", TINY_CONFIGS["channel"].replace("n = 8", "n = -3"), "n"),
     ("channel", TINY_CONFIGS["channel"].replace("n = 8", "n = 0"), "n"),
+    ("hash-verify", TINY_CONFIGS["hash-verify"].replace("n = 4", "n = 0"), "n"),
+    ("hash-verify", TINY_CONFIGS["hash-verify"].replace("n = 4", "n = -3"), "n"),
+    ("crng-test", TINY_CONFIGS["crng-test"].replace("n = 6", "n = 0"), "n"),
+    ("crng-test", TINY_CONFIGS["crng-test"].replace("n = 6", "n = -3"), "n"),
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
@@ -255,7 +284,8 @@ TINY_CONFIGS = {
         "hash-l-zero", "expurgated-gamma-above-one", "spectrum-gamma-one", "row-weight-zero",
         "pairs-negative", "crng-l-above-n", "crng-l-zero", "matrices-zero", "problems-zero",
         "problems-negative", "rates-empty", "ns-empty", "q-values-empty",
-        "channel-levels-composite", "channel-n-negative", "channel-n-zero"])
+        "channel-levels-composite", "channel-n-negative", "channel-n-zero", "hash-n-zero",
+        "hash-n-negative", "crng-n-zero", "crng-n-negative"])
 def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
     cfg = write_cfg(tmp_path, "c.cfg", body)
     assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1

@@ -9,6 +9,7 @@ from cosetlab import sw_codec as sw
 from cosetlab.crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from cosetlab.errors import CapExceededError, DecodeFailure
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
+from cosetlab.rng import make_rng
 
 F2 = FieldSpec(2)
 A_PARITY = LinearMap(F2, ((1, 1, 0), (0, 1, 1)))
@@ -290,3 +291,32 @@ def test_decode_map_returns_smallest_of_tied_maximizers(n, l):
         dist = np.count_nonzero(coset != y, axis=1)
         expected = min(tuple(int(v) for v in row) for row in coset[dist == dist.min()])
         assert sw.decode_map(codec, GfVector.from_array(F2, c), y).entries == expected
+
+
+@pytest.mark.parametrize("q, l, n", [(2, 4, 8), (3, 2, 5)])
+def test_mc_error_draws_the_documented_stream(q, l, n):
+    # the documented stream: one generator, one choice over the flattened
+    # joint of shape (trials, n), then one uniform per trial (stochastic only)
+    a = LinearMap.from_array(FieldSpec(q), np.random.default_rng(q).integers(0, q, (l, n)))
+    source = sc.make_dsbs(0.15) if q == 2 else ternary_source(0.2)
+    trials, seed = 300, 41
+    for decoder in (sw.MAP_EXACT, sw.STOCHASTIC):
+        codec = sw.SwCodec(a, source, decoder=decoder)
+        rng = make_rng(seed)
+        flat = rng.choice(source.joint.size, size=(trials, codec.n), p=source.joint.ravel())
+        xs, ys = np.divmod(flat, source.y_size)
+        failures = 0
+        if decoder == sw.MAP_EXACT:
+            for x, y in zip(xs, ys):
+                c = sw.encode(codec, GfVector.from_array(codec.field, x))
+                failures += sw.decode_map(codec, c, y).entries != tuple(x)
+        else:
+            u = rng.random(trials)
+            for t, (x, y) in enumerate(zip(xs, ys)):
+                members = codec.coset_members(x)
+                (pick,), _ = sw._decide(sw.STOCHASTIC, source.cond_x_given_y, members,
+                                        y[None], u[t:t + 1])
+                failures += not np.array_equal(members[pick], x)
+        est = sw.error_probability(codec, "mc", trials=trials, seed=seed)
+        assert 0 < failures < trials
+        assert est.value == failures / trials
