@@ -28,8 +28,8 @@ import numpy as np
 
 from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _inverse_cdf, draw
 from .errors import CapExceededError, EmptyCosetError
-from .gf_linalg import (CHUNK_ENTRIES, GfVector, LinearMap, _row_reduce, concat_vectors,
-                        image_codes, matvec, span_array, stack_maps, word_table)
+from .gf_linalg import (GfVector, LinearMap, _row_reduce, chunks, concat_vectors, coset_array,
+                        matvec, segments, span_array, stack_maps, word_table)
 from .rng import derived_seed, make_rng
 from .sources_channels import Channel
 from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _decide,
@@ -47,6 +47,8 @@ class ChannelCodec:
             raise ValueError("message map must match the code field and length")
         if channel.input_size != sw.field.q:
             raise ValueError("channel input alphabet must match the code field")
+        if channel.output_size != sw.source.y_size:
+            raise ValueError("channel output alphabet must match the decoder's side information")
         if len(syndrome) != sw.matrix.rows:
             raise ValueError("syndrome length must match the syndrome map")
         if sw.solver.solve(syndrome).is_empty:
@@ -138,15 +140,10 @@ def _message_segments(codec: ChannelCodec):
     under the input law, and each segment's total weight (0 marks a
     mass-zero coset, an encoder error).
     """
-    sw = codec.sw
-    members = sw.coset_members(sw.solver.solve(codec.syndrome).particular.as_array())
-    codes = image_codes(codec.b_map.as_array()[None], codec.field.q, members)[0]
-    order = np.argsort(codes, kind="stable")
-    members, codes = members[order], codes[order]
-    first = np.r_[True, codes[1:] != codes[:-1]]
-    starts = np.flatnonzero(first)
-    px = sw.source.x_marginal[members].prod(axis=1)
-    return members, np.cumsum(first) - 1, starts, px, np.add.reduceat(px, starts)
+    members, member_msg, starts = segments(
+        coset_array(codec.sw.solver.solve(codec.syndrome)), codec.b_map)
+    px = codec.sw.source.x_marginal[members].prod(axis=1)
+    return members, member_msg, starts, px, np.add.reduceat(px, starts)
 
 
 def _exact_error(codec: ChannelCodec) -> ErrorEstimate:
@@ -175,9 +172,8 @@ def _exact_error(codec: ChannelCodec) -> ErrorEstimate:
 
     sw = codec.sw
     cond = sw.source.cond_x_given_y
-    step = max(1, CHUNK_ENTRIES // (len(members) * n))
-    for start in range(0, ys ** n, step):
-        y = word_table(ys, n, start, start + step)
+    for s in chunks(ys ** n, len(members) * n):
+        y = word_table(ys, n, s.start, s.stop)
         if sw.decoder == MAP_EXACT:
             # a dead row decodes to no message (-1), a miss for every member
             picks, live = _decide(MAP_EXACT, cond, members, y)
@@ -191,11 +187,6 @@ def _exact_error(codec: ChannelCodec) -> ErrorEstimate:
         w_y = _product_law(codec.channel.transition, members, y)  # W(y | x)
         err += float((w_y * miss).sum(axis=0) @ encoder_weight)
     return ErrorEstimate(value=min(max(err, 0.0), 1.0), mode="exact")
-
-
-def _chunks(count: int, per_chunk: int):
-    step = max(1, per_chunk)
-    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
@@ -220,14 +211,14 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
     sent = sent[mass[sent] > 0.0]  # the rest are encoder errors: failures
     u = rng.random(len(sent))
     x_index = np.empty(len(sent), dtype=np.int64)
-    for s in _chunks(len(sent), CHUNK_ENTRIES // size):
+    for s in chunks(len(sent), size):
         x_index[s] = sent[s] * size + _inverse_cdf(seg_px[sent[s]], u[s])
     y = codec.channel.sample_outputs(members[x_index], rng)
 
     decoder, cond = codec.sw.decoder, codec.sw.source.cond_x_given_y
     u = rng.random(len(sent)) if decoder == STOCHASTIC else None
     hits = 0
-    for s in _chunks(len(sent), CHUNK_ENTRIES // (len(members) * codec.n)):
+    for s in chunks(len(sent), len(members) * codec.n):
         picks, live = _decide(decoder, cond, members, y[s], None if u is None else u[s])
         # a coset without posterior mass is a failure
         hits += np.count_nonzero(live & (member_msg[picks] == sent[s]))

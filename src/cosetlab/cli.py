@@ -318,6 +318,8 @@ def run(experiment: str, cfg: dict, seed: Optional[int] = None,
     if experiment not in _RUNNERS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
     master = seed if seed is not None else _get_int(cfg, "seed", 0)
+    if master < 0:
+        raise ConfigError("seed", f"must be non-negative, got {master}")
     for warning in validate(experiment, cfg):
         print(f"warning: {warning}", file=sys.stderr)
     rows = _RUNNERS[experiment](cfg, master)

@@ -15,30 +15,33 @@ its proposals in blocks: BLOCK = 4096 steps ``rng.integers(0, q, size=BLOCK)``,
 then BLOCK uniforms ``rng.random(BLOCK)``.  Each proposal takes one step and
 one uniform, used or not, and a step of 0 is lazy, so a seed fixes the chain.
 
-Exact mode is capped at cosets of 2^16 members.  Whether the constraint
-set is empty is always decided exactly by a rank test, never sampled.
+Exact mode and ``mass`` are capped at cosets of COSET_ENUMERATION_CAP
+(gf_linalg, 2^16) members; MCMC draws enumerate nothing.  Whether the
+constraint set is empty is decided exactly by a rank test, never sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count, repeat
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from . import gf_linalg
 from .errors import CapExceededError, EmptyCosetError
-from .gf_linalg import (COSET_ENUMERATION_CAP, FieldSpec, GfVector,
-                        concat_vectors, coset_array, matvec, stack_maps)
+from .gf_linalg import FieldSpec, GfVector, concat_vectors, coset_array, matvec, stack_maps
 from .rng import make_rng
 
 EXACT = "exact"
 MCMC = "mcmc"
 
-# Default MCMC schedule: 50 n sweeps of burn-in, one proposal per
-# null-basis vector per sweep.  Mixing is an empirical knob, not a claim.
+# MCMC schedule: 50 n sweeps of burn-in, 50 n more before a draw and
+# THIN_SWEEPS between the TV check's states, one proposal per null-basis
+# vector per sweep.  Mixing is an empirical setting, not a claim.
 BURN_IN_SWEEPS_PER_LETTER = 50
 SWEEPS_PER_LETTER = 50
+THIN_SWEEPS = 1
 # The walk draws its proposals' steps and uniforms this many at a time.
 BLOCK = 4096
 
@@ -112,26 +115,26 @@ class ConstrainedDistribution:
     ``weights`` is either a length-q single-letter distribution shared by
     all positions (the i.i.d. case) or an (n, q) array of per-letter
     distributions.  ``mode`` selects exact coset enumeration or the MCMC
-    walk; the MCMC schedule is in sweeps (one proposal per null-basis
-    vector per sweep).
+    walk; the MCMC schedule (``burn_in``, ``sweeps``) is in sweeps, read
+    from the module's per-letter constants when used.
     """
 
     weights: np.ndarray
     constraints: ConstraintSet
     mode: str = EXACT
-    sweeps: Optional[int] = None
-    burn_in: Optional[int] = None
-    coset_cap: int = COSET_ENUMERATION_CAP
 
     def __post_init__(self):
         if self.mode not in (EXACT, MCMC):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        n, q = self.constraints.n, self.constraints.field.q
-        self.weights = _normalize_weights(self.weights, n, q)
-        if self.sweeps is None:
-            self.sweeps = SWEEPS_PER_LETTER * n
-        if self.burn_in is None:
-            self.burn_in = BURN_IN_SWEEPS_PER_LETTER * n
+        self.weights = _normalize_weights(self.weights, self.n, self.field.q)
+
+    @property
+    def burn_in(self) -> int:
+        return BURN_IN_SWEEPS_PER_LETTER * self.n
+
+    @property
+    def sweeps(self) -> int:
+        return SWEEPS_PER_LETTER * self.n
 
     @property
     def field(self) -> FieldSpec:
@@ -145,13 +148,13 @@ class ConstrainedDistribution:
 def _member_weights(dist: ConstrainedDistribution) -> Tuple[np.ndarray, np.ndarray]:
     """(members, unnormalized probabilities) of the enumerated coset."""
     sol = dist.constraints.solution
-    if sol.size > dist.coset_cap:
+    cap = gf_linalg.COSET_ENUMERATION_CAP
+    if sol.size > cap:
         raise CapExceededError(
-            f"coset of size {sol.size} exceeds the exact-mode cap {dist.coset_cap}; "
-            "switch the distribution to mcmc mode (mass unavailable there)")
-    members = coset_array(sol, cap=dist.coset_cap)
-    if members.shape[0] == 0:
-        return members, np.zeros(0)
+            f"coset of size {sol.size} exceeds the enumeration cap {cap}, so its exact "
+            "law and mass are unavailable; an mcmc draw needs them only when its walk "
+            "ends on a zero-weight state")
+    members = coset_array(sol)
     probs = dist.weights[np.arange(dist.n)[None, :], members].prod(axis=1)
     return members, probs
 
@@ -223,7 +226,7 @@ def draw(dist: ConstrainedDistribution, seed) -> GfVector:
 
     Neither mode returns a state of zero weight.  The walk accepts no move
     onto such a state, so it ends on one only when the coset may carry no
-    mass; that is then decided exactly, within the coset cap.
+    mass; that is then decided exactly by :func:`mass`, within the coset cap.
     """
     if not dist.constraints.is_consistent:
         raise EmptyCosetError("constraints are inconsistent: encoder error")
@@ -238,11 +241,6 @@ def draw(dist: ConstrainedDistribution, seed) -> GfVector:
     else:
         state = next(_walk(dist, rng, dist.burn_in + dist.sweeps, 0))
         if not all(dist.weights[i, a] > 0.0 for i, a in enumerate(state)):
-            size = dist.constraints.coset_size
-            if size > dist.coset_cap:
-                raise CapExceededError(
-                    f"the MCMC walk ended on a zero-weight state; deciding the mass of "
-                    f"its coset of size {size} exceeds the cap {dist.coset_cap}")
             if mass(dist) <= 0.0:
                 raise EmptyCosetError("coset carries zero probability mass: encoder error")
             raise RuntimeError("the MCMC walk ended on a zero-weight state of a coset "
@@ -261,15 +259,14 @@ def exact_distribution(dist: ConstrainedDistribution) -> Tuple[np.ndarray, np.nd
     return members, probs / total
 
 
-def tv_distance_check(dist: ConstrainedDistribution, draws: int, seed,
-                      thin: int = 1) -> float:
+def tv_distance_check(dist: ConstrainedDistribution, draws: int, seed) -> float:
     """Total-variation distance of empirical draws from the exact conditional.
 
     Exact mode samples i.i.d.  MCMC mode runs a single chain (burn-in from
-    the distribution's schedule, then ``thin`` sweeps between retained
-    states) so the check measures the stationary marginal; ``thin=0``
-    degenerates the chain to its start point, which is useful as a
-    negative control.
+    the distribution's schedule, then THIN_SWEEPS sweeps between retained
+    states) so the check measures the stationary marginal; THIN_SWEEPS = 0
+    with no burn-in degenerates the chain to its start point, which is
+    useful as a negative control.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
@@ -281,7 +278,7 @@ def tv_distance_check(dist: ConstrainedDistribution, draws: int, seed,
         counts = np.bincount(picks, minlength=len(exact)).astype(float)
     else:
         index = {tuple(row): i for i, row in enumerate(members.tolist())}
-        walk = _walk(dist, rng, dist.burn_in + thin, thin)
+        walk = _walk(dist, rng, dist.burn_in + THIN_SWEEPS, THIN_SWEEPS)
         for _ in range(draws):
             counts[index[tuple(next(walk))]] += 1
     emp = counts / draws

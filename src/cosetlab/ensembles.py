@@ -54,8 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, ExpurgationError
-from .gf_linalg import (CHUNK_ENTRIES, FieldSpec, GfVector, LinearMap, coset_array,
-                        image_codes, solve_affine, word_table)
+from .gf_linalg import FieldSpec, LinearMap, chunks, image_codes, word_table
 from .rng import make_rng
 
 UNIFORM = "uniform-linear"
@@ -139,9 +138,7 @@ class HashParams:
 
 def kernel_min_weight(a: LinearMap) -> float:
     """Minimum weight over non-zero kernel words; inf for a trivial kernel."""
-    sol = solve_affine(a, GfVector.zeros(a.field, a.rows))
-    members = coset_array(sol)
-    weights = np.count_nonzero(members, axis=1)
+    weights = np.count_nonzero(a.solver().kernel, axis=1)
     nz = weights[weights > 0]
     return float(nz.min()) if nz.size else math.inf
 
@@ -275,9 +272,8 @@ def _ensemble_table(spec: EnsembleSpec):
     words = _all_words(spec.field.q, spec.cols, ens.count)
     codes = image_codes(ens.arrays, spec.field.q, words)
     z = np.zeros(len(words))
-    step = max(1, CHUNK_ENTRIES // len(words))
-    for b0 in range(0, ens.count, step):
-        z += ens.probs[b0:b0 + step] @ (codes[b0:b0 + step] == 0)
+    for s in chunks(ens.count, len(words)):
+        z += ens.probs[s] @ (codes[s] == 0)
     return ens, words, codes, z
 
 
@@ -465,9 +461,8 @@ def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarra
     pairs, n_words = qt.shape
     n_codes = len(im_mask)
     lhs = np.zeros(pairs)
-    step = max(1, CHUNK_ENTRIES // (pairs * n_words))
-    for b0 in range(0, len(probs), step):
-        block = codes[b0:b0 + step].astype(np.int64)
+    for s in chunks(len(probs), pairs * n_words):
+        block = codes[s].astype(np.int64)
         rows = len(block)
         bucket = (np.arange(pairs)[:, None, None] * rows
                   + np.arange(rows)[None, :, None]) * n_codes + block[None, :, :]
@@ -475,7 +470,7 @@ def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarra
         mass = np.bincount(bucket.ravel(), weights=weights.ravel(),
                            minlength=pairs * rows * n_codes).reshape(pairs, rows, n_codes)
         defect = np.abs(mass[:, :, im_mask] / q_total[:, None, None] - 1.0 / im_size)
-        lhs += defect.sum(axis=2) @ probs[b0:b0 + step]
+        lhs += defect.sum(axis=2) @ probs[s]
     return lhs
 
 

@@ -3,8 +3,8 @@
 Everything downstream (syndrome codes, cosets, constrained samplers)
 reduces to residue arithmetic mod a prime q.  Vectors and matrices are
 immutable; a matrix row-reduces itself once, on the first use of its
-rank or its solver, and keeps that reduction, so its rank and the
-solutions of many right-hand sides all come from one elimination.
+rank or its solver, and keeps that reduction, so its rank, its kernel
+and the solutions of many right-hand sides all come from one elimination.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapExceededError
 
-# Cosets larger than this are never materialized; callers fall back to MCMC.
+# Cosets larger than this are never enumerated; MCMC draws need no enumeration.
 COSET_ENUMERATION_CAP = 2 ** 16
 
 # Exhaustive enumerations build their temporaries this many entries at a
@@ -208,13 +208,14 @@ class AffineSolution:
 
     ``particular is None`` marks an inconsistent (empty) system.  When
     non-empty, the coset is particular + span(null_basis) and has exactly
-    q^(n - rank) members.
+    q^(n - rank) members.  Every solution shares its solver's kernel.
     """
 
     field: FieldSpec
     n: int
     particular: Optional[GfVector]
     null_basis: tuple
+    solver: "AffineSolver"
 
     @property
     def is_empty(self) -> bool:
@@ -222,42 +223,52 @@ class AffineSolution:
 
     @property
     def size(self) -> int:
-        if self.is_empty:
-            return 0
-        return self.field.q ** len(self.null_basis)
+        return 0 if self.is_empty else self.solver.kernel_size
 
 
 class AffineSolver:
-    """Solves A x = c for many right-hand sides from the map's one elimination."""
+    """Solves A x = c for many right-hand sides from the map's one elimination.
+
+    It keeps A's row count, not A: a map and its cached solver form no cycle."""
 
     def __init__(self, a: LinearMap):
-        self.map = a
         self.field = a.field
         self.n = a.cols
+        self.rows = a.rows
         rref, self._transform, pivots = a._reduction()
         self._pivots = pivots
-        q = a.field.q
         free = [c for c in range(a.cols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = np.zeros(a.cols, dtype=np.int64)
-            v[f] = 1
-            for j, p in enumerate(pivots):
-                v[p] = (-rref[j, f]) % q
-            basis.append(GfVector.from_array(a.field, v))
-        self.null_basis = tuple(basis)
+        basis = np.zeros((len(free), a.cols), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = (-rref[:len(pivots), free].T) % a.field.q
+        self._basis = basis
+        self.null_basis = tuple(GfVector.from_array(a.field, v) for v in basis)
+        self.kernel_size = a.field.q ** len(free)
+        self._kernel = None
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """span(null_basis) as a read-only (kernel_size, n) array in :func:`span_array`
+        row order, enumerated on first use; CapExceededError above the coset cap."""
+        if self.kernel_size > COSET_ENUMERATION_CAP:
+            raise CapExceededError(f"coset of size {self.kernel_size} is too large to "
+                                   f"enumerate (cap {COSET_ENUMERATION_CAP})")
+        if self._kernel is None:
+            self._kernel = span_array(self._basis, self.field.q)
+            self._kernel.flags.writeable = False
+        return self._kernel
 
     def solve(self, c: GfVector) -> AffineSolution:
-        if len(c) != self.map.rows or c.field != self.field:
+        if len(c) != self.rows or c.field != self.field:
             raise ValueError("right-hand side does not match the matrix")
         t = (self._transform @ c.as_array()) % self.field.q
         if np.any(t[len(self._pivots):]):
-            return AffineSolution(self.field, self.n, None, self.null_basis)
+            return AffineSolution(self.field, self.n, None, self.null_basis, self)
         x = np.zeros(self.n, dtype=np.int64)
         for j, p in enumerate(self._pivots):
             x[p] = t[j]
         return AffineSolution(self.field, self.n, GfVector.from_array(self.field, x),
-                              self.null_basis)
+                              self.null_basis, self)
 
 
 def matvec(a: LinearMap, x: GfVector) -> GfVector:
@@ -277,16 +288,12 @@ def solve_affine(a: LinearMap, c: GfVector) -> AffineSolution:
     return a.solver().solve(c)
 
 
-def coset_array(sol: AffineSolution, cap: int = COSET_ENUMERATION_CAP) -> np.ndarray:
-    """All coset members as a (size, n) array; row i adds the null basis, weighted by the
-    base-q digits of i (first basis vector most significant), to the particular solution."""
+def coset_array(sol: AffineSolution) -> np.ndarray:
+    """All coset members as a (size, n) array, (particular + kernel) mod q in the
+    row order of the solver's kernel, which checks the coset cap."""
     if sol.is_empty:
         return np.zeros((0, sol.n), dtype=np.int64)
-    if sol.size > cap:
-        raise CapExceededError(f"coset of size {sol.size} is too large to enumerate (cap {cap})")
-    q = sol.field.q
-    basis = np.array([b.entries for b in sol.null_basis], dtype=np.int64).reshape(-1, sol.n)
-    return (sol.particular.as_array()[None, :] + span_array(basis, q)) % q
+    return (sol.particular.as_array()[None, :] + sol.solver.kernel) % sol.field.q
 
 
 def span_array(basis: np.ndarray, q: int) -> np.ndarray:
@@ -317,20 +324,37 @@ def image_codes(maps: np.ndarray, q: int, words: np.ndarray) -> np.ndarray:
     """codes[b, i] = base-q integer of maps[b] @ words[i] mod q (row r weighs q^r).
 
     ``maps`` is a (count, l, n) stack.  The table is filled a block of maps
-    at a time, so no temporary exceeds about CHUNK_ENTRIES entries, and is
-    stored in the narrowest unsigned type that holds q^l - 1.
+    at a time (see :func:`chunks`), and is stored in the narrowest unsigned
+    type that holds q^l - 1.
     """
     count, l, _ = maps.shape
     codes = np.empty((count, len(words)), dtype=np.min_scalar_type(q ** l - 1))
-    step = max(1, CHUNK_ENTRIES // max(len(words), 1))
     words_t = words.T
-    for b0 in range(0, count, step):
-        block = np.zeros((min(step, count - b0), len(words)), dtype=np.int64)
+    for s in chunks(count, max(len(words), 1)):
+        block = np.zeros((s.stop - s.start, len(words)), dtype=np.int64)
         for r in reversed(range(l)):
             block *= q
-            block += (maps[b0:b0 + step, r, :] @ words_t) % q
-        codes[b0:b0 + step] = block
+            block += (maps[s, r, :] @ words_t) % q
+        codes[s] = block
     return codes
+
+
+def segments(words: np.ndarray, a: LinearMap):
+    """(sorted words, segment of each word, segment starts): the words sorted stably
+    by their :func:`image_codes` under ``a``, so each image A x is one segment."""
+    codes = image_codes(a.as_array()[None], a.field.q, words)[0]
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return words[order], np.cumsum(first) - 1, np.flatnonzero(first)
+
+
+def chunks(count: int, row_entries: int):
+    """Slices of rows 0..count in order, max(1, CHUNK_ENTRIES // row_entries) rows
+    each, so a block of rows holding row_entries entries each stays near CHUNK_ENTRIES."""
+    step = max(1, CHUNK_ENTRIES // row_entries)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def stack_maps(maps: Sequence[LinearMap]) -> LinearMap:

@@ -25,8 +25,7 @@ import numpy as np
 
 from .crng_sampler import _inverse_cdf
 from .errors import CapExceededError, DecodeFailure
-from .gf_linalg import (CHUNK_ENTRIES, COSET_ENUMERATION_CAP, FieldSpec, GfVector,
-                        LinearMap, coset_array, image_codes, matvec, word_table)
+from .gf_linalg import FieldSpec, GfVector, LinearMap, chunks, matvec, segments, word_table
 from .rng import derived_seed, make_rng
 from .sources_channels import JointSource
 
@@ -80,10 +79,6 @@ class SwCodec:
         self.field: FieldSpec = matrix.field
         self.n: int = matrix.cols
         self.solver = matrix.solver()
-        kernel_size = self.field.q ** (self.n - matrix.rank)
-        self._kernel = None
-        if kernel_size <= COSET_ENUMERATION_CAP:
-            self._kernel = coset_array(self.solver.solve(GfVector.zeros(self.field, matrix.rows)))
 
     @property
     def rate(self) -> float:
@@ -91,11 +86,8 @@ class SwCodec:
         return self.matrix.rank / self.n * math.log2(self.field.q)
 
     def coset_members(self, particular: np.ndarray) -> np.ndarray:
-        if self._kernel is None:
-            raise CapExceededError(
-                f"coset of size {self.field.q ** (self.n - self.matrix.rank)} exceeds "
-                f"the decoding cap {COSET_ENUMERATION_CAP}")
-        return (particular[None, :] + self._kernel) % self.field.q
+        """The coset of ``particular``, in the row order of the solver's kernel."""
+        return (particular[None, :] + self.solver.kernel) % self.field.q
 
 
 def encode(codec: SwCodec, x: GfVector) -> GfVector:
@@ -214,16 +206,11 @@ def _exact_error(codec: SwCodec) -> ErrorEstimate:
     if (q ** n) * (ys ** n) > EXACT_ERROR_CAP:
         raise CapExceededError(f"exact error needs {(q ** n) * (ys ** n)} joint outcomes, "
                                f"above the cap {EXACT_ERROR_CAP}")
-    words = word_table(q, n)
-    codes = image_codes(codec.matrix.as_array()[None], q, words)[0]
-    order = np.argsort(codes, kind="stable")
-    words, codes = words[order], codes[order]
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    words, _, starts = segments(word_table(q, n), codec.matrix)
 
     err = 0.0
-    step = max(1, CHUNK_ENTRIES // len(words))
-    for start in range(0, ys ** n, step):
-        y = word_table(ys, n, start, start + step)
+    for s in chunks(ys ** n, len(words)):
+        y = word_table(ys, n, s.start, s.stop)
         pxy = _product_law(codec.source.joint, words, y)
         total = np.add.reduceat(pxy, starts, axis=1)
         if codec.decoder == MAP_EXACT:

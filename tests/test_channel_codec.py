@@ -250,7 +250,7 @@ def test_monte_carlo_does_not_depend_on_chunking(decoder, monkeypatch):
     codec = cc.build(sw.SwCodec(swc.matrix, source, decoder=decoder), b, channel, seed=3)
     whole = cc.error_probability(codec, "mc", trials=3000, seed=5)
     # one trial per decode chunk and a few dozen per encoder chunk
-    monkeypatch.setattr(cc, "CHUNK_ENTRIES", 300)
+    monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 300)
     assert cc.error_probability(codec, "mc", trials=3000, seed=5) == whole
 
 
@@ -432,3 +432,12 @@ def test_map_errors_count_outputs_without_posterior_mass():
     assert exact.value == pytest.approx(decode_loop_error(codec), abs=1e-12)
     mc = cc.error_probability(codec, "mc", trials=20000, seed=8)
     assert abs(exact.value - mc.value) <= 3 * mc.std_err
+
+
+@pytest.mark.parametrize("outputs", [1, 3])
+def test_channel_outputs_must_match_the_side_information(outputs):
+    # the decoder reads the channel output as DSBS side information, a bit
+    swc = sw.SwCodec(LinearMap(F2, ((1, 1, 0), (0, 1, 1))), sc.make_dsbs(0.1))
+    channel = sc.Channel(np.full((2, outputs), 1.0 / outputs))
+    with pytest.raises(ValueError, match="output alphabet"):
+        cc.build(swc, LinearMap(F2, ((1, 0, 0),)), channel, seed=0)

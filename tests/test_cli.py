@@ -276,6 +276,7 @@ TINY_CONFIGS = {
     ("hash-verify", TINY_CONFIGS["hash-verify"].replace("n = 4", "n = -3"), "n"),
     ("crng-test", TINY_CONFIGS["crng-test"].replace("n = 6", "n = 0"), "n"),
     ("crng-test", TINY_CONFIGS["crng-test"].replace("n = 6", "n = -3"), "n"),
+    ("sw", TINY_CONFIGS["sw"] + "seed = -1\n", "seed"),
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
@@ -285,11 +286,20 @@ TINY_CONFIGS = {
         "pairs-negative", "crng-l-above-n", "crng-l-zero", "matrices-zero", "problems-zero",
         "problems-negative", "rates-empty", "ns-empty", "q-values-empty",
         "channel-levels-composite", "channel-n-negative", "channel-n-zero", "hash-n-zero",
-        "hash-n-negative", "crng-n-zero", "crng-n-negative"])
+        "hash-n-negative", "crng-n-zero", "crng-n-negative", "seed-negative"])
 def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
     cfg = write_cfg(tmp_path, "c.cfg", body)
     assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
     assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_negative_seed_flag_is_named(tmp_path, capsys, experiment):
+    cfg = write_cfg(tmp_path, "c.cfg", TINY_CONFIGS[experiment])
+    args = [experiment, "--config", cfg, "--seed", "-5", "--out", str(tmp_path / "c.csv")]
+    assert cli.main(args) == 1
+    assert "config field 'seed': must be non-negative, got -5" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cosetlab import crng_sampler as crng
+from cosetlab import gf_linalg
 from cosetlab.errors import CapExceededError, EmptyCosetError
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap
 
@@ -59,10 +60,11 @@ def test_exact_conditional_ratio():
     assert by_member[(0, 0, 0)] == pytest.approx(0.729 / 0.730, abs=1e-12)
 
 
-def test_mass_cap_suggests_mcmc():
+def test_mass_cap_suggests_mcmc(monkeypatch):
+    monkeypatch.setattr(gf_linalg, "COSET_ENUMERATION_CAP", 2 ** 10)
     wide = LinearMap(F2, ((1,) * 20,))
     cs = crng.ConstraintSet(((wide, GfVector(F2, (0,))),))
-    dist = crng.ConstrainedDistribution(np.array([0.5, 0.5]), cs, coset_cap=2 ** 10)
+    dist = crng.ConstrainedDistribution(np.array([0.5, 0.5]), cs)
     with pytest.raises(CapExceededError, match="mcmc"):
         crng.mass(dist)
 
@@ -131,26 +133,35 @@ def test_mcmc_tv_default_schedule():
     assert crng.tv_distance_check(dist, 10000, seed=13) <= 0.05
 
 
-def test_mcmc_degenerate_chain_is_far():
+def stop_the_walk(monkeypatch):
+    # no burn-in, no sweeps before a draw and none between retained states
+    for name in ("BURN_IN_SWEEPS_PER_LETTER", "SWEEPS_PER_LETTER", "THIN_SWEEPS"):
+        monkeypatch.setattr(crng, name, 0)
+
+
+def test_mcmc_degenerate_chain_is_far(monkeypatch):
+    stop_the_walk(monkeypatch)
     dist = crng.ConstrainedDistribution(np.array([0.7, 0.3]), _size16_constraints(),
-                                        mode=crng.MCMC, sweeps=0, burn_in=0)
-    assert crng.tv_distance_check(dist, 1000, seed=14, thin=0) > 0.5
+                                        mode=crng.MCMC)
+    assert crng.tv_distance_check(dist, 1000, seed=14) > 0.5
 
 
-def test_mcmc_draw_never_returns_zero_weight_state():
+def test_mcmc_draw_never_returns_zero_weight_state(monkeypatch):
     # the coset of (1, 0) is {100, 011}, and the walk starts at 100
     cs = kernel_constraints((1, 0))
     one_live = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])  # only 011 has weight
     assert crng.draw(crng.ConstrainedDistribution(one_live, cs, mode=crng.MCMC),
                      seed=0).entries == (0, 1, 1)
-    stuck = dict(mode=crng.MCMC, sweeps=0, burn_in=0)
-    with pytest.raises(RuntimeError, match="positive mass"):
-        crng.draw(crng.ConstrainedDistribution(one_live, cs, **stuck), seed=0)
-    with pytest.raises(CapExceededError):
-        crng.draw(crng.ConstrainedDistribution(one_live, cs, coset_cap=1, **stuck), seed=0)
     dead = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])  # neither member has weight
     with pytest.raises(EmptyCosetError):
         crng.draw(crng.ConstrainedDistribution(dead, cs, mode=crng.MCMC), seed=0)
+    stop_the_walk(monkeypatch)
+    stuck = crng.ConstrainedDistribution(one_live, cs, mode=crng.MCMC)
+    with pytest.raises(RuntimeError, match="positive mass"):
+        crng.draw(stuck, seed=0)
+    monkeypatch.setattr(gf_linalg, "COSET_ENUMERATION_CAP", 1)
+    with pytest.raises(CapExceededError):
+        crng.draw(stuck, seed=0)
 
 
 def test_per_letter_weights():

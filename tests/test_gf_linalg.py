@@ -1,12 +1,20 @@
+import gc
 import itertools
+import pathlib
+import weakref
 
 import numpy as np
 import pytest
 
-from cosetlab.errors import CapExceededError
+from cosetlab import channel_codec as cc
+from cosetlab import crng_sampler as crng
+from cosetlab import ensembles as ens
 from cosetlab import gf_linalg
+from cosetlab import sources_channels as sc
+from cosetlab import sw_codec as sw
+from cosetlab.errors import CapExceededError
 from cosetlab.gf_linalg import (FieldSpec, GfVector, LinearMap, coset_array, matvec,
-                                solve_affine, stack_maps)
+                                solve_affine, stack_maps, word_table)
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -146,11 +154,13 @@ def test_matvec_linearity_random_triples():
             assert matvec(a, x + y) == matvec(a, x) + matvec(a, y)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     a = LinearMap.zeros(F2, 1, 10)  # kernel is the whole space, 1024 members
     sol = solve_affine(a, GfVector(F2, (0,)))
-    with pytest.raises(CapExceededError):
-        coset_array(sol, cap=512)
+    with monkeypatch.context() as patch:
+        patch.setattr(gf_linalg, "COSET_ENUMERATION_CAP", 512)
+        with pytest.raises(CapExceededError):
+            coset_array(sol)
     assert coset_array(sol).shape == (1024, 10)
 
 
@@ -212,3 +222,113 @@ def test_entries_are_immutable():
     a = LinearMap(F2, ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
         a.as_array()[0, 0] = 0
+
+
+@pytest.mark.parametrize("q, rows, n", [(2, 2, 5), (3, 2, 3), (3, 0, 3)])
+def test_segments_is_a_stable_sort_by_the_image(q, rows, n):
+    rng = np.random.default_rng(q + rows)
+    a = LinearMap.from_array(FieldSpec(q), rng.integers(0, q, (rows, n)))
+    words = rng.permutation(word_table(q, n))
+    # the image code weighs row r by q^r, so the last row of A x is the first key
+    keys = [tuple(int(v) for v in (a.as_array() @ w) % q)[::-1] for w in words]
+    order = sorted(range(len(words)), key=keys.__getitem__)  # sorted() is stable
+    sorted_keys = [keys[i] for i in order]
+    distinct = sorted(set(keys))
+    got, segment, starts = gf_linalg.segments(words, a)
+    assert got.tolist() == words[order].tolist()
+    assert segment.tolist() == [distinct.index(k) for k in sorted_keys]
+    assert starts.tolist() == [sorted_keys.index(k) for k in distinct]
+
+
+@pytest.mark.parametrize("count", [0, 3, 25])
+def test_chunks_cover_every_row_once_in_order(monkeypatch, count):
+    monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 40)
+    slices = list(gf_linalg.chunks(count, 4))  # 10 rows a step
+    assert [i for s in slices for i in range(s.start, s.stop)] == list(range(count))
+    assert all(s.stop - s.start == 10 for s in slices[:-1])
+    assert [s.stop - s.start for s in gf_linalg.chunks(count, 41)] == [1] * count
+
+
+def count_kernel_spans(monkeypatch):
+    spans = []
+    real = gf_linalg.span_array
+
+    def counting(basis, q):
+        spans.append(len(basis))
+        return real(basis, q)
+
+    monkeypatch.setattr(gf_linalg, "span_array", counting)
+    return spans
+
+
+def test_one_kernel_serves_every_coset_of_a_solver(monkeypatch):
+    spans = count_kernel_spans(monkeypatch)
+    solver = LinearMap(FieldSpec(3), ((1, 2, 0, 1), (0, 1, 1, 2))).solver()
+    for c in ((0, 0), (1, 2), (2, 1)):
+        assert coset_array(solver.solve(GfVector(FieldSpec(3), c))).shape == (9, 4)
+    assert spans == [2]
+
+
+def test_one_kernel_serves_every_decode(monkeypatch):
+    spans = count_kernel_spans(monkeypatch)
+    codec = sw.SwCodec(LinearMap(F2, ((1, 1, 0, 1), (0, 1, 1, 1))), sc.make_dsbs(0.1))
+    for c in ((0, 0), (1, 0), (0, 1)):
+        sw.decode_map(codec, GfVector(F2, c), (0, 1, 1, 0))
+    assert spans == [2]
+
+
+def test_one_kernel_serves_every_exact_encode(monkeypatch):
+    channel = sc.make_bsc(0.1)
+    rng = np.random.default_rng(4)
+    swc = sw.SwCodec(LinearMap.from_array(F2, rng.integers(0, 2, (2, 6))),
+                     sc.joint_from_channel(np.full(2, 0.5), channel))
+    codec = cc.build(swc, LinearMap.from_array(F2, rng.integers(0, 2, (2, 6))), channel, seed=1)
+    m = matvec(codec.b_map, swc.solver.solve(codec.syndrome).particular)  # a consistent message
+    spans = count_kernel_spans(monkeypatch)
+    for seed in range(3):
+        assert cc.encode(codec, m, seed=seed) is not None
+    assert len(spans) == 1
+
+
+def test_kernel_is_freed_with_its_map():
+    gc.disable()  # no cycle collector: only reference counts can free the kernel
+    try:
+        a = LinearMap(F2, ((1, 1, 0, 1), (0, 1, 1, 1)))
+        codec = sw.SwCodec(a, sc.make_dsbs(0.1))
+        kernel = weakref.ref(codec.solver.kernel)
+        del codec, a
+        assert kernel() is None
+    finally:
+        gc.enable()
+
+
+def test_one_cap_reaches_every_enumeration(monkeypatch):
+    monkeypatch.setattr(gf_linalg, "COSET_ENUMERATION_CAP", 4)
+    a = LinearMap(F2, ((1, 1, 0, 0, 0),))  # cosets of 16 members
+    codec = sw.SwCodec(a, sc.make_dsbs(0.1))
+    with pytest.raises(CapExceededError):
+        sw.decode_map(codec, GfVector(F2, (0,)), (0,) * 5)
+    with pytest.raises(CapExceededError):
+        sw.error_probability(codec, "mc", trials=10, seed=0)
+    dist = crng.ConstrainedDistribution(np.array([0.5, 0.5]),
+                                        crng.ConstraintSet(((a, GfVector(F2, (1,))),)))
+    with pytest.raises(CapExceededError, match="mcmc"):
+        crng.draw(dist, 0)
+    with pytest.raises(CapExceededError):
+        coset_array(solve_affine(a, GfVector(F2, (1,))))
+    with pytest.raises(CapExceededError):
+        ens.kernel_min_weight(a)
+    # the exact SW error sums over every word and needs no kernel
+    assert sw.error_probability(codec, "exact").mode == "exact"
+
+
+def test_chunk_rule_and_coset_cap_are_named_in_one_place():
+    # every exhaustive block is sized by gf_linalg.chunks and every coset is
+    # capped where its kernel is enumerated, so neither rule can be forked
+    src = pathlib.Path(gf_linalg.__file__).resolve().parent
+
+    def naming(name):
+        return sorted(p.name for p in src.glob("*.py") if name in p.read_text())
+
+    assert naming("CHUNK_ENTRIES") == ["gf_linalg.py"]
+    assert naming("COSET_ENUMERATION_CAP") == ["crng_sampler.py", "gf_linalg.py"]
