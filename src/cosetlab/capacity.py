@@ -10,12 +10,12 @@ the true restricted capacity.
 Restricting the support to at most q symbols and maximizing over all
 such supports gives the finite-signaling-alphabet capacity, which is
 non-decreasing in q and approaches the unrestricted value.  The sweep
-is one batched solve over all candidate supports whose rows are
-bit-identical to single solves; a support whose upper bracket falls below
-a rival's lower bracket is retired, not solved to the tolerance, so only
-supports that still compete can raise "no convergence".  Exhaustive
-support search is capped at alphabet size 16; larger alphabets raise
-CapExceededError.
+is one batched solve over all candidate supports, whose winning rows,
+bit-identical to single solves, it returns without a bracket trace; a
+support whose upper bracket falls below a rival's lower bracket is
+retired, not solved to the tolerance, so only supports that still
+compete can raise "no convergence".  Exhaustive support search is
+capped at alphabet size 16; larger alphabets raise CapExceededError.
 """
 
 from __future__ import annotations
@@ -124,12 +124,13 @@ def signaling_sweep(channel: Channel, q_values: Sequence[int], tol: float = 1e-9
 
     Exhaustive over all supports, so the sweep is exactly non-decreasing
     in q; alphabets above 16 symbols raise CapExceededError.  All
-    candidates are one batched solve, bit-identical to single solves; the
-    first maximum wins (smallest, then lexicographically first support),
-    each distinct winner re-solved alone for its bracket trace.  A
-    candidate whose upper bracket falls below a rival's lower bracket for
-    each of its q is retired, not solved to ``tol``, so only competing
-    candidates can raise "no convergence".
+    candidates are one batched solve, bit-identical to single solves, and
+    each q returns its winner's row of that solve, with an empty
+    ``bracket_trace`` (:func:`blahut_arimoto` traces a single support).
+    The first maximum wins (smallest, then lexicographically first
+    support).  A candidate whose upper bracket falls below a rival's lower
+    bracket for each of its q is retired, not solved to ``tol``, so only
+    competing candidates can raise "no convergence".
     """
     nx = channel.input_size
     for qv in q_values:
@@ -144,8 +145,6 @@ def signaling_sweep(channel: Channel, q_values: Sequence[int], tol: float = 1e-9
     supports = [s for k in range(1, max(q_values) + 1)
                 for s in itertools.combinations(range(nx), k)]
     eligible = np.array([[len(s) <= qv for s in supports] for qv in q_values])
-    caps = np.array([-math.inf if res is None else res.capacity
-                     for res in _solve(channel, supports, tol, groups=eligible)])
-    winners = [supports[int(np.argmax(np.where(e, caps, -math.inf)))] for e in eligible]
-    traced = {s: blahut_arimoto(channel, support=s, tol=tol) for s in set(winners)}
-    return [traced[s] for s in winners]
+    results = _solve(channel, supports, tol, groups=eligible)
+    caps = np.array([-math.inf if res is None else res.capacity for res in results])
+    return [results[int(np.argmax(np.where(e, caps, -math.inf)))] for e in eligible]

@@ -26,14 +26,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _inverse_cdf, draw
+from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (GfVector, LinearMap, _row_reduce, chunks, concat_vectors, coset_array,
                         matvec, segments, span_array, stack_maps, word_table)
-from .rng import derived_seed, make_rng
+from .rng import derived_seed, inverse_cdf, make_rng
 from .sources_channels import Channel
 from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _decide,
-                       _decode, _product_law, error_probability as sw_error_probability,
+                       _decode, _estimate, _product_law, error_probability as sw_error_probability,
                        wilson_std_err)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
@@ -86,11 +86,8 @@ class ChannelCodec:
 
     def random_message(self, rng: np.random.Generator) -> GfVector:
         """Uniform over Im B: uniform coefficients of the image basis."""
-        q = self.field.q
-        d = self._msg_basis.shape[0]
-        m = (rng.integers(0, q, size=d) @ self._msg_basis) % q if d else \
-            np.zeros(self.b_map.rows, dtype=np.int64)
-        return GfVector.from_array(self.field, m)
+        coefficients = rng.integers(0, self.field.q, size=len(self._msg_basis))
+        return GfVector.from_array(self.field, (coefficients @ self._msg_basis) % self.field.q)
 
     def encoder_distribution(self, m: GfVector, mode: str = EXACT) -> ConstrainedDistribution:
         # one pair on the stacked (A; B) reuses its solver instead of re-reducing
@@ -107,8 +104,7 @@ def build(sw: SwCodec, b_map: LinearMap, channel: Channel, seed) -> ChannelCodec
     from the image distribution of A, and both sides of the link share
     the resulting (B, c).
     """
-    rng = make_rng(seed)
-    x = rng.choice(sw.field.q, size=sw.n, p=sw.source.x_marginal)
+    x = inverse_cdf(sw.source.x_marginal[None], make_rng(seed).random(sw.n))
     c = matvec(sw.matrix, GfVector.from_array(sw.field, x))
     return ChannelCodec(sw, b_map, c, channel)
 
@@ -212,7 +208,7 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
     u = rng.random(len(sent))
     x_index = np.empty(len(sent), dtype=np.int64)
     for s in chunks(len(sent), size):
-        x_index[s] = sent[s] * size + _inverse_cdf(seg_px[sent[s]], u[s])
+        x_index[s] = sent[s] * size + inverse_cdf(seg_px[sent[s]], u[s])
     y = codec.channel.sample_outputs(members[x_index], rng)
 
     decoder, cond = codec.sw.decoder, codec.sw.source.cond_x_given_y
@@ -237,13 +233,7 @@ def error_probability(codec: ChannelCodec, mode: str = "exact", trials: int = 10
     mode runs message -> encoder -> channel -> decoder trials; encoder
     errors count as failures.
     """
-    if mode == "exact":
-        return _exact_error(codec)
-    if mode == "mc":
-        if trials < 1:
-            raise ValueError("trials must be positive")
-        return _mc_error(codec, trials, seed)
-    raise ValueError(f"unknown error mode {mode!r}")
+    return _estimate(codec, mode, trials, seed, _exact_error, _mc_error)
 
 
 @dataclass

@@ -2,11 +2,9 @@
 
 Draw x from an i.i.d. (or per-letter) distribution conditioned on a set
 of linear constraints A x = c, B x = m, ...  Exact mode enumerates the
-solution coset and samples from the renormalized weights by the rule of
-``Generator.choice(p=w / w.sum())``: normalize, take the cumulative sum,
-divide it by its last entry, and count its entries at or below one
-uniform u.  ``_inverse_cdf`` applies that rule to a batch of rows and the
-coset decoders share it, so a seed gives the draw ``choice`` would give.
+solution coset and samples from the renormalized weights by the package's
+one draw rule, ``rng.inverse_cdf`` (the rule of ``Generator.choice``), so
+a seed gives the draw ``choice`` would give.
 MCMC mode runs a lazy sequential-scan Metropolis walk whose proposals add
 a random scalar multiple of a null-space basis vector, so every state of
 the chain satisfies the constraints by construction and the acceptance
@@ -31,7 +29,7 @@ import numpy as np
 from . import gf_linalg
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import FieldSpec, GfVector, concat_vectors, coset_array, matvec, stack_maps
-from .rng import make_rng
+from .rng import inverse_cdf, make_rng
 
 EXACT = "exact"
 MCMC = "mcmc"
@@ -66,8 +64,6 @@ class ConstraintSet:
         object.__setattr__(self, "pairs", pairs)
         stacked = stack_maps([a for a, _ in pairs])
         rhs = concat_vectors([c for _, c in pairs], field)
-        object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "solution", stacked.solver().solve(rhs))
 
     @property
@@ -159,21 +155,6 @@ def _member_weights(dist: ConstrainedDistribution) -> Tuple[np.ndarray, np.ndarr
     return members, probs
 
 
-def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row of non-negative weights, the index ``Generator.choice`` draws at uniform u.
-
-    A single row of weights serves every uniform.  Every row needs a
-    positive total.  The normalized cumulative sum ends at exactly 1 > u
-    and stays flat across zero weights, so the index always has positive
-    weight.
-    """
-    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
-    cdf /= cdf[:, -1:]
-    if len(cdf) == 1:  # one row for every uniform: a sorted search, as choice runs it
-        return cdf[0].searchsorted(u, side="right")
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
-
-
 def mass(dist: ConstrainedDistribution) -> float:
     """Total probability the unconstrained law puts on the coset (exact mode)."""
     if not dist.constraints.is_consistent:
@@ -233,10 +214,9 @@ def draw(dist: ConstrainedDistribution, seed) -> GfVector:
     rng = make_rng(seed)
     if dist.mode == EXACT:
         members, probs = _member_weights(dist)
-        total = probs.sum()
-        if total <= 0.0:
+        if probs.sum() <= 0.0:
             raise EmptyCosetError("coset carries zero probability mass: encoder error")
-        i = _inverse_cdf(probs[None], rng.random(1))[0]
+        i = inverse_cdf(probs[None], rng.random(1))[0]
         out = GfVector.from_array(dist.field, members[i])
     else:
         state = next(_walk(dist, rng, dist.burn_in + dist.sweeps, 0))
@@ -272,11 +252,10 @@ def tv_distance_check(dist: ConstrainedDistribution, draws: int, seed) -> float:
         raise ValueError("need at least one draw")
     members, exact = exact_distribution(dist)
     rng = make_rng(seed)
-    counts = np.zeros(len(exact))
     if dist.mode == EXACT:
-        picks = _inverse_cdf(exact[None], rng.random(draws))
-        counts = np.bincount(picks, minlength=len(exact)).astype(float)
+        counts = np.bincount(inverse_cdf(exact[None], rng.random(draws)), minlength=len(exact))
     else:
+        counts = np.zeros(len(exact))
         index = {tuple(row): i for i, row in enumerate(members.tolist())}
         walk = _walk(dist, rng, dist.burn_in + THIN_SWEEPS, THIN_SWEEPS)
         for _ in range(draws):

@@ -331,8 +331,9 @@ def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None) -> Ha
         raise ValueError("gamma is required for non-expurgated ensembles")
     q, l, n = spec.field.q, spec.rows, spec.cols
     threshold = gamma * n
-    if not n > threshold:
-        raise ValueError("no types above the weight threshold; gamma too large")
+    # below 0 the zero word, in every kernel, is heavy; from n on, no type is
+    if not 0.0 <= threshold < n:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     types, sizes, s = _spectrum(spec)
     weights = n - types[:, 0]
     heavy = weights > threshold

@@ -18,6 +18,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .rng import cdf_rows
+
 _MASS_TOL = 1e-12
 
 
@@ -55,10 +57,10 @@ class Channel:
         return self.transition.shape[1]
 
     def sample_outputs(self, x_indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One output per input symbol, i.i.d. across positions, in the inputs' shape."""
-        cum = np.cumsum(self.transition, axis=1)
+        """One i.i.d. output per input symbol, in the inputs' shape, by ``rng.inverse_cdf``."""
+        cdf = cdf_rows(self.transition)
         u = rng.random(np.shape(x_indices))
-        return (u[..., None] < cum[x_indices]).argmax(axis=-1)
+        return np.count_nonzero(cdf[x_indices] <= u[..., None], axis=-1)
 
 
 @dataclass(eq=False)

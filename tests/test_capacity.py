@@ -200,8 +200,6 @@ def test_sweep_winners_equal_single_solves(which):
         assert res.capacity == best.capacity
         assert res.iterations == best.iterations
         assert np.array_equal(res.input_dist, best.input_dist)
-        assert res.bracket_trace == best.bracket_trace
-        assert len(res.bracket_trace) == res.iterations
 
 
 def test_sweep_never_iterates_dominated_supports(monkeypatch):
@@ -213,7 +211,21 @@ def test_sweep_never_iterates_dominated_supports(monkeypatch):
     for a, b in zip(full, pruned):
         assert (a.support, a.capacity, a.iterations) == (b.support, b.capacity, b.iterations)
         assert np.array_equal(a.input_dist, b.input_dist)
-        assert a.bracket_trace == b.bracket_trace
+
+
+def test_sweep_solves_once(monkeypatch):
+    # the winners are rows of the one batched solve, never re-solved alone
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    solve = cap._solve
+    monkeypatch.setattr(cap, "_solve", counted)
+    swept = cap.signaling_sweep(sc.make_quantized_awgn(4.0, 8), [2, 4, 8])
+    assert len(calls) == 1
+    assert all(res.bracket_trace == () for res in swept)
 
 
 def test_batch_without_convergence_raises(monkeypatch):

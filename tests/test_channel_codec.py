@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cosetlab import channel_codec as cc
-from cosetlab import crng_sampler as crng
 from cosetlab import ensembles as ens
 from cosetlab import gf_linalg
 from cosetlab import sources_channels as sc
@@ -12,7 +11,7 @@ from cosetlab import sw_codec as sw
 from cosetlab.crng_sampler import EXACT, MCMC, ConstrainedDistribution, ConstraintSet, draw
 from cosetlab.errors import CapExceededError, DecodeFailure, EmptyCosetError
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
-from cosetlab.rng import derived_seed
+from cosetlab.rng import derived_seed, inverse_cdf
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -258,7 +257,7 @@ def test_inverse_cdf_lands_on_positive_weight():
     # a subnormal total and trailing zero weights: the draw must still stop
     # on the last positive weight
     weights = np.array([[0.0, 5e-324, 0.0, 0.0], [0.25, 0.0, 0.75, 0.0]])
-    assert crng._inverse_cdf(weights, np.array([0.9, 0.5])).tolist() == [1, 2]
+    assert inverse_cdf(weights, np.array([0.9, 0.5])).tolist() == [1, 2]
 
 
 def test_codec_reduces_message_map_once(monkeypatch):

@@ -242,6 +242,8 @@ TINY_CONFIGS = {
     ("sw", TINY_CONFIGS["sw"].replace("p = 0.11", "p = 2"), "p"),
     ("sw", TINY_CONFIGS["sw"].replace("ns = 6", "ns = 0"), "ns"),
     ("crng-test", TINY_CONFIGS["crng-test"] + "bernoulli = 1.5\n", "bernoulli"),
+    ("crng-test", TINY_CONFIGS["crng-test"] + "bernoulli = 0.0\nseed = 5\n", "bernoulli"),
+    ("crng-test", TINY_CONFIGS["crng-test"] + "bernoulli = 1.0\nseed = 5\n", "bernoulli"),
     ("hash-verify", TINY_CONFIGS["hash-verify"].replace("q = 2", "q = 4"), "q"),
     ("sw", TINY_CONFIGS["sw"].replace("trials = 50", "trials = 0"), "trials"),
     ("channel", TINY_CONFIGS["channel"].replace("trials = 50", "trials = 0"), "trials"),
@@ -256,6 +258,7 @@ TINY_CONFIGS = {
     ("hash-verify", TINY_CONFIGS["hash-verify"].replace("l = 2", "l = 0"), "l"),
     ("hash-verify", TINY_CONFIGS["hash-verify"].replace("gamma = 0.25", "gamma = 1.5"), "gamma"),
     ("hash-verify", "q = 2\nl = 2\nn = 4\ngamma = 1.0\n", "gamma"),
+    ("hash-verify", "q = 2\nl = 2\nn = 4\ngamma = -0.5\n", "gamma"),
     ("hash-verify", "ensemble = systematic-sparse\nq = 2\nl = 2\nn = 4\nrow_weight = 0\n",
      "row_weight"),
     ("hash-verify", TINY_CONFIGS["hash-verify"].replace("pairs = 5", "pairs = -3"), "pairs"),
@@ -280,9 +283,11 @@ TINY_CONFIGS = {
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
+        "bernoulli-zero", "bernoulli-one",
         "q-composite", "sw-trials-zero", "channel-trials-zero", "candidates-zero",
         "max-u-zero", "max-v-zero", "draws-zero", "mcmc-draws-zero", "hash-l-above-n",
-        "hash-l-zero", "expurgated-gamma-above-one", "spectrum-gamma-one", "row-weight-zero",
+        "hash-l-zero", "expurgated-gamma-above-one", "spectrum-gamma-one",
+        "spectrum-gamma-negative", "row-weight-zero",
         "pairs-negative", "crng-l-above-n", "crng-l-zero", "matrices-zero", "problems-zero",
         "problems-negative", "rates-empty", "ns-empty", "q-values-empty",
         "channel-levels-composite", "channel-n-negative", "channel-n-zero", "hash-n-zero",

@@ -7,6 +7,7 @@ from cosetlab import crng_sampler as crng
 from cosetlab import gf_linalg
 from cosetlab.errors import CapExceededError, EmptyCosetError
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap
+from cosetlab.rng import inverse_cdf
 
 F2 = FieldSpec(2)
 A_PARITY = LinearMap(F2, ((1, 1, 0), (0, 1, 1)))  # kernel {000, 111}
@@ -24,10 +25,10 @@ def test_inverse_cdf_matches_generator_choice():
     seeds = rng.integers(0, 2 ** 32, 200)
     u = np.array([np.random.default_rng(s).random() for s in seeds])
     expected = [np.random.default_rng(s).choice(9, p=w / w.sum()) for s, w in zip(seeds, weights)]
-    assert crng._inverse_cdf(weights, u).tolist() == expected
+    assert inverse_cdf(weights, u).tolist() == expected
     # one row of weights serves every uniform
     first = [np.random.default_rng(s).choice(9, p=weights[0] / weights[0].sum()) for s in seeds]
-    assert crng._inverse_cdf(weights[:1], u).tolist() == first
+    assert inverse_cdf(weights[:1], u).tolist() == first
 
 
 def test_constraint_set_basics():

@@ -120,6 +120,12 @@ def test_uniform_spectrum_weight_three():
     assert total == pytest.approx(0.25, abs=1e-12)
 
 
+def test_negative_gamma_is_rejected():
+    # a negative threshold would count the zero word as a heavy type (alpha = q^l)
+    with pytest.raises(ValueError, match="gamma"):
+        ens.compute_hash_params(ens.uniform_ensemble(F2, 2, 4), gamma=-0.5)
+
+
 def test_uniform_params_are_one_zero():
     hp = ens.compute_hash_params(ens.uniform_ensemble(F2, 2, 4), gamma=0.0)
     assert hp.alpha == pytest.approx(1.0) and hp.beta == 0.0

@@ -1,3 +1,4 @@
+import ast
 import pathlib
 
 from cosetlab import rng
@@ -9,3 +10,14 @@ def test_default_rng_is_called_only_in_the_seed_module():
     src = pathlib.Path(rng.__file__).resolve().parent
     callers = sorted(p.name for p in src.glob("*.py") if "default_rng(" in p.read_text())
     assert callers == ["rng.py"]
+
+
+def test_no_generator_choice_outside_the_draw_rule():
+    # every finite-law draw goes through rng.inverse_cdf; docstrings may still
+    # name Generator.choice as the rule it reproduces
+    src = pathlib.Path(rng.__file__).resolve().parent
+    callers = sorted(p.name for p in src.glob("*.py")
+                     for node in ast.walk(ast.parse(p.read_text()))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "choice")
+    assert callers == []

@@ -24,6 +24,31 @@ def test_sample_outputs_any_shape():
     assert np.array_equal(block.ravel(), row)
 
 
+class FixedUniform:
+    """Stub generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+def test_sample_outputs_top_uniform_reaches_the_last_output():
+    # the rounded row sum of ten 0.1s ends below the largest uniform
+    ch = sc.Channel(np.full((1, 10), 0.1))
+    u = np.nextafter(1.0, 0.0)
+    assert ch.sample_outputs(np.zeros(3, dtype=np.int64), FixedUniform(u)).tolist() == [9] * 3
+
+
+def test_sample_outputs_never_draws_a_zero_probability_output():
+    # the row sums to 1 - 1e-13, within the row tolerance
+    ch = sc.Channel(np.array([[0.0, 0.3, 0.7 - 1e-13]]))
+    x = np.zeros(2, dtype=np.int64)
+    for u in (0.0, 0.3, 1.0 - 5e-14, np.nextafter(1.0, 0.0)):
+        assert 0 not in ch.sample_outputs(x, FixedUniform(u)).tolist()
+
+
 def test_bsc_identity_at_zero():
     ch = sc.make_bsc(0.0)
     assert np.array_equal(ch.transition, np.eye(2))
