@@ -31,6 +31,7 @@ from .sources_channels import (Channel, JointSource, info_measures, joint_from_c
                                make_bsc, make_dsbs, make_quantized_awgn, make_zchannel)
 
 EXPERIMENTS = ("capacity", "hash-verify", "sw", "channel", "decision", "crng-test")
+DECODERS = (sw_codec.MAP_EXACT, sw_codec.STOCHASTIC)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +85,12 @@ def _get_float(cfg: dict, key: str, default: Optional[float] = None) -> float:
             raise ConfigError(key, "required key is missing")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(key, f"not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be a finite number, got {raw!r}")
+    return value
 
 
 def _get_list(cfg: dict, key: str, conv=float) -> list:
@@ -97,7 +101,16 @@ def _get_list(cfg: dict, key: str, conv=float) -> list:
         raise ConfigError(key, f"not a comma-separated list: {raw!r}") from exc
     if not values:
         raise ConfigError(key, f"lists no values: {raw!r}")
+    if conv is float and not all(map(math.isfinite, values)):
+        raise ConfigError(key, f"entries must be finite numbers, got {raw!r}")
     return values
+
+
+def _get_rates(cfg: dict) -> List[float]:
+    rates = _get_list(cfg, "rates")
+    if not all(r >= 0 for r in rates):
+        raise ConfigError("rates", f"entries must be non-negative, got {rates}")
+    return rates
 
 
 def _get_ns(cfg: dict) -> List[int]:
@@ -172,7 +185,7 @@ def validate(experiment: str, cfg: dict) -> List[str]:
         source = _make_source(cfg)
         measures = info_measures(source)
         ns = _get_ns(cfg)
-        for r in _get_list(cfg, "rates"):
+        for r in _get_rates(cfg):
             for n in ns:
                 warnings += measures.converse_warnings(_realized_rate(n, r, source.x_size))
     elif experiment == "channel":
@@ -212,6 +225,8 @@ def _run_hash_verify(cfg: dict, seed: int) -> List[dict]:
     field = _named("q", FieldSpec, _get_int(cfg, "q", 2))
     l, n = _get_int(cfg, "l"), _get_count(cfg, "n")
     gamma = _get_float(cfg, "gamma", 0.0)
+    if not 0.0 <= gamma < 1.0:  # every params path; 'certified' only labels its row with it
+        raise ConfigError("gamma", f"must lie in [0, 1), got {gamma}")
     pairs = _get_count(cfg, "pairs", 20)
     spec = _make_ensemble(cfg, field, l, n)
     # the type-spectrum pair assumes type-invariant collision probabilities;
@@ -235,11 +250,11 @@ def _run_hash_verify(cfg: dict, seed: int) -> List[dict]:
 def _run_sw(cfg: dict, seed: int) -> List[dict]:
     return sw_codec.rate_sweep(
         _make_source(cfg),
-        rates=_get_list(cfg, "rates"),
+        rates=_get_rates(cfg),
         ns=_get_ns(cfg),
         trials=_get_count(cfg, "trials", 10000),
         seed=seed,
-        decoder=_get_choice(cfg, "decoder", {"map-exact", "stochastic"}, default="map-exact"),
+        decoder=_get_choice(cfg, "decoder", DECODERS, default=sw_codec.MAP_EXACT),
         matrices_per_point=_get_count(cfg, "matrices", 1))
 
 
@@ -254,7 +269,7 @@ def _run_channel(cfg: dict, seed: int) -> List[dict]:
     px = np.full(field.q, 1.0 / field.q)
     source = joint_from_channel(px, channel)
     a = ensembles.sample_map(ensembles.uniform_ensemble(field, l_a, n), derived_seed(seed, 99))
-    decoder = _get_choice(cfg, "decoder", {"map-exact", "stochastic"}, default="map-exact")
+    decoder = _get_choice(cfg, "decoder", DECODERS, default=sw_codec.MAP_EXACT)
     sw = sw_codec.SwCodec(a, source, decoder=decoder)
     result = channel_codec.search_code(
         sw, ensembles.uniform_ensemble(field, l_b, n), channel,
@@ -282,7 +297,7 @@ def _run_crng_test(cfg: dict, seed: int) -> List[dict]:
     n, l = _get_count(cfg, "n"), _get_int(cfg, "l")
     p1 = _get_float(cfg, "bernoulli", 0.5)
     if field.q != 2:
-        raise ConfigError("bernoulli", "single-parameter weights are binary only")
+        raise ConfigError("q", f"bernoulli weights are binary only, got q = {field.q}")
     if not 0.0 < p1 < 1.0:  # a degenerate law can leave the coset of a uniform x massless
         raise ConfigError("bernoulli", f"must lie in (0, 1), got {p1}")
     weights = np.array([1.0 - p1, p1])

@@ -29,7 +29,7 @@ import numpy as np
 from . import gf_linalg
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import FieldSpec, GfVector, concat_vectors, coset_array, matvec, stack_maps
-from .rng import inverse_cdf, make_rng
+from .rng import LOOSE_MASS_TOL, checked_law, inverse_cdf, make_rng
 
 EXACT = "exact"
 MCMC = "mcmc"
@@ -94,14 +94,7 @@ def _normalize_weights(weights, n: int, q: int) -> np.ndarray:
         w = np.tile(w, (n, 1))
     if w.shape != (n, q):
         raise ValueError(f"weights must have shape ({n}, {q}) or ({q},)")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    rows = w.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > 1e-9):
-        raise ValueError("per-letter weights must each sum to 1")
-    w = w.copy()
-    w.flags.writeable = False
-    return w
+    return checked_law(w, "per-letter weights", rows=True, tol=LOOSE_MASS_TOL)
 
 
 @dataclass(eq=False)

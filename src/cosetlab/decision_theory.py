@@ -14,9 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import LOOSE_MASS_TOL, MASS_TOL, checked_law, make_rng
 
-_MASS_TOL = 1e-12
 _ZERO_FRACTION = 0.3  # share of cells zeroed in the half of random problems that get zeros
 
 DETERMINISTIC = "deterministic"
@@ -30,16 +29,7 @@ class DecisionProblem:
     joint: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.joint, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-            raise ValueError("joint table must be 2-d and non-empty")
-        if np.any(mat < -_MASS_TOL):
-            raise ValueError("probabilities must be non-negative")
-        if abs(mat.sum() - 1.0) > _MASS_TOL:
-            raise ValueError(f"joint mass must be 1 within {_MASS_TOL}")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        self.joint = mat
+        self.joint = mat = checked_law(self.joint, "joint table")
         self.p_v = mat.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.posterior = np.where(self.p_v[None, :] > 0.0, mat / self.p_v[None, :], 0.0)
@@ -69,10 +59,7 @@ class DecisionRule:
         elif self.kind == STOCHASTIC:
             if self.table is None:
                 raise ValueError("stochastic rules need the conditional table")
-            tab = np.asarray(self.table, dtype=np.float64)
-            if np.any(tab < -_MASS_TOL) or np.any(np.abs(tab.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("rule rows must be probability vectors")
-            self.table = tab
+            self.table = checked_law(self.table, "rule table", rows=True, tol=LOOSE_MASS_TOL)
         else:
             raise ValueError(f"unknown rule kind {self.kind!r}")
 
@@ -126,9 +113,9 @@ def verify_factor2(prob: DecisionProblem) -> FactorTwoReport:
     if err_map > 0.0:
         ratio = err_post / err_map
     else:
-        ratio = 1.0 if err_post <= _MASS_TOL else math.inf
+        ratio = 1.0 if err_post <= MASS_TOL else math.inf
     return FactorTwoReport(err_map=err_map, err_posterior=err_post, ratio=ratio,
-                           passed=err_post <= 2.0 * err_map + _MASS_TOL)
+                           passed=err_post <= 2.0 * err_map + MASS_TOL)
 
 
 def random_problem(rng: np.random.Generator, max_u: int = 4, max_v: int = 4) -> DecisionProblem:

@@ -72,10 +72,6 @@ class GfVector:
     def from_array(cls, field: FieldSpec, arr) -> "GfVector":
         return cls(field, tuple(int(v) % field.q for v in arr))
 
-    @classmethod
-    def zeros(cls, field: FieldSpec, n: int) -> "GfVector":
-        return cls(field, (0,) * n)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
 

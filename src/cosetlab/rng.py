@@ -1,4 +1,4 @@
-"""Seed handling and the finite-law draw rule.
+"""Seed handling, the finite-law rule and the finite-law draw rule.
 
 Every stochastic routine in the package takes an explicit seed, so
 re-ordered execution cannot change results.  ``derived_seed`` maps a
@@ -6,13 +6,22 @@ master seed plus a tuple of non-negative integer path components (role
 id, candidate index, grid point, ...) to one integer seed; the
 derivation is pure, so any unit of work can be reproduced in isolation.
 
-Every draw from a finite law, channel outputs included, is ``inverse_cdf``:
-the rule of ``Generator.choice(p=w / w.sum())``, at the same uniforms.
+Every table the package treats as a finite law (a joint, a channel, an
+input law, a decision problem or rule, the sampler's weights) passes
+``checked_law``.  Every draw from a finite law, channel outputs included,
+is ``inverse_cdf``: the rule of ``Generator.choice(p=w / w.sum())``, at the
+same uniforms.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# How far a law's total may lie from 1: joints, channel rows, input laws and
+# decision problems get MASS_TOL; rule rows and sampler weights, often
+# computed (posteriors, marginals), get LOOSE_MASS_TOL.
+MASS_TOL = 1e-12
+LOOSE_MASS_TOL = 1e-9
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -24,6 +33,26 @@ def make_rng(seed) -> np.random.Generator:
 def derived_seed(master: int, *path: int) -> int:
     """Single integer reproducing the generator stream for one unit of work."""
     return int(np.random.SeedSequence([int(master), *[int(p) for p in path]]).generate_state(1)[0])
+
+
+def checked_law(table, name: str, ndim: int = 2, rows: bool = False,
+                tol: float = MASS_TOL) -> np.ndarray:
+    """``table`` as a read-only float64 copy, once it is a finite law.
+
+    The table must be non-empty with ``ndim`` dimensions and every entry
+    >= 0, so NaN fails; its total, or with ``rows`` each row's total, must
+    lie within ``tol`` of 1, so an infinite entry fails too.  Otherwise a
+    ValueError names the table.
+    """
+    law = np.array(table, dtype=np.float64)
+    if law.ndim != ndim or law.size == 0:
+        raise ValueError(f"{name} must be {ndim}-d and non-empty, got shape {law.shape}")
+    if not (law >= 0.0).all():
+        raise ValueError(f"{name} has a negative or NaN entry")
+    if not (np.abs(law.sum(axis=-1 if rows else None) - 1.0) <= tol).all():
+        raise ValueError(f"{name} {'rows' if rows else 'mass'} must sum to 1 within {tol}")
+    law.flags.writeable = False
+    return law
 
 
 def cdf_rows(weights: np.ndarray) -> np.ndarray:

@@ -18,17 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .rng import cdf_rows
-
-_MASS_TOL = 1e-12
-
-
-def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
-    if np.any(mat < -_MASS_TOL):
-        raise ValueError(f"{what} has negative entries")
-    rows = mat.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > _MASS_TOL):
-        raise ValueError(f"{what} rows must sum to 1 within {_MASS_TOL}")
+from .rng import cdf_rows, checked_law
 
 
 @dataclass(eq=False)
@@ -40,13 +30,7 @@ class Channel:
     param: Optional[float] = None
 
     def __post_init__(self):
-        mat = np.asarray(self.transition, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-            raise ValueError("transition matrix must be 2-d and non-empty")
-        _check_rows_stochastic(mat, "channel transition matrix")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        self.transition = mat
+        self.transition = checked_law(self.transition, "channel transition matrix", rows=True)
 
     @property
     def input_size(self) -> int:
@@ -72,16 +56,7 @@ class JointSource:
     param: Optional[float] = None
 
     def __post_init__(self):
-        mat = np.asarray(self.joint, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-            raise ValueError("joint table must be 2-d and non-empty")
-        if np.any(mat < -_MASS_TOL):
-            raise ValueError("joint probabilities must be non-negative")
-        if abs(mat.sum() - 1.0) > _MASS_TOL:
-            raise ValueError(f"joint mass must be 1 within {_MASS_TOL}")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        self.joint = mat
+        self.joint = mat = checked_law(self.joint, "joint table")
         self.x_marginal = mat.sum(axis=1)
         self.y_marginal = mat.sum(axis=0)
         # Conditional with 0/0 -> 0; Bayes identity then holds on every cell.
@@ -162,8 +137,8 @@ def make_quantized_awgn(snr: float, levels: int) -> Channel:
     """
     if levels < 2:
         raise ValueError("need at least 2 amplitude levels")
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not 0 < snr < math.inf:  # NaN too
+        raise ValueError("snr must be positive and finite")
     amps = np.linspace(-1.0, 1.0, levels)
     sigma = math.sqrt(float(np.mean(amps ** 2)) / snr)
     bounds = (amps[:-1] + amps[1:]) / 2.0
@@ -177,11 +152,9 @@ def make_quantized_awgn(snr: float, levels: int) -> Channel:
 def joint_from_channel(input_dist: np.ndarray, channel: Channel,
                        kind: str = "induced", param: Optional[float] = None) -> JointSource:
     """Joint mu_XY(x, y) = W(y|x) mu_X(x) induced by an input distribution."""
-    px = np.asarray(input_dist, dtype=np.float64)
-    if px.ndim != 1 or px.shape[0] != channel.input_size:
+    px = checked_law(input_dist, "input distribution", ndim=1)
+    if px.shape[0] != channel.input_size:
         raise ValueError("input distribution does not match the channel input alphabet")
-    if np.any(px < -_MASS_TOL) or abs(px.sum() - 1.0) > _MASS_TOL:
-        raise ValueError("input distribution must be a probability vector")
     return JointSource(px[:, None] * channel.transition,
                        kind=kind, param=param if param is not None else channel.param)
 

@@ -280,6 +280,16 @@ TINY_CONFIGS = {
     ("crng-test", TINY_CONFIGS["crng-test"].replace("n = 6", "n = 0"), "n"),
     ("crng-test", TINY_CONFIGS["crng-test"].replace("n = 6", "n = -3"), "n"),
     ("sw", TINY_CONFIGS["sw"] + "seed = -1\n", "seed"),
+    ("hash-verify", "q = 2\nl = 2\nn = 4\nparams = certified\ngamma = -0.5\n", "gamma"),
+    ("hash-verify", "q = 2\nl = 2\nn = 4\nparams = certified\ngamma = 7\n", "gamma"),
+    ("sw", TINY_CONFIGS["sw"].replace("rates = 0.7", "rates = nan"), "rates"),
+    ("sw", TINY_CONFIGS["sw"].replace("rates = 0.7", "rates = 0.7, -0.3"), "rates"),
+    ("channel", TINY_CONFIGS["channel"].replace("r = 0.7", "r = nan"), "r"),
+    ("channel", "channel = quantized-awgn\nsnr = nan\nlevels = 5\nn = 4\nr = 0.5\nR = 0.5\n",
+     "snr"),
+    ("capacity", "channel = quantized-awgn\nsnr = nan\nlevels = 8\n", "snr"),
+    ("capacity", "channel = quantized-awgn\nsnr = inf\nlevels = 8\n", "snr"),
+    ("crng-test", TINY_CONFIGS["crng-test"].replace("q = 2", "q = 3"), "q"),
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
@@ -291,7 +301,9 @@ TINY_CONFIGS = {
         "pairs-negative", "crng-l-above-n", "crng-l-zero", "matrices-zero", "problems-zero",
         "problems-negative", "rates-empty", "ns-empty", "q-values-empty",
         "channel-levels-composite", "channel-n-negative", "channel-n-zero", "hash-n-zero",
-        "hash-n-negative", "crng-n-zero", "crng-n-negative", "seed-negative"])
+        "hash-n-negative", "crng-n-zero", "crng-n-negative", "seed-negative",
+        "certified-gamma-negative", "certified-gamma-seven", "rates-nan", "rates-negative",
+        "channel-r-nan", "channel-snr-nan", "snr-nan", "snr-inf", "crng-q-three"])
 def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
     cfg = write_cfg(tmp_path, "c.cfg", body)
     assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1

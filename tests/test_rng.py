@@ -1,7 +1,14 @@
 import ast
 import pathlib
 
+import numpy as np
+import pytest
+
+from cosetlab import crng_sampler as crng
+from cosetlab import decision_theory as dt
 from cosetlab import rng
+from cosetlab import sources_channels as sc
+from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap
 
 
 def test_default_rng_is_called_only_in_the_seed_module():
@@ -21,3 +28,70 @@ def test_no_generator_choice_outside_the_draw_rule():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "choice")
     assert callers == []
+
+
+def test_mass_tolerance_is_defined_only_in_the_seed_module():
+    # every finite-law check reads its sum tolerance from rng, so a third
+    # tolerance or negative-entry rule cannot come back unnoticed
+    src = pathlib.Path(rng.__file__).resolve().parent
+    definers = sorted(p.name for p in src.glob("*.py")
+                      for node in ast.walk(ast.parse(p.read_text()))
+                      if isinstance(node, ast.Assign)
+                      for target in node.targets
+                      if isinstance(target, ast.Name) and "MASS_TOL" in target.id)
+    assert definers == ["rng.py", "rng.py"]
+
+
+_PARITY = LinearMap(FieldSpec(2), ((1, 1, 0), (0, 1, 1)))
+_KERNEL = crng.ConstraintSet(((_PARITY, GfVector(FieldSpec(2), (0, 0))),))
+
+# each entry point with a valid table: a bad copy of it must raise ValueError
+_LAW_ENTRY_POINTS = {
+    "channel": (sc.Channel, [[0.9, 0.1], [0.2, 0.8]]),
+    "joint-source": (sc.JointSource, [[0.4, 0.1], [0.1, 0.4]]),
+    "input-law": (lambda t: sc.joint_from_channel(t, sc.make_bsc(0.1)), [0.3, 0.7]),
+    "decision-problem": (dt.DecisionProblem, [[0.4, 0.1], [0.1, 0.4]]),
+    "decision-rule": (lambda t: dt.DecisionRule(kind=dt.STOCHASTIC, table=t),
+                      [[0.9, 0.1], [0.2, 0.8]]),
+    "sampler-weights": (lambda t: crng.ConstrainedDistribution(t, _KERNEL),
+                        [[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]]),
+}
+
+
+def _spoil(table, defect):
+    t = np.array(table, dtype=np.float64)
+    first = t.flat[0]
+    if defect == "nan":
+        t.flat[0] = np.nan
+    elif defect == "inf":
+        t.flat[0] = np.inf
+    elif defect == "negative":  # the same row still sums to 1
+        t.flat[0], t.flat[1] = -0.1, t.flat[1] + first + 0.1
+    else:
+        t *= 1.1
+    return t
+
+
+@pytest.mark.parametrize("defect", ["nan", "inf", "negative", "mass"])
+@pytest.mark.parametrize("entry", sorted(_LAW_ENTRY_POINTS))
+def test_every_law_entry_point_rejects_a_bad_table(entry, defect):
+    build, table = _LAW_ENTRY_POINTS[entry]
+    build(np.array(table))  # the valid table passes
+    with pytest.raises(ValueError):
+        build(_spoil(table, defect))
+
+
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -1.0])
+def test_quantized_awgn_rejects_a_bad_snr(snr):
+    with pytest.raises(ValueError, match="snr"):
+        sc.make_quantized_awgn(snr, 4)
+
+
+def test_checked_law_returns_a_read_only_float_copy():
+    table = [[1, 0], [0, 1]]
+    law = rng.checked_law(table, "identity", rows=True)
+    assert law.dtype == np.float64 and not law.flags.writeable
+    source = np.array([0.25, 0.75])
+    assert not np.shares_memory(rng.checked_law(source, "law", ndim=1), source)
+    with pytest.raises(ValueError, match="law must be 1-d"):
+        rng.checked_law(np.zeros(0), "law", ndim=1)
