@@ -30,11 +30,10 @@ from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (GfVector, LinearMap, _row_reduce, chunks, concat_vectors, coset_array,
                         matvec, segments, span_array, stack_maps, word_table)
-from .rng import derived_seed, inverse_cdf, make_rng
+from .rng import derived_seed, inverse_cdf, make_rng, product_law
 from .sources_channels import Channel
 from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _decide,
-                       _decode, _estimate, _product_law, error_probability as sw_error_probability,
-                       wilson_std_err)
+                       _decode, _estimate, error_probability as sw_error_probability)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
 
@@ -138,11 +137,11 @@ def _message_segments(codec: ChannelCodec):
     """
     members, member_msg, starts = segments(
         coset_array(codec.sw.solver.solve(codec.syndrome)), codec.b_map)
-    px = codec.sw.source.x_marginal[members].prod(axis=1)
+    px = product_law(np.broadcast_to(codec.sw.source.x_marginal, (codec.n, codec.field.q)), members)
     return members, member_msg, starts, px, np.add.reduceat(px, starts)
 
 
-def _exact_error(codec: ChannelCodec) -> ErrorEstimate:
+def _exact_error(codec: ChannelCodec) -> float:
     """Encoder-error share plus the decoding error, every channel output at once.
 
     The message segments of the decoder's coset give both the conditional
@@ -176,17 +175,17 @@ def _exact_error(codec: ChannelCodec) -> ErrorEstimate:
             decoded = np.where(live, member_msg[picks], -1)
             miss = decoded[:, None] != member_msg[None, :]
         else:
-            hits = np.add.reduceat(_product_law(cond, members, y), starts, axis=1)
+            hits = np.add.reduceat(product_law(cond.T[y], members), starts, axis=1)
             total = hits.sum(axis=1, keepdims=True)  # posterior mass per message, summed
             p_hit = np.divide(hits, total, out=np.zeros_like(hits), where=total > 0.0)
             miss = 1.0 - p_hit[:, member_msg]
-        w_y = _product_law(codec.channel.transition, members, y)  # W(y | x)
+        w_y = product_law(codec.channel.transition.T[y], members)  # W(y | x)
         err += float((w_y * miss).sum(axis=0) @ encoder_weight)
-    return ErrorEstimate(value=min(max(err, 0.0), 1.0), mode="exact")
+    return err
 
 
-def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
-    """Message -> encoder -> channel -> decoder, every trial from one generator.
+def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> int:
+    """Failure count of message -> encoder -> channel -> decoder trials, all from one generator.
 
     It draws, in order: the messages, spread evenly over Im B from one
     uniform offset (unbiased, and the Wilson std_err becomes a conservative
@@ -218,9 +217,7 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> ErrorEstimate:
         picks, live = _decide(decoder, cond, members, y[s], None if u is None else u[s])
         # a coset without posterior mass is a failure
         hits += np.count_nonzero(live & (member_msg[picks] == sent[s]))
-    failures = trials - int(hits)
-    return ErrorEstimate(value=failures / trials, mode="monte-carlo",
-                         trials=trials, std_err=wilson_std_err(failures, trials))
+    return trials - int(hits)
 
 
 def error_probability(codec: ChannelCodec, mode: str = "exact", trials: int = 10000,

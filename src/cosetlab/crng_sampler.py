@@ -29,7 +29,7 @@ import numpy as np
 from . import gf_linalg
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import FieldSpec, GfVector, concat_vectors, coset_array, matvec, stack_maps
-from .rng import LOOSE_MASS_TOL, checked_law, inverse_cdf, make_rng
+from .rng import LOOSE_MASS_TOL, checked_law, inverse_cdf, make_rng, product_law
 
 EXACT = "exact"
 MCMC = "mcmc"
@@ -144,8 +144,7 @@ def _member_weights(dist: ConstrainedDistribution) -> Tuple[np.ndarray, np.ndarr
             "law and mass are unavailable; an mcmc draw needs them only when its walk "
             "ends on a zero-weight state")
     members = coset_array(sol)
-    probs = dist.weights[np.arange(dist.n)[None, :], members].prod(axis=1)
-    return members, probs
+    return members, product_law(dist.weights, members)
 
 
 def mass(dist: ConstrainedDistribution) -> float:

@@ -48,14 +48,17 @@ class DecisionRule:
     """Either a map v -> u or a conditional table q(u-hat | v)."""
 
     kind: str
-    f: Optional[np.ndarray] = None       # (|V|,) state indices
+    f: Optional[np.ndarray] = None       # (|V|,) state indices in [0, |U|)
     table: Optional[np.ndarray] = None   # (|V|, |U|) rows are probability vectors
 
     def __post_init__(self):
         if self.kind == DETERMINISTIC:
             if self.f is None:
                 raise ValueError("deterministic rules need the decision map f")
-            self.f = np.asarray(self.f, dtype=np.int64)
+            f = np.array(self.f)
+            if f.ndim != 1 or f.dtype.kind not in "iu" or (f < 0).any():
+                raise ValueError(f"decision map f must be 1-d integers >= 0, got {self.f!r}")
+            self.f = f.astype(np.int64)
         elif self.kind == STOCHASTIC:
             if self.table is None:
                 raise ValueError("stochastic rules need the conditional table")
@@ -67,9 +70,9 @@ class DecisionRule:
         """q(u-hat | v) as a (|V|, |U|) array for either kind."""
         if self.kind == STOCHASTIC:
             return self.table
-        tab = np.zeros((len(self.f), u_size))
-        tab[np.arange(len(self.f)), self.f] = 1.0
-        return tab
+        if ((self.f < 0) | (self.f >= u_size)).any():
+            raise ValueError(f"decision map f must lie in [0, {u_size}), got {self.f.tolist()}")
+        return np.eye(u_size)[self.f]
 
 
 def rule_error(prob: DecisionProblem, rule: DecisionRule) -> float:

@@ -1,4 +1,4 @@
-"""Seed handling, the finite-law rule and the finite-law draw rule.
+"""Seed handling, the finite-law rule, the product-law rule and the draw rule.
 
 Every stochastic routine in the package takes an explicit seed, so
 re-ordered execution cannot change results.  ``derived_seed`` maps a
@@ -8,7 +8,8 @@ derivation is pure, so any unit of work can be reproduced in isolation.
 
 Every table the package treats as a finite law (a joint, a channel, an
 input law, a decision problem or rule, the sampler's weights) passes
-``checked_law``.  Every draw from a finite law, channel outputs included,
+``checked_law``.  Every word's weight under per-position letter laws is
+``product_law``.  Every draw from a finite law, channel outputs included,
 is ``inverse_cdf``: the rule of ``Generator.choice(p=w / w.sum())``, at the
 same uniforms.
 """
@@ -53,6 +54,18 @@ def checked_law(table, name: str, ndim: int = 2, rows: bool = False,
         raise ValueError(f"{name} {'rows' if rows else 'mass'} must sum to 1 within {tol}")
     law.flags.writeable = False
     return law
+
+
+def product_law(letters: np.ndarray, words: np.ndarray, op=np.multiply) -> np.ndarray:
+    """out[..., i] = letters[..., 0, words[i, 0]] op ... op letters[..., n-1, words[i, n-1]]
+
+    for a (..., n, q) table of per-position letter weights and (m, n) words,
+    folded left to right as a per-word loop would (``np.add`` sums log-weights).
+    """
+    out = letters[..., 0, words[:, 0]]
+    for k in range(1, words.shape[1]):
+        op(out, letters[..., k, words[:, k]], out=out)
+    return out
 
 
 def cdf_rows(weights: np.ndarray) -> np.ndarray:

@@ -149,14 +149,12 @@ def make_quantized_awgn(snr: float, levels: int) -> Channel:
     return Channel(rows, kind="quantized-awgn", param=snr)
 
 
-def joint_from_channel(input_dist: np.ndarray, channel: Channel,
-                       kind: str = "induced", param: Optional[float] = None) -> JointSource:
+def joint_from_channel(input_dist: np.ndarray, channel: Channel) -> JointSource:
     """Joint mu_XY(x, y) = W(y|x) mu_X(x) induced by an input distribution."""
     px = checked_law(input_dist, "input distribution", ndim=1)
     if px.shape[0] != channel.input_size:
         raise ValueError("input distribution does not match the channel input alphabet")
-    return JointSource(px[:, None] * channel.transition,
-                       kind=kind, param=param if param is not None else channel.param)
+    return JointSource(px[:, None] * channel.transition, kind="induced", param=channel.param)
 
 
 def info_measures(src: JointSource) -> InfoMeasures:

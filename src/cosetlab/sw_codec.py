@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapExceededError, DecodeFailure
 from .gf_linalg import FieldSpec, GfVector, LinearMap, chunks, matvec, segments, word_table
-from .rng import derived_seed, inverse_cdf, make_rng
+from .rng import derived_seed, inverse_cdf, make_rng, product_law
 from .sources_channels import JointSource
 
 MAP_EXACT = "map-exact"
@@ -94,12 +94,6 @@ def encode(codec: SwCodec, x: GfVector) -> GfVector:
     return matvec(codec.matrix, x)
 
 
-def _posterior_log_weights(cond: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """logw[..., i, a] = log2 mu(a | y[..., i]); -inf marks zero-probability letters."""
-    with np.errstate(divide="ignore"):
-        return np.log2(cond.T[y])
-
-
 # Posteriors within this relative distance of the best are tied.  The margin
 # is far above the rounding of a summed log-score (about 1e-13), so equal
 # posteriors tie whatever order the sum is taken in.
@@ -107,14 +101,14 @@ _MAP_TIE_RTOL = 1e-9
 _TIE_LOG2 = math.log2(1.0 - _MAP_TIE_RTOL)
 
 
-def _map_pick(members: np.ndarray, logw: np.ndarray):
-    """(index of the MAP member, live) of the coset for each posterior table.
+def _map_pick(members: np.ndarray, scores: np.ndarray):
+    """(index of the MAP member, live) of the coset for each row of log-posteriors.
 
-    ``logw[..., k, a] = log2 mu(a | y_k)``; leading axes index a batch of
-    side-information blocks.  Ties follow the rule stated on decode_map.
-    A table is live when some member has positive posterior.
+    ``scores[..., i]`` is log2 of member i's posterior, -inf when it is 0;
+    leading axes index a batch of side-information blocks.  Ties follow
+    the rule stated on decode_map.  A row is live when some member has
+    positive posterior.
     """
-    scores = logw[..., np.arange(members.shape[1]), members].sum(axis=-1)
     best = scores.max(axis=-1, keepdims=True)
     tied = scores >= best + _TIE_LOG2
     picks = tied.argmax(axis=-1)
@@ -146,9 +140,11 @@ def _decide(decoder: str, cond: np.ndarray, members: np.ndarray, y: np.ndarray,
     probability proportional to prod_k mu(members[i, k] | y_k), by the
     sampler's inverse-CDF rule at the row's uniform in ``u``.
     """
+    letters = cond.T[y]  # letters[j, k, a] = mu(a | y[j, k])
     if decoder == MAP_EXACT:
-        return _map_pick(members, _posterior_log_weights(cond, y))
-    nu = _product_law(cond, members, y)
+        with np.errstate(divide="ignore"):  # log2 0 = -inf marks a zero letter
+            return _map_pick(members, product_law(np.log2(letters), members, np.add))
+    nu = product_law(letters, members)
     live = nu.sum(axis=1) > 0.0
     picks = np.zeros(len(y), dtype=np.int64)
     picks[live] = inverse_cdf(nu[live], u[live])
@@ -184,15 +180,7 @@ def decode_stochastic(codec: SwCodec, c: GfVector, y, seed) -> GfVector:
     return _decode(codec, c, y, STOCHASTIC, seed)
 
 
-def _product_law(letters: np.ndarray, words: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """out[j, i] = prod_k letters[words[i, k], y[j, k]] for a single-letter table."""
-    out = letters[words[None, :, 0], y[:, :1]]
-    for k in range(1, words.shape[1]):
-        out = out * letters[words[None, :, k], y[:, k:k + 1]]
-    return out
-
-
-def _exact_error(codec: SwCodec) -> ErrorEstimate:
+def _exact_error(codec: SwCodec) -> float:
     """Sum over (y, coset) of the coset's probability mass the decoder loses.
 
     With p = mu(x, y) over the members of one syndrome coset, MAP decoding
@@ -210,7 +198,7 @@ def _exact_error(codec: SwCodec) -> ErrorEstimate:
     err = 0.0
     for s in chunks(ys ** n, len(words)):
         y = word_table(ys, n, s.start, s.stop)
-        pxy = _product_law(codec.source.joint, words, y)
+        pxy = product_law(codec.source.joint.T[y], words)
         total = np.add.reduceat(pxy, starts, axis=1)
         if codec.decoder == MAP_EXACT:
             kept = np.maximum.reduceat(pxy, starts, axis=1)
@@ -218,11 +206,11 @@ def _exact_error(codec: SwCodec) -> ErrorEstimate:
             kept = np.divide(np.add.reduceat(pxy * pxy, starts, axis=1), total,
                              out=np.zeros_like(total), where=total > 0.0)
         err += float((total - kept).sum())
-    return ErrorEstimate(value=min(max(err, 0.0), 1.0), mode="exact")
+    return err
 
 
-def _mc_error(codec: SwCodec, trials: int, seed) -> ErrorEstimate:
-    """Every trial from one generator, in the order the module docstring states."""
+def _mc_error(codec: SwCodec, trials: int, seed) -> int:
+    """Failure count, every trial from one generator, in the order the module docstring states."""
     rng = make_rng(seed)
     flat = inverse_cdf(codec.source.joint.reshape(1, -1), rng.random((trials, codec.n)))
     x, y = np.divmod(flat, codec.source.y_size)
@@ -237,18 +225,19 @@ def _mc_error(codec: SwCodec, trials: int, seed) -> ErrorEstimate:
         (pick,), _ = _decide(codec.decoder, cond, members, y[t:t + 1],
                              None if u is None else u[t:t + 1])
         failures += int(pick != 0)
-    return ErrorEstimate(value=failures / trials, mode="monte-carlo",
-                         trials=trials, std_err=wilson_std_err(failures, trials))
+    return failures
 
 
 def _estimate(codec, mode: str, trials: int, seed, exact, mc) -> ErrorEstimate:
-    """``exact(codec)`` or ``mc(codec, trials, seed)``, by ``mode``."""
+    """Exact error sum ``exact(codec)``, clamped, or failure count ``mc(codec, trials, seed)``."""
     if mode == "exact":
-        return exact(codec)
+        return ErrorEstimate(value=min(max(exact(codec), 0.0), 1.0), mode="exact")
     if mode == "mc":
         if trials < 1:
             raise ValueError("trials must be positive")
-        return mc(codec, trials, seed)
+        failures = mc(codec, trials, seed)
+        return ErrorEstimate(value=failures / trials, mode="monte-carlo",
+                             trials=trials, std_err=wilson_std_err(failures, trials))
     raise ValueError(f"unknown error mode {mode!r}")
 
 

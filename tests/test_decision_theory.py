@@ -74,6 +74,19 @@ def test_rule_validation():
         dt.rule_error(prob, dt.DecisionRule(kind=dt.DETERMINISTIC, f=np.array([0])))
 
 
+@pytest.mark.parametrize("f, at_build", [([-1, -2], True), ([0.7, 1.9], True), ([2, 0], False)])
+def test_decision_map_must_be_state_indices(f, at_build):
+    # each used to be scored or stored as another map, or to end in an IndexError
+    prob = dt.DecisionProblem(np.full((2, 2), 0.25))
+    if at_build:
+        with pytest.raises(ValueError, match="decision map f"):
+            dt.DecisionRule(kind=dt.DETERMINISTIC, f=f)
+    else:  # only |U| rules it out, so scoring raises
+        rule = dt.DecisionRule(kind=dt.DETERMINISTIC, f=f)
+        with pytest.raises(ValueError, match="decision map f"):
+            dt.rule_error(prob, rule)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         dt.DecisionProblem(np.array([[0.5, 0.6]]))

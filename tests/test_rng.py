@@ -8,7 +8,7 @@ from cosetlab import crng_sampler as crng
 from cosetlab import decision_theory as dt
 from cosetlab import rng
 from cosetlab import sources_channels as sc
-from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap
+from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, word_table
 
 
 def test_default_rng_is_called_only_in_the_seed_module():
@@ -40,6 +40,47 @@ def test_mass_tolerance_is_defined_only_in_the_seed_module():
                       for target in node.targets
                       if isinstance(target, ast.Name) and "MASS_TOL" in target.id)
     assert definers == ["rng.py", "rng.py"]
+
+
+def test_product_law_is_the_one_word_weight_rule():
+    # every word's weight under per-position letter laws is rng.product_law,
+    # so a second gather-and-reduce cannot come back unnoticed
+    src = pathlib.Path(rng.__file__).resolve().parent
+    nodes = [(p.name, node) for p in src.glob("*.py")
+             for node in ast.walk(ast.parse(p.read_text()))]
+    assert [name for name, node in nodes if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "prod"] == []
+    assert [name for name, node in nodes if isinstance(node, ast.FunctionDef)
+            and "product_law" in node.name] == ["rng.py"]
+
+
+def _fold_per_word(letters, words, op):
+    """The product law as a per-word Python loop over float64 letters."""
+    out = np.empty(letters.shape[:-2] + (len(words),))
+    for batch in np.ndindex(*letters.shape[:-2]):
+        for i, word in enumerate(words.tolist()):
+            acc = float(letters[batch + (0, word[0])])
+            for k, a in enumerate(word[1:], start=1):
+                letter = float(letters[batch + (k, a)])
+                acc = acc * letter if op is np.multiply else acc + letter
+            out[batch + (i,)] = acc
+    return out
+
+
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+@pytest.mark.parametrize("q, n, batch", [(2, 5, ()), (3, 3, ()), (2, 4, (3,)), (3, 1, (2,))])
+def test_product_law_matches_a_per_word_fold(q, n, batch, op):
+    gen = np.random.default_rng(q * 100 + n)
+    letters = gen.random(batch + (n, q))
+    letters[..., -1, 0] = 0.0  # a zero letter, or a -inf log-letter under np.add
+    if op is np.add:
+        with np.errstate(divide="ignore"):
+            letters = np.log2(letters)
+    words = word_table(q, n)
+    got = rng.product_law(letters, words, op)
+    assert got.shape == batch + (q ** n,)
+    assert np.array_equal(got, _fold_per_word(letters, words, op))
+    assert (got == (0.0 if op is np.multiply else -np.inf)).any()
 
 
 _PARITY = LinearMap(FieldSpec(2), ((1, 1, 0), (0, 1, 1)))

@@ -120,3 +120,4 @@ def test_joint_from_channel():
     src = sc.joint_from_channel(np.array([0.5, 0.5]), sc.make_bsc(0.11))
     dsbs = sc.make_dsbs(0.11)
     assert np.abs(src.joint - dsbs.joint).max() < 1e-15
+    assert (src.kind, src.param) == ("induced", 0.11)
