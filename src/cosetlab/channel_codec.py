@@ -27,6 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
+from .ensembles import sample_map
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (GfVector, LinearMap, _row_reduce, chunks, concat_vectors, coset_array,
                         matvec, segments, span_array, stack_maps, word_table)
@@ -279,8 +280,6 @@ def search_code(sw: SwCodec, ensemble_b, channel: Channel, candidates: int,
     the input law and the channel).  Candidate evaluations depend only on
     (seed, candidate index), so each can be reproduced in isolation.
     """
-    from .ensembles import sample_map
-
     if candidates < 1:
         raise ValueError("need at least one candidate")
     baseline = sw_error_probability(sw, mode="mc", trials=trials,

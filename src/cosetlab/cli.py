@@ -1,7 +1,8 @@
 """Reproducible experiment driver.
 
 Configs are flat ``key = value`` text files ('#' starts a comment); the
-documented keys per experiment are listed in the README.  Identical
+keys each experiment takes are listed in the README, and a key that is
+unknown to the experiment or set twice is a validation error.  Identical
 config and seed produce byte-identical CSV result rows; the only
 non-deterministic output line is the timestamp comment at the top of the
 file.  Every row carries the seed and parameters needed to reproduce it
@@ -18,7 +19,7 @@ import csv
 import datetime
 import math
 import sys
-from typing import List, Optional
+from typing import FrozenSet, List, Optional
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .rng import derived_seed, make_rng
 from .sources_channels import (Channel, JointSource, info_measures, joint_from_channel,
                                make_bsc, make_dsbs, make_quantized_awgn, make_zchannel)
 
-EXPERIMENTS = ("capacity", "hash-verify", "sw", "channel", "decision", "crng-test")
 DECODERS = (sw_codec.MAP_EXACT, sw_codec.STOCHASTIC)
 
 
@@ -47,86 +47,60 @@ def parse_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ConfigError(key, f"set a second time on line {lineno}, to {value!r}")
+            cfg[key] = value
     return cfg
 
 
-def _req(cfg: dict, key: str) -> str:
+_REQUIRED = object()
+
+
+def _get(cfg: dict, key: str, conv, default=_REQUIRED):
+    """``conv(cfg[key])``, or ``default`` when the key is absent.
+
+    Without a default the key is required.  A ValueError from ``conv`` is
+    reported as a bad value of ``key``, with the raw text.
+    """
     if key not in cfg:
-        raise ConfigError(key, "required key is missing")
-    return cfg[key]
-
-
-def _get_int(cfg: dict, key: str, default: Optional[int] = None) -> int:
-    raw = cfg.get(key)
-    if raw is None:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(key, "required key is missing")
         return default
+    raw = cfg[key]
     try:
-        return int(raw)
+        return conv(raw)
     except ValueError as exc:
-        raise ConfigError(key, f"not an integer: {raw!r}") from exc
+        raise ConfigError(key, f"bad value {raw!r}: {exc}") from exc
 
 
-def _get_count(cfg: dict, key: str, default: Optional[int] = None) -> int:
-    """A positive integer; below 1, what it feeds raises an unnamed ValueError or runs nothing."""
-    value = _get_int(cfg, key, default)
-    if value < 1:
-        raise ConfigError(key, f"must be at least 1, got {value}")
-    return value
+def _checked(conv, ok, rule: str):
+    """``conv``, then a ValueError stating ``rule`` unless ``ok(value)``."""
+    def check(raw: str):
+        value = conv(raw)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+    return check
 
 
-def _get_float(cfg: dict, key: str, default: Optional[float] = None) -> float:
-    raw = cfg.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(key, "required key is missing")
-        return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(key, f"not a number: {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(key, f"must be a finite number, got {raw!r}")
-    return value
-
-
-def _get_list(cfg: dict, key: str, conv=float) -> list:
-    raw = _req(cfg, key)
-    try:
+def _list_of(conv):
+    """A comma-separated list of at least one ``conv`` entry."""
+    def parse(raw: str) -> list:
         values = [conv(tok.strip()) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(key, f"not a comma-separated list: {raw!r}") from exc
-    if not values:
-        raise ConfigError(key, f"lists no values: {raw!r}")
-    if conv is float and not all(map(math.isfinite, values)):
-        raise ConfigError(key, f"entries must be finite numbers, got {raw!r}")
-    return values
+        if not values:
+            raise ValueError("lists no values")
+        return values
+    return parse
 
 
-def _get_rates(cfg: dict) -> List[float]:
-    rates = _get_list(cfg, "rates")
-    if not all(r >= 0 for r in rates):
-        raise ConfigError("rates", f"entries must be non-negative, got {rates}")
-    return rates
+def _one_of(*choices: str):
+    return _checked(str, lambda raw: raw in choices, f"must be one of {sorted(choices)}")
 
 
-def _get_ns(cfg: dict) -> List[int]:
-    ns = _get_list(cfg, "ns", conv=int)
-    if not all(n >= 1 for n in ns):
-        raise ConfigError("ns", f"block lengths must be at least 1, got {ns}")
-    return ns
-
-
-def _get_choice(cfg: dict, key: str, choices, default: Optional[str] = None) -> str:
-    raw = cfg.get(key, default)
-    if raw is None:
-        raise ConfigError(key, "required key is missing")
-    if raw not in choices:
-        raise ConfigError(key, f"must be one of {sorted(choices)}, got {raw!r}")
-    return raw
+_finite = _checked(float, math.isfinite, "must be a finite number")
+_count = _checked(int, lambda v: v >= 1, "must be at least 1")
+_rates = _list_of(_checked(_finite, lambda r: r >= 0, "entries must be non-negative"))
 
 
 def _named(key: str, build, *args, **kwargs):
@@ -138,33 +112,33 @@ def _named(key: str, build, *args, **kwargs):
 
 
 def _make_channel(cfg: dict) -> Channel:
-    kind = _get_choice(cfg, "channel", {"bsc", "zchannel", "quantized-awgn"})
-    if kind == "bsc":
-        return _named("p", make_bsc, _get_float(cfg, "p"))
-    if kind == "zchannel":
-        return _named("p", make_zchannel, _get_float(cfg, "p"))
-    snr, levels = _get_float(cfg, "snr"), _get_int(cfg, "levels")
+    kind = _get(cfg, "channel", _one_of("bsc", "zchannel", "quantized-awgn"))
+    if kind != "quantized-awgn":
+        build = make_bsc if kind == "bsc" else make_zchannel
+        return _named("p", build, _get(cfg, "p", _finite))
+    snr, levels = _get(cfg, "snr", _finite), _get(cfg, "levels", int)
     # make_quantized_awgn checks the level count before the snr
     return _named("levels" if levels < 2 else "snr", make_quantized_awgn, snr, levels)
 
 
 def _make_source(cfg: dict) -> JointSource:
-    return _named("p", make_dsbs, _get_float(cfg, "p"))
+    _get(cfg, "source", _one_of("dsbs"), "dsbs")  # the one joint source a config can name
+    return _named("p", make_dsbs, _get(cfg, "p", _finite))
 
 
 def _make_ensemble(cfg: dict, field: FieldSpec, l: int, n: int) -> ensembles.EnsembleSpec:
-    kind = _get_choice(cfg, "ensemble",
-                       {"uniform-linear", "systematic-sparse", "expurgated-uniform"},
-                       default="uniform-linear")
+    kind = _get(cfg, "ensemble",
+                _one_of("uniform-linear", "systematic-sparse", "expurgated-uniform"),
+                "uniform-linear")
     if kind == "systematic-sparse":
-        row_weight = _get_int(cfg, "row_weight")
+        row_weight = _get(cfg, "row_weight", int)
         # the spec checks its shape before its row weight
         return _named("l" if not 1 <= l < n else "row_weight",
                       ensembles.sparse_ensemble, field, l, n, row_weight)
     uniform = _named("l", ensembles.uniform_ensemble, field, l, n)
     if kind == "uniform-linear":
         return uniform
-    return _named("gamma", ensembles.expurgate, uniform, _get_float(cfg, "gamma"))
+    return _named("gamma", ensembles.expurgate, uniform, _get(cfg, "gamma", _finite))
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +158,17 @@ def validate(experiment: str, cfg: dict) -> List[str]:
     if experiment == "sw":
         source = _make_source(cfg)
         measures = info_measures(source)
-        ns = _get_ns(cfg)
-        for r in _get_rates(cfg):
+        ns = _get(cfg, "ns", _list_of(_count))
+        for r in _get(cfg, "rates", _rates):
             for n in ns:
                 warnings += measures.converse_warnings(_realized_rate(n, r, source.x_size))
     elif experiment == "channel":
         channel = _make_channel(cfg)
-        q, n = channel.input_size, _get_count(cfg, "n")
+        q, n = channel.input_size, _get(cfg, "n", _count)
         measures = info_measures(joint_from_channel(np.full(q, 1.0 / q), channel))
-        r = _realized_rate(n, _get_float(cfg, "r"), q)
+        r = _realized_rate(n, _get(cfg, "r", _finite), q)
         warnings += measures.converse_warnings(r)
-        warnings += measures.rate_sum_warnings(r, _realized_rate(n, _get_float(cfg, "R"), q))
+        warnings += measures.rate_sum_warnings(r, _realized_rate(n, _get(cfg, "R", _finite), q))
     return list(dict.fromkeys(warnings))
 
 
@@ -204,13 +178,11 @@ def validate(experiment: str, cfg: dict) -> List[str]:
 
 def _run_capacity(cfg: dict, seed: int) -> List[dict]:
     channel = _make_channel(cfg)
-    tol = _get_float(cfg, "tol", 1e-9)
-    if not tol > 0:
-        raise ConfigError("tol", f"must be positive, got {tol!r}")
+    tol = _get(cfg, "tol", _checked(_finite, lambda t: t > 0, "must be positive"), 1e-9)
     if "q_values" in cfg:
-        q_values = _get_list(cfg, "q_values", conv=int)
-        if not all(1 <= qv <= channel.input_size for qv in q_values):
-            raise ConfigError("q_values", f"bounds must lie in [1, {channel.input_size}]")
+        bound = channel.input_size
+        q_values = _get(cfg, "q_values", _list_of(_checked(
+            int, lambda qv: 1 <= qv <= bound, f"bounds must lie in [1, {bound}]")))
         sweep = cap_mod.signaling_sweep(channel, q_values, tol=tol)
         labelled = [(f"|S|<={qv}:", res) for qv, res in zip(q_values, sweep)]
     else:
@@ -222,17 +194,17 @@ def _run_capacity(cfg: dict, seed: int) -> List[dict]:
 
 
 def _run_hash_verify(cfg: dict, seed: int) -> List[dict]:
-    field = _named("q", FieldSpec, _get_int(cfg, "q", 2))
-    l, n = _get_int(cfg, "l"), _get_count(cfg, "n")
-    gamma = _get_float(cfg, "gamma", 0.0)
-    if not 0.0 <= gamma < 1.0:  # every params path; 'certified' only labels its row with it
-        raise ConfigError("gamma", f"must lie in [0, 1), got {gamma}")
-    pairs = _get_count(cfg, "pairs", 20)
+    field = _named("q", FieldSpec, _get(cfg, "q", int, 2))
+    l, n = _get(cfg, "l", int), _get(cfg, "n", _count)
+    # every params path checks gamma; 'certified' only labels its row with it
+    gamma = _get(cfg, "gamma", _checked(_finite, lambda g: 0.0 <= g < 1.0, "must lie in [0, 1)"),
+                 0.0)
+    pairs = _get(cfg, "pairs", _count, 20)
     spec = _make_ensemble(cfg, field, l, n)
     # the type-spectrum pair assumes type-invariant collision probabilities;
     # 'certified' computes the direct pairwise-collision pair instead, which
     # is the valid choice for the systematic-sparse kind
-    source = _get_choice(cfg, "params", {"spectrum", "certified"}, default="spectrum")
+    source = _get(cfg, "params", _one_of("spectrum", "certified"), "spectrum")
     if source == "certified":
         params = ensembles.certified_collision_params(spec)
     elif spec.kind == ensembles.EXPURGATED:
@@ -250,39 +222,39 @@ def _run_hash_verify(cfg: dict, seed: int) -> List[dict]:
 def _run_sw(cfg: dict, seed: int) -> List[dict]:
     return sw_codec.rate_sweep(
         _make_source(cfg),
-        rates=_get_rates(cfg),
-        ns=_get_ns(cfg),
-        trials=_get_count(cfg, "trials", 10000),
+        rates=_get(cfg, "rates", _rates),
+        ns=_get(cfg, "ns", _list_of(_count)),
+        trials=_get(cfg, "trials", _count, 10000),
         seed=seed,
-        decoder=_get_choice(cfg, "decoder", DECODERS, default=sw_codec.MAP_EXACT),
-        matrices_per_point=_get_count(cfg, "matrices", 1))
+        decoder=_get(cfg, "decoder", _one_of(*DECODERS), sw_codec.MAP_EXACT),
+        matrices_per_point=_get(cfg, "matrices", _count, 1))
 
 
 def _run_channel(cfg: dict, seed: int) -> List[dict]:
     channel = _make_channel(cfg)
-    n = _get_count(cfg, "n")
+    n = _get(cfg, "n", _count)
     field = _named("levels", FieldSpec, channel.input_size)
-    l_a = sw_codec.rows_for_rate(n, _get_float(cfg, "r"), field.q)
-    l_b = sw_codec.rows_for_rate(n, _get_float(cfg, "R"), field.q)
+    l_a = sw_codec.rows_for_rate(n, _get(cfg, "r", _finite), field.q)
+    l_b = sw_codec.rows_for_rate(n, _get(cfg, "R", _finite), field.q)
     if l_a == 0 or l_b == 0:
         raise ConfigError("r" if l_a == 0 else "R", "target rate rounds to an empty map")
     px = np.full(field.q, 1.0 / field.q)
     source = joint_from_channel(px, channel)
     a = ensembles.sample_map(ensembles.uniform_ensemble(field, l_a, n), derived_seed(seed, 99))
-    decoder = _get_choice(cfg, "decoder", DECODERS, default=sw_codec.MAP_EXACT)
+    decoder = _get(cfg, "decoder", _one_of(*DECODERS), sw_codec.MAP_EXACT)
     sw = sw_codec.SwCodec(a, source, decoder=decoder)
     result = channel_codec.search_code(
         sw, ensembles.uniform_ensemble(field, l_b, n), channel,
-        candidates=_get_count(cfg, "candidates", 8),
-        trials=_get_count(cfg, "trials", 2000),
+        candidates=_get(cfg, "candidates", _count, 8),
+        trials=_get(cfg, "trials", _count, 2000),
         seed=seed)
     return result.rows()
 
 
 def _run_decision(cfg: dict, seed: int) -> List[dict]:
-    count = _get_count(cfg, "problems", 1000)
-    max_u = _get_count(cfg, "max_u", 4)
-    max_v = _get_count(cfg, "max_v", 4)
+    count = _get(cfg, "problems", _count, 1000)
+    max_u = _get(cfg, "max_u", _count, 4)
+    max_v = _get(cfg, "max_v", _count, 4)
     rows = []
     for prob in decision_theory.random_problems(count, seed, max_u, max_v):
         rep = decision_theory.verify_factor2(prob)
@@ -293,13 +265,12 @@ def _run_decision(cfg: dict, seed: int) -> List[dict]:
 
 
 def _run_crng_test(cfg: dict, seed: int) -> List[dict]:
-    field = _named("q", FieldSpec, _get_int(cfg, "q", 2))
-    n, l = _get_count(cfg, "n"), _get_int(cfg, "l")
-    p1 = _get_float(cfg, "bernoulli", 0.5)
-    if field.q != 2:
-        raise ConfigError("q", f"bernoulli weights are binary only, got q = {field.q}")
-    if not 0.0 < p1 < 1.0:  # a degenerate law can leave the coset of a uniform x massless
-        raise ConfigError("bernoulli", f"must lie in (0, 1), got {p1}")
+    binary = _checked(int, lambda q: q == 2, "bernoulli weights are binary only")
+    field = FieldSpec(_get(cfg, "q", binary, 2))
+    n, l = _get(cfg, "n", _count), _get(cfg, "l", int)
+    # a degenerate law can leave the coset of a uniform x massless
+    p1 = _get(cfg, "bernoulli", _checked(_finite, lambda p: 0.0 < p < 1.0, "must lie in (0, 1)"),
+              0.5)
     weights = np.array([1.0 - p1, p1])
     a = ensembles.sample_map(_named("l", ensembles.uniform_ensemble, field, l, n),
                              derived_seed(seed, 7))
@@ -308,8 +279,8 @@ def _run_crng_test(cfg: dict, seed: int) -> List[dict]:
     c = matvec(a, x)
     constraints = crng_sampler.ConstraintSet(((a, c),))
     rows = []
-    for mode, draws, path in ((crng_sampler.EXACT, _get_count(cfg, "draws", 100000), 9),
-                              (crng_sampler.MCMC, _get_count(cfg, "mcmc_draws", 10000), 10)):
+    for mode, draws, path in ((crng_sampler.EXACT, _get(cfg, "draws", _count, 100000), 9),
+                              (crng_sampler.MCMC, _get(cfg, "mcmc_draws", _count, 10000), 10)):
         dist = crng_sampler.ConstrainedDistribution(weights, constraints, mode=mode)
         rows.append({"mode": mode, "q": field.q, "n": n, "l": l,
                      "coset_size": constraints.coset_size, "draws": draws,
@@ -318,27 +289,41 @@ def _run_crng_test(cfg: dict, seed: int) -> List[dict]:
     return rows
 
 
-_RUNNERS = {
-    "capacity": _run_capacity,
-    "hash-verify": _run_hash_verify,
-    "sw": _run_sw,
-    "channel": _run_channel,
-    "decision": _run_decision,
-    "crng-test": _run_crng_test,
+def _keys(*keys: str) -> FrozenSet[str]:
+    return frozenset(keys + ("seed",))
+
+
+_CHANNEL_KEYS = ("channel", "p", "snr", "levels")
+
+# each experiment's runner and every config key that it or validate reads
+TABLE = {
+    "capacity": (_run_capacity, _keys(*_CHANNEL_KEYS, "tol", "q_values")),
+    "hash-verify": (_run_hash_verify, _keys("ensemble", "q", "l", "n", "gamma", "row_weight",
+                                            "params", "pairs")),
+    "sw": (_run_sw, _keys("source", "p", "rates", "ns", "trials", "decoder", "matrices")),
+    "channel": (_run_channel, _keys(*_CHANNEL_KEYS, "n", "r", "R", "candidates", "trials",
+                                    "decoder")),
+    "decision": (_run_decision, _keys("problems", "max_u", "max_v")),
+    "crng-test": (_run_crng_test, _keys("q", "n", "l", "bernoulli", "draws", "mcmc_draws")),
 }
+EXPERIMENTS = tuple(TABLE)
 
 
 def run(experiment: str, cfg: dict, seed: Optional[int] = None,
         out: Optional[str] = None) -> str:
     """Execute one experiment and write its CSV; returns the output path."""
-    if experiment not in _RUNNERS:
+    if experiment not in TABLE:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
-    master = seed if seed is not None else _get_int(cfg, "seed", 0)
+    runner, keys = TABLE[experiment]
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(key, f"not a {experiment} key; it takes {sorted(keys)}")
+    master = seed if seed is not None else _get(cfg, "seed", int, 0)
     if master < 0:
         raise ConfigError("seed", f"must be non-negative, got {master}")
     for warning in validate(experiment, cfg):
         print(f"warning: {warning}", file=sys.stderr)
-    rows = _RUNNERS[experiment](cfg, master)
+    rows = runner(cfg, master)
     path = out or f"{experiment}.csv"
     # every runner checks its counts, so there is a first row, and its keys
     # are the header

@@ -143,19 +143,19 @@ def kernel_min_weight(a: LinearMap) -> float:
     return float(nz.min()) if nz.size else math.inf
 
 
-def _sample_sparse_block(rng, q, rows, cols_random, row_weight):
-    """Random block built from row_weight (column, non-zero value) picks per row.
+def _systematic(q: int, l: int, n: int, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``[I | 0]`` plus value ``vals[b, r, k]`` at block column ``cols[b, r, k]`` of row r.
 
-    Picks may repeat a column, so accumulated values can cancel: each row
-    carries at most row_weight non-zeros.
+    ``cols`` and ``vals`` are (count, l, row_weight) picks; a column may be
+    picked twice, so accumulated values can cancel and each row carries at
+    most row_weight non-zeros in its block.  Returns (count, l, n) residues.
     """
-    block = np.zeros((rows, cols_random), dtype=np.int64)
-    cols = rng.integers(0, cols_random, size=(rows, row_weight))
-    vals = rng.integers(1, q, size=(rows, row_weight))
-    for r in range(rows):
-        for c, v in zip(cols[r], vals[r]):
-            block[r, c] = (block[r, c] + v) % q
-    return block
+    count = cols.shape[0]
+    arrays = np.zeros((count, l, n), dtype=np.int64)
+    arrays[:, :, :l] = np.eye(l, dtype=np.int64)
+    np.add.at(arrays, (np.arange(count)[:, None, None], np.arange(l)[:, None], l + cols), vals)
+    arrays %= q
+    return arrays
 
 
 def sample_map(spec: EnsembleSpec, seed) -> LinearMap:
@@ -165,9 +165,11 @@ def sample_map(spec: EnsembleSpec, seed) -> LinearMap:
     if spec.kind == UNIFORM:
         return LinearMap.from_array(spec.field, rng.integers(0, q, size=(spec.rows, spec.cols)))
     if spec.kind == SYSTEMATIC_SPARSE:
-        ident = np.eye(spec.rows, dtype=np.int64)
-        block = _sample_sparse_block(rng, q, spec.rows, spec.cols - spec.rows, spec.row_weight)
-        return LinearMap.from_array(spec.field, np.hstack([ident, block]))
+        shape = (1, spec.rows, spec.row_weight)
+        cols = rng.integers(0, spec.cols - spec.rows, size=shape)
+        vals = rng.integers(1, q, size=shape)
+        arr = _systematic(q, spec.rows, spec.cols, cols, vals)[0]
+        return LinearMap.from_array(spec.field, arr)
     # expurgated: reject until the kernel clears the weight threshold
     threshold = spec.gamma * spec.cols
     for _ in range(_MAX_REJECTIONS):
@@ -224,16 +226,8 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
         if count > ENSEMBLE_ENUMERATION_CAP:
             raise CapExceededError(f"sparse ensemble enumeration needs {count} pick sequences, "
                                    f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
-        digits = word_table(base, picks)
-        arrays = np.zeros((count, l, n), dtype=np.int64)
-        arrays[:, :, :l] = np.eye(l, dtype=np.int64)[None, :, :]
-        rows_of_pick = np.repeat(np.arange(l), spec.row_weight)
-        ar = np.arange(count)
-        for p in range(picks):
-            col = l + digits[:, p] // (q - 1)
-            val = 1 + digits[:, p] % (q - 1)
-            r = rows_of_pick[p]
-            arrays[ar, r, col] = (arrays[ar, r, col] + val) % q
+        digits = word_table(base, picks).reshape(count, l, spec.row_weight)
+        arrays = _systematic(q, l, n, digits // (q - 1), 1 + digits % (q - 1))
         probs = np.full(count, 1.0 / count)
         return EnumeratedEnsemble(spec, arrays, probs)
     # expurgated: keep the members that map no light non-zero word to 0,

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .ensembles import sample_map, uniform_ensemble
 from .errors import CapExceededError, DecodeFailure
 from .gf_linalg import FieldSpec, GfVector, LinearMap, chunks, matvec, segments, word_table
 from .rng import derived_seed, inverse_cdf, make_rng, product_law
@@ -275,8 +276,6 @@ def rate_sweep(source: JointSource, rates, ns, trials: int, seed: int,
     conditional entropy of the source should show decaying error in n,
     rates below should not.
     """
-    from .ensembles import sample_map, uniform_ensemble  # local import: no cycle at module load
-
     field = FieldSpec(source.x_size)
     rows = []
     for ri, r in enumerate(rates):

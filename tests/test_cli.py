@@ -1,3 +1,7 @@
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -290,6 +294,11 @@ TINY_CONFIGS = {
     ("capacity", "channel = quantized-awgn\nsnr = nan\nlevels = 8\n", "snr"),
     ("capacity", "channel = quantized-awgn\nsnr = inf\nlevels = 8\n", "snr"),
     ("crng-test", TINY_CONFIGS["crng-test"].replace("q = 2", "q = 3"), "q"),
+    ("sw", TINY_CONFIGS["sw"].replace("trials = 50", "trails = 50"), "trails"),
+    ("sw", TINY_CONFIGS["sw"] + "source = zchannel\n", "source"),
+    ("channel", TINY_CONFIGS["channel"] + "decodr = stochastic\n", "decodr"),
+    ("decision", TINY_CONFIGS["decision"] + "snr = 4\n", "snr"),
+    ("capacity", TINY_CONFIGS["capacity"] + "p = 0.2\n", "p"),
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
@@ -303,7 +312,9 @@ TINY_CONFIGS = {
         "channel-levels-composite", "channel-n-negative", "channel-n-zero", "hash-n-zero",
         "hash-n-negative", "crng-n-zero", "crng-n-negative", "seed-negative",
         "certified-gamma-negative", "certified-gamma-seven", "rates-nan", "rates-negative",
-        "channel-r-nan", "channel-snr-nan", "snr-nan", "snr-inf", "crng-q-three"])
+        "channel-r-nan", "channel-snr-nan", "snr-nan", "snr-inf", "crng-q-three",
+        "sw-unknown-trails", "sw-source-zchannel", "channel-unknown-decodr",
+        "decision-unknown-snr", "repeated-p"])
 def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
     cfg = write_cfg(tmp_path, "c.cfg", body)
     assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
@@ -346,3 +357,35 @@ def test_cells_are_plain_numbers(tmp_path, experiment):
     cli.run(experiment, cfg, out=str(out))
     cells = [cell for row in cli.result_rows(str(out)) for cell in row.split(",")]
     assert not [cell for cell in cells if cell.startswith("np.")]
+
+
+def test_only_get_reads_a_config_value():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    reads = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_get":
+            continue
+        for node in ast.walk(func):
+            subscript = (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                         and isinstance(node.value, ast.Name) and node.value.id == "cfg")
+            get_call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "cfg")
+            if subscript or get_call:
+                reads.append(f"{func.name}:{node.lineno}")
+    assert reads == []
+    assert cli.EXPERIMENTS == tuple(cli.TABLE)
+    # every key that _get reads belongs to some experiment, and every listed
+    # key is read somewhere (seed by run)
+    read = {node.args[1].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "_get"}
+    assert read == set().union(*(keys for _, keys in cli.TABLE.values()))
+
+
+def test_readme_lists_each_experiments_keys():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^`([a-z-]+)` —.*?```ini\n(.*?)```", readme, re.S | re.M)
+    assert [name for name, _ in blocks] == list(cli.EXPERIMENTS)
+    for name, body in blocks:
+        keys = set(re.findall(r"^#?\s*(\w+)\s*=", body, re.M))
+        assert keys == cli.TABLE[name][1], name
