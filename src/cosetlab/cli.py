@@ -111,8 +111,22 @@ def _named(key: str, build, *args, **kwargs):
         raise ConfigError(key, str(exc)) from exc
 
 
+# the keys that only some channels or ensemble kinds read, by variant
+_CHANNELS = {"bsc": ("p",), "zchannel": ("p",), "quantized-awgn": ("snr", "levels")}
+_ENSEMBLES = {"uniform-linear": (), "systematic-sparse": ("row_weight",),
+              "expurgated-uniform": ()}
+
+
+def _refuse_unread(cfg: dict, selector: str, kind: str, variants: dict) -> None:
+    """A ConfigError naming a key that only variants other than ``kind`` read."""
+    for key in sorted(set().union(*variants.values()) - set(variants[kind])):
+        if key in cfg:
+            raise ConfigError(key, f"not read when {selector} = {kind}")
+
+
 def _make_channel(cfg: dict) -> Channel:
-    kind = _get(cfg, "channel", _one_of("bsc", "zchannel", "quantized-awgn"))
+    kind = _get(cfg, "channel", _one_of(*_CHANNELS))
+    _refuse_unread(cfg, "channel", kind, _CHANNELS)
     if kind != "quantized-awgn":
         build = make_bsc if kind == "bsc" else make_zchannel
         return _named("p", build, _get(cfg, "p", _finite))
@@ -127,9 +141,8 @@ def _make_source(cfg: dict) -> JointSource:
 
 
 def _make_ensemble(cfg: dict, field: FieldSpec, l: int, n: int) -> ensembles.EnsembleSpec:
-    kind = _get(cfg, "ensemble",
-                _one_of("uniform-linear", "systematic-sparse", "expurgated-uniform"),
-                "uniform-linear")
+    kind = _get(cfg, "ensemble", _one_of(*_ENSEMBLES), "uniform-linear")
+    _refuse_unread(cfg, "ensemble", kind, _ENSEMBLES)
     if kind == "systematic-sparse":
         row_weight = _get(cfg, "row_weight", int)
         # the spec checks its shape before its row weight

@@ -37,7 +37,12 @@ expurgation keeps a member iff no light non-zero word maps to 0, the
 types and their class sizes are the word table grouped by symbol counts,
 the type spectrum is z summed over each group, the direct collision pair
 takes the maximum of z over d != 0, and the per-word collision check of
-the certifier is one mass over z that every word shares.
+the certifier is one mass over z that every word shares.  The partition
+bound takes, per block of members and per reached image m, one product
+of the indicator [A_b x = m] with the (Q, T) weights of every pair.
+
+A run builds that table once: the params step leaves it for the
+certifier, which takes it and drops it, so no table outlives the run.
 
 Exact enumeration is capped at 2^20 ensemble members, and the image-code
 table at 2^24 entries (the uniform closed form too goes through the word
@@ -47,6 +52,7 @@ raised and no sampled estimate exists.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -256,11 +262,14 @@ def members(spec: EnsembleSpec):
 # type spectrum and (alpha, beta)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _ensemble_table(spec: EnsembleSpec):
     """(members, all words, image codes, kernel mass z) of the full ensemble.
 
     codes[b, i] encodes A_b applied to word i, and z[d] = sum_b p_b [A_b d = 0]
     is accumulated a block of members at a time.  Word 0 is the zero word.
+    The last table is kept, read-only, so the params step and the certifier
+    of one run share it; :func:`certify_hash_property` takes and drops it.
     """
     ens = enumerate_ensemble(spec)
     words = _all_words(spec.field.q, spec.cols, ens.count)
@@ -268,6 +277,8 @@ def _ensemble_table(spec: EnsembleSpec):
     z = np.zeros(len(words))
     for s in chunks(ens.count, len(words)):
         z += ens.probs[s] @ (codes[s] == 0)
+    for table in (ens.arrays, ens.probs, words, codes, z):
+        table.flags.writeable = False
     return ens, words, codes, z
 
 
@@ -450,22 +461,21 @@ def random_collision_pairs(field: FieldSpec, n: int, count: int, seed):
 def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarray:
     """lhs[k] = sum_b p_b sum_{m in Im} | Q_k(T_k n C_b(m)) / Q_k(T_k) - 1/|Im| |.
 
-    One bincount per block of members covers every pair: bucket
-    (k, b, m) collects qt[k, i] over the words i that member b maps to m.
+    Per block of members and per reached image m, one product of the
+    indicator [A_b x = m] with the (words, pairs) weights gives the mass
+    Q_k(T_k n C_b(m)) of every member and pair.
     """
     pairs, n_words = qt.shape
-    n_codes = len(im_mask)
+    # a C-contiguous copy: the product with the transposed view is far slower
+    weights = np.ascontiguousarray(qt.T)
     lhs = np.zeros(pairs)
     for s in chunks(len(probs), pairs * n_words):
-        block = codes[s].astype(np.int64)
-        rows = len(block)
-        bucket = (np.arange(pairs)[:, None, None] * rows
-                  + np.arange(rows)[None, :, None]) * n_codes + block[None, :, :]
-        weights = np.broadcast_to(qt[:, None, :], bucket.shape)
-        mass = np.bincount(bucket.ravel(), weights=weights.ravel(),
-                           minlength=pairs * rows * n_codes).reshape(pairs, rows, n_codes)
-        defect = np.abs(mass[:, :, im_mask] / q_total[:, None, None] - 1.0 / im_size)
-        lhs += defect.sum(axis=2) @ probs[s]
+        block = codes[s]
+        defect = np.zeros((len(block), pairs))
+        for m in np.flatnonzero(im_mask):
+            mass = (block == m).astype(np.float64) @ weights
+            defect += np.abs(mass / q_total - 1.0 / im_size)
+        lhs += probs[s] @ defect
     return lhs
 
 
@@ -487,9 +497,11 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
 
         P( (G \\ {u}) meets C(A u) ) <= |G| alpha / |Im| + beta.
 
-    Violations are collected in the report, never raised.
+    Violations are collected in the report, never raised.  The table the
+    params step left is used and dropped, so none outlives the run.
     """
     ens, words, codes, z = _ensemble_table(spec)
+    _ensemble_table.cache_clear()
     q, l = spec.field.q, spec.rows
     probs = ens.probs
     im_size = q ** l

@@ -299,6 +299,11 @@ TINY_CONFIGS = {
     ("channel", TINY_CONFIGS["channel"] + "decodr = stochastic\n", "decodr"),
     ("decision", TINY_CONFIGS["decision"] + "snr = 4\n", "snr"),
     ("capacity", TINY_CONFIGS["capacity"] + "p = 0.2\n", "p"),
+    ("hash-verify", "ensemble = uniform-linear\nq = 2\nl = 2\nn = 4\nrow_weight = 7\n",
+     "row_weight"),
+    ("hash-verify", TINY_CONFIGS["hash-verify"] + "row_weight = 1\n", "row_weight"),
+    ("capacity", "channel = quantized-awgn\nsnr = 4.0\nlevels = 8\np = 0.9\n", "p"),
+    ("channel", TINY_CONFIGS["channel"] + "levels = 5\n", "levels"),
 ], ids=["q-above-alphabet", "q-zero", "tol-zero", "tol-zero-sweep", "p-above-one",
         "snr-negative", "one-level", "channel-p-above-one", "channel-snr-negative",
         "channel-one-level", "dsbs-p-above-one", "ns-zero", "bernoulli-above-one",
@@ -314,7 +319,8 @@ TINY_CONFIGS = {
         "certified-gamma-negative", "certified-gamma-seven", "rates-nan", "rates-negative",
         "channel-r-nan", "channel-snr-nan", "snr-nan", "snr-inf", "crng-q-three",
         "sw-unknown-trails", "sw-source-zchannel", "channel-unknown-decodr",
-        "decision-unknown-snr", "repeated-p"])
+        "decision-unknown-snr", "repeated-p", "uniform-row-weight",
+        "expurgated-row-weight", "awgn-p", "channel-bsc-levels"])
 def test_bad_capacity_values_are_named(tmp_path, capsys, experiment, body, field):
     cfg = write_cfg(tmp_path, "c.cfg", body)
     assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cosetlab import cli, gf_linalg
 from cosetlab import ensembles as ens
 from cosetlab.errors import CapExceededError, ExpurgationError
 from cosetlab.gf_linalg import FieldSpec, LinearMap
@@ -463,3 +464,49 @@ def test_certification_matches_loops(name):
         assert (row.csv_row()["violations"], row.csv_row()["checked"]) == (violations, checked)
         assert [c.lhs for c in row.partition_checks] == pytest.approx(partition, rel=1e-12)
         assert [c.lhs for c in row.collision_set_checks] == pytest.approx(collision, rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"ensemble": "systematic-sparse", "q": "2", "l": "2", "n": "5", "row_weight": "1",
+     "params": "certified", "pairs": "3"},
+    {"ensemble": "expurgated-uniform", "q": "2", "l": "2", "n": "4", "gamma": "0.25",
+     "params": "certified", "pairs": "3"},
+    {"ensemble": "expurgated-uniform", "q": "2", "l": "2", "n": "4", "gamma": "0.25",
+     "pairs": "3"},
+], ids=["sparse-certified", "expurgated-certified", "expurgated-spectrum"])
+def test_hash_verify_builds_one_table_and_holds_none(tmp_path, monkeypatch, cfg):
+    # a table left by an earlier params-only call would be reused
+    ens._ensemble_table.cache_clear()
+    full_tables = []
+    image_codes = ens.image_codes
+
+    def counting(maps, q, words):
+        full_tables.append(len(words) == q ** words.shape[1])
+        return image_codes(maps, q, words)
+
+    monkeypatch.setattr(ens, "image_codes", counting)
+    cli.run("hash-verify", cfg, seed=3, out=str(tmp_path / "hv.csv"))
+    assert full_tables.count(True) == 1
+    assert ens._ensemble_table.cache_info().currsize == 0
+
+
+def test_partition_defects_match_a_per_member_loop(monkeypatch):
+    rng = np.random.default_rng(5)
+    members, n_words, pairs, im_size = 7, 8, 3, 4
+    # image 2 of the four is never reached, and two members fill a block
+    codes = rng.choice(np.array([0, 1, 3], dtype=np.uint8), size=(members, n_words))
+    monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 2 * pairs * n_words)
+    assert len(list(gf_linalg.chunks(members, pairs * n_words))) == 4
+    probs = rng.random(members)
+    probs /= probs.sum()
+    qt = rng.random((pairs, n_words)) * (rng.random((pairs, n_words)) < 0.6)
+    qt[:, 0] += 0.1
+    q_total = qt.sum(axis=1)
+    im_mask = np.bincount(codes.ravel(), minlength=im_size) > 0
+    assert im_mask.tolist() == [True, True, False, True]
+    ref = [sum(p * sum(abs(qt[k, row == m].sum() / q_total[k] - 1 / im_size)
+                       for m in (0, 1, 3))
+               for p, row in zip(probs, codes))
+           for k in range(pairs)]
+    got = ens._partition_defects(codes, probs, qt, q_total, im_mask, im_size)
+    assert got.tolist() == pytest.approx(ref, rel=1e-12)
