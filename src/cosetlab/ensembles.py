@@ -39,10 +39,15 @@ the type spectrum is z summed over each group, the direct collision pair
 takes the maximum of z over d != 0, and the per-word collision check of
 the certifier is one mass over z that every word shares.  The partition
 bound takes, per block of members and per reached image m, one product
-of the indicator [A_b x = m] with the (Q, T) weights of every pair.
+of the indicator [A_b x = m] with the (Q, T) weights of every pair;
+with more reached images than pairs it buckets the weights per pair,
+member and image instead, so its cost never grows with both counts.
 
-A run builds that table once: the params step leaves it for the
-certifier, which takes it and drops it, so no table outlives the run.
+Each exact function builds the table it needs and keeps nothing.  Inside
+a :func:`shared_table` block the last spec's table is kept and reused,
+so a params step and the certifier of one run enumerate the ensemble
+once; the table is dropped before another spec's is built and when the
+block ends.
 
 Exact enumeration is capped at 2^20 ensemble members, and the image-code
 table at 2^24 entries (the uniform closed form too goes through the word
@@ -52,7 +57,7 @@ raised and no sampled estimate exists.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -262,15 +267,32 @@ def members(spec: EnsembleSpec):
 # type spectrum and (alpha, beta)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
+# spec -> its table, while a shared_table block runs
+_shared: Optional[dict] = None
+
+
+@contextlib.contextmanager
+def shared_table():
+    """Within the block, each table built is kept, read-only, and reused
+    until another spec's is needed; leaving the block drops it."""
+    global _shared
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = None
+
+
 def _ensemble_table(spec: EnsembleSpec):
     """(members, all words, image codes, kernel mass z) of the full ensemble.
 
     codes[b, i] encodes A_b applied to word i, and z[d] = sum_b p_b [A_b d = 0]
     is accumulated a block of members at a time.  Word 0 is the zero word.
-    The last table is kept, read-only, so the params step and the certifier
-    of one run share it; :func:`certify_hash_property` takes and drops it.
     """
+    if _shared is not None:
+        if spec in _shared:
+            return _shared[spec]
+        _shared.clear()  # before the build, so two tables never coexist
     ens = enumerate_ensemble(spec)
     words = _all_words(spec.field.q, spec.cols, ens.count)
     codes = image_codes(ens.arrays, spec.field.q, words)
@@ -279,6 +301,8 @@ def _ensemble_table(spec: EnsembleSpec):
         z += ens.probs[s] @ (codes[s] == 0)
     for table in (ens.arrays, ens.probs, words, codes, z):
         table.flags.writeable = False
+    if _shared is not None:
+        _shared[spec] = ens, words, codes, z
     return ens, words, codes, z
 
 
@@ -461,20 +485,36 @@ def random_collision_pairs(field: FieldSpec, n: int, count: int, seed):
 def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarray:
     """lhs[k] = sum_b p_b sum_{m in Im} | Q_k(T_k n C_b(m)) / Q_k(T_k) - 1/|Im| |.
 
-    Per block of members and per reached image m, one product of the
-    indicator [A_b x = m] with the (words, pairs) weights gives the mass
-    Q_k(T_k n C_b(m)) of every member and pair.
+    With no more reached images than pairs, one product per block of
+    members and per reached image m, of the indicator [A_b x = m] with the
+    (words, pairs) weights, gives the mass Q_k(T_k n C_b(m)) of every
+    member and pair.  Otherwise one bincount per block collects qt[k, i]
+    in bucket (k, b, m) over the words i that member b maps to m.  The
+    products cost about as much per image as the buckets per pair, so the
+    loop runs over the fewer of the two.
     """
     pairs, n_words = qt.shape
+    n_codes = len(im_mask)
+    reached = np.flatnonzero(im_mask)
     # a C-contiguous copy: the product with the transposed view is far slower
     weights = np.ascontiguousarray(qt.T)
     lhs = np.zeros(pairs)
     for s in chunks(len(probs), pairs * n_words):
         block = codes[s]
-        defect = np.zeros((len(block), pairs))
-        for m in np.flatnonzero(im_mask):
-            mass = (block == m).astype(np.float64) @ weights
-            defect += np.abs(mass / q_total - 1.0 / im_size)
+        rows = len(block)
+        if len(reached) <= pairs:
+            defect = np.zeros((rows, pairs))
+            for m in reached:
+                mass = (block == m).astype(np.float64) @ weights
+                defect += np.abs(mass / q_total - 1.0 / im_size)
+        else:
+            bucket = (np.arange(pairs)[:, None, None] * rows
+                      + np.arange(rows)[None, :, None]) * n_codes + block[None, :, :]
+            mass = np.bincount(bucket.ravel(),
+                               weights=np.broadcast_to(qt[:, None, :], bucket.shape).ravel(),
+                               minlength=pairs * rows * n_codes).reshape(pairs, rows, n_codes)
+            defect = np.abs(mass[:, :, reached] / q_total[:, None, None]
+                            - 1.0 / im_size).sum(axis=2).T
         lhs += probs[s] @ defect
     return lhs
 
@@ -497,11 +537,9 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
 
         P( (G \\ {u}) meets C(A u) ) <= |G| alpha / |Im| + beta.
 
-    Violations are collected in the report, never raised.  The table the
-    params step left is used and dropped, so none outlives the run.
+    Violations are collected in the report, never raised.
     """
     ens, words, codes, z = _ensemble_table(spec)
-    _ensemble_table.cache_clear()
     q, l = spec.field.q, spec.rows
     probs = ens.probs
     im_size = q ** l

@@ -1,4 +1,5 @@
 import ast
+import functools
 import pathlib
 import re
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from cosetlab import cli
+from cosetlab.gf_linalg import FieldSpec
 
 
 def write_cfg(tmp_path, name, text):
@@ -387,6 +389,28 @@ def test_only_get_reads_a_config_value():
             and isinstance(node.func, ast.Name) and node.func.id == "_get"}
     assert read == set().union(*(keys for _, keys in cli.TABLE.values()))
 
+
+
+@pytest.mark.parametrize("selector, variants, make", [
+    ("channel", cli._CHANNELS, cli._make_channel),
+    ("ensemble", cli._ENSEMBLES, functools.partial(cli._make_ensemble, field=FieldSpec(2),
+                                                   l=2, n=4)),
+], ids=["channel", "ensemble"])
+def test_each_variant_reads_the_keys_its_table_lists(monkeypatch, selector, variants, make):
+    asked = []
+    get = cli._get
+
+    def recording(cfg, key, *rest):
+        asked.append(key)
+        return get(cfg, key, *rest)
+
+    monkeypatch.setattr(cli, "_get", recording)
+    values = {"p": "0.1", "snr": "4.0", "levels": "4", "row_weight": "2"}
+    for kind, keys in variants.items():
+        asked.clear()
+        # gamma is a hash-verify key, which the expurgated kind also reads
+        make({selector: kind, "gamma": "0.25", **{key: values[key] for key in keys}})
+        assert set(asked) - {selector, "gamma"} == set(keys), kind
 
 def test_readme_lists_each_experiments_keys():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()

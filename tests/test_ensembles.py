@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -475,26 +477,55 @@ def test_certification_matches_loops(name):
      "pairs": "3"},
 ], ids=["sparse-certified", "expurgated-certified", "expurgated-spectrum"])
 def test_hash_verify_builds_one_table_and_holds_none(tmp_path, monkeypatch, cfg):
-    # a table left by an earlier params-only call would be reused
-    ens._ensemble_table.cache_clear()
-    full_tables = []
+    tables = _watch_tables(monkeypatch)
+    cli.run("hash-verify", cfg, seed=3, out=str(tmp_path / "hv.csv"))
+    assert len(tables) == 1
+    gc.collect()
+    assert tables[0]() is None
+
+
+def _watch_tables(monkeypatch):
+    """Weak references to the image codes of every full word table built."""
+    tables = []
     image_codes = ens.image_codes
 
-    def counting(maps, q, words):
-        full_tables.append(len(words) == q ** words.shape[1])
-        return image_codes(maps, q, words)
+    def watching(maps, q, words):
+        codes = image_codes(maps, q, words)
+        if len(words) == q ** words.shape[1]:
+            tables.append(weakref.ref(codes))
+        return codes
 
-    monkeypatch.setattr(ens, "image_codes", counting)
-    cli.run("hash-verify", cfg, seed=3, out=str(tmp_path / "hv.csv"))
-    assert full_tables.count(True) == 1
-    assert ens._ensemble_table.cache_info().currsize == 0
+    monkeypatch.setattr(ens, "image_codes", watching)
+    return tables
 
 
-def test_partition_defects_match_a_per_member_loop(monkeypatch):
+def test_a_table_is_kept_only_inside_a_shared_block(monkeypatch):
+    tables = _watch_tables(monkeypatch)
+    first = ens.sparse_ensemble(F2, 2, 5, 1)
+    second = ens.expurgate(ens.uniform_ensemble(F2, 2, 4), 0.25)
+    ens.certified_collision_params(first)
+    ens.type_spectrum(first)
+    gc.collect()
+    assert len(tables) == 2 and tables[1]() is None
+    with ens.shared_table():
+        ens.certified_collision_params(first)
+        ens.type_spectrum(first)
+        assert len(tables) == 3 and tables[2]() is not None
+        ens.compute_hash_params(second)
+        # the first spec's table went before the second's was built
+        assert len(tables) == 4 and tables[2]() is None and tables[3]() is not None
+    gc.collect()
+    assert tables[3]() is None
+
+
+@pytest.mark.parametrize("pairs", [2, 3], ids=["buckets", "products"])
+def test_partition_defects_match_a_per_member_loop(monkeypatch, pairs):
     rng = np.random.default_rng(5)
-    members, n_words, pairs, im_size = 7, 8, 3, 4
-    # image 2 of the four is never reached, and two members fill a block
+    members, n_words, im_size = 7, 8, 4
+    # image 2 of the four is never reached, member 0 reaches only image 1,
+    # and two members fill a block
     codes = rng.choice(np.array([0, 1, 3], dtype=np.uint8), size=(members, n_words))
+    codes[0] = 1
     monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 2 * pairs * n_words)
     assert len(list(gf_linalg.chunks(members, pairs * n_words))) == 4
     probs = rng.random(members)
