@@ -37,7 +37,11 @@ expurgation keeps a member iff no light non-zero word maps to 0, the
 types and their class sizes are the word table grouped by symbol counts,
 the type spectrum is z summed over each group, the direct collision pair
 takes the maximum of z over d != 0, and the per-word collision check of
-the certifier is one mass over z that every word shares.  The partition
+the certifier is one mass over z that every word shares.  The collision
+sets are read from the kernel indicator [A_b d = 0]: A_b x = A_b u for
+some x in G \\ {u} iff A_b maps some difference x - u to 0, so one
+product per block of members, of that indicator with every pair's
+difference words, checks every (G, u) pair.  The partition
 bound takes, per block of members and per reached image m, one product
 of the indicator [A_b x = m] with the (Q, T) weights of every pair;
 with more reached images than pairs it buckets the weights per pair,
@@ -519,6 +523,25 @@ def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarra
     return lhs
 
 
+def _collision_hits(codes, words, q: int, collision_pairs) -> np.ndarray:
+    """hits[b, k] = [A_b x = A_b u for some x in G \\ {u}] of the k-th (G, u) pair.
+
+    ``words`` is the full word table that indexes ``codes``.  Column k of D
+    marks the difference words (x - u) mod q, and member b hits pair k iff
+    it maps one of them to 0.
+    """
+    place = q ** np.arange(words.shape[1])
+    # float32 is enough: a count of hits is positive whenever one term is
+    diffs = np.zeros((len(words), len(collision_pairs)), dtype=np.float32)
+    for k, (g_mask, u) in enumerate(collision_pairs):
+        g_idx = np.flatnonzero(g_mask)
+        diffs[(words[g_idx[g_idx != u]] - words[u]) % q @ place, k] = 1.0
+    hits = np.empty((len(codes), len(collision_pairs)), dtype=bool)
+    for s in chunks(len(codes), len(words) * len(collision_pairs)):
+        hits[s] = ((codes[s] == 0) @ diffs) > 0
+    return hits
+
+
 def certify_hash_property(spec: EnsembleSpec, params: HashParams,
                           partition_pairs: Sequence = (),
                           collision_pairs: Sequence = (),
@@ -570,16 +593,13 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
                                               rhs=math.sqrt(max(arg, 0.0))))
 
     collision_set_checks = []
-    for k, (g_mask, u) in enumerate(collision_pairs):
-        g_idx = np.flatnonzero(g_mask)
-        g_minus_u = g_idx[g_idx != u]
-        if g_minus_u.size:
-            hit = (codes[:, g_minus_u] == codes[:, u:u + 1]).any(axis=1)
-            lhs = float(probs[hit].sum())
-        else:
-            lhs = 0.0
-        rhs = len(g_idx) * params.alpha / im_size + params.beta
-        collision_set_checks.append(PairCheck(label=f"collision-set-{k}", lhs=lhs, rhs=rhs))
+    collision_pairs = list(collision_pairs)
+    if collision_pairs:
+        hits = _collision_hits(codes, words, q, collision_pairs)
+        for k, (g_mask, u) in enumerate(collision_pairs):
+            rhs = np.count_nonzero(g_mask) * params.alpha / im_size + params.beta
+            collision_set_checks.append(PairCheck(label=f"collision-set-{k}",
+                                                  lhs=float(probs[hits[:, k]].sum()), rhs=rhs))
 
     return CertificationReport(spec=spec, params=params,
                                collision_checked=len(words),

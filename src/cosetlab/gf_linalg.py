@@ -319,19 +319,25 @@ def word_table(base: int, n: int, start: int = 0, stop: Optional[int] = None) ->
 def image_codes(maps: np.ndarray, q: int, words: np.ndarray) -> np.ndarray:
     """codes[b, i] = base-q integer of maps[b] @ words[i] mod q (row r weighs q^r).
 
-    ``maps`` is a (count, l, n) stack.  The table is filled a block of maps
-    at a time (see :func:`chunks`), and is stored in the narrowest unsigned
-    type that holds q^l - 1.
+    ``maps`` is a (count, l, n) stack and ``words`` a (words, n) array, both
+    of residues in [0, q).  Each block of maps (see :func:`chunks`) takes one
+    float64 product with the words, which is exact: every digit sum is an
+    integer of at most n (q-1)^2 < 2^53.  The sums are reduced mod q in an
+    unsigned type that holds n (q-1)^2, and the table is stored in the
+    narrowest unsigned type that holds q^l - 1.
     """
-    count, l, _ = maps.shape
-    codes = np.empty((count, len(words)), dtype=np.min_scalar_type(q ** l - 1))
-    words_t = words.T
-    for s in chunks(count, max(len(words), 1)):
-        block = np.zeros((s.stop - s.start, len(words)), dtype=np.int64)
+    count, l, n = maps.shape
+    codes = np.zeros((count, len(words)), dtype=np.min_scalar_type(q ** l - 1))
+    sum_type = np.min_scalar_type(n * (q - 1) ** 2)
+    words_t = words.T.astype(np.float64)
+    for s in chunks(count, max(len(words) * l, 1)):
+        digits = (maps[s].reshape(-1, n).astype(np.float64) @ words_t).astype(sum_type)
+        digits -= digits // q * q  # mod q; numpy divides by a scalar far faster than it takes %
+        digits = digits.reshape(s.stop - s.start, l, len(words))
+        block = codes[s]
         for r in reversed(range(l)):
             block *= q
-            block += (maps[s, r, :] @ words_t) % q
-        codes[s] = block
+            block += digits[:, r]
     return codes
 
 

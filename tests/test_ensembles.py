@@ -541,3 +541,26 @@ def test_partition_defects_match_a_per_member_loop(monkeypatch, pairs):
            for k in range(pairs)]
     got = ens._partition_defects(codes, probs, qt, q_total, im_mask, im_size)
     assert got.tolist() == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+def test_collision_hits_match_a_per_pair_gather(monkeypatch, q, n):
+    rng = np.random.default_rng(q)
+    words = gf_linalg.word_table(q, n)
+    size = len(words)
+    codes = gf_linalg.image_codes(rng.integers(0, q, (9, 2, n)), q, words)
+    few = np.isin(np.arange(size), rng.choice(size, 3, replace=False))
+    pairs = [(np.zeros(size, dtype=bool), 3),        # empty G
+             (np.arange(size) == 5, 5),              # G = {u}
+             (few & (np.arange(size) != 1), 1),      # u not in G
+             (few, int(np.flatnonzero(few)[0])),     # u in G with two others
+             (rng.random(size) < 0.5, 2)]
+    monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 2 * size * len(pairs))
+    assert len(list(gf_linalg.chunks(len(codes), size * len(pairs)))) == 5
+    ref = []
+    for g_mask, u in pairs:
+        g_idx = np.flatnonzero(g_mask)
+        ref.append((codes[:, g_idx[g_idx != u]] == codes[:, [u]]).any(axis=1))
+    hits = ens._collision_hits(codes, words, q, pairs)
+    assert hits.T.tolist() == np.array(ref).tolist()
+    assert hits[:, 2:].any() and not hits[:, 2:].all()

@@ -224,7 +224,9 @@ def test_entries_are_immutable():
         a.as_array()[0, 0] = 0
 
 
-@pytest.mark.parametrize("q, rows, n", [(2, 2, 5), (3, 2, 3), (3, 0, 3)])
+# (13, 2, 3) has digit sums up to 432, above the uint8 code type; (17, 2, 2)
+# has 289 codes, so a uint16 table
+@pytest.mark.parametrize("q, rows, n", [(2, 2, 5), (3, 2, 3), (3, 0, 3), (13, 2, 3), (17, 2, 2)])
 def test_segments_is_a_stable_sort_by_the_image(q, rows, n):
     rng = np.random.default_rng(q + rows)
     a = LinearMap.from_array(FieldSpec(q), rng.integers(0, q, (rows, n)))
@@ -238,6 +240,25 @@ def test_segments_is_a_stable_sort_by_the_image(q, rows, n):
     assert got.tolist() == words[order].tolist()
     assert segment.tolist() == [distinct.index(k) for k in sorted_keys]
     assert starts.tolist() == [sorted_keys.index(k) for k in distinct]
+
+
+@pytest.mark.parametrize("q, rows, n", [(13, 2, 3), (17, 2, 2), (2, 3, 4), (3, 0, 3)])
+def test_image_codes_match_a_per_member_reference(monkeypatch, q, rows, n):
+    rng = np.random.default_rng(q + rows + n)
+    maps = rng.integers(0, q, (6, rows, n))
+    maps[0] = q - 1  # the largest digit sums, n (q-1)^2
+    words = rng.permutation(word_table(q, n))
+    row_entries = max(len(words) * rows, 1)
+    monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 2 * row_entries)
+    assert len(list(gf_linalg.chunks(len(maps), row_entries))) == 3
+    ref = np.zeros((len(maps), len(words)), dtype=np.int64)
+    for b, m in enumerate(maps):
+        for r in range(rows):
+            ref[b] += (m[r] @ words.T) % q * q ** r
+    codes = gf_linalg.image_codes(maps, q, words)
+    assert codes.dtype == np.min_scalar_type(q ** rows - 1)
+    assert codes.tolist() == ref.tolist()
+    assert gf_linalg.image_codes(maps, q, words[:0]).shape == (len(maps), 0)
 
 
 @pytest.mark.parametrize("count", [0, 3, 25])
