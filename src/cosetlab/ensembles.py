@@ -4,16 +4,16 @@ An ensemble is a distribution over l x n matrices.  Its quality as a
 universal-hash-style family is summarized by a pair (alpha, beta)
 computed from the type spectrum
 
-    S(p, t) = sum_A p(A) |{x : A x = 0, type(x) = t}|,
+    S(t) = (1/N) sum_b |{x : A_b x = 0, type(x) = t}|,
 
-the expected number of kernel words of each type t, where a type is a
-word's symbol-count tuple (c_0, ..., c_{q-1}):
+the expected number of kernel words of each type t over the N members,
+where a type is a word's symbol-count tuple (c_0, ..., c_{q-1}):
 
-    alpha = max over heavy types of S(p, t) / S(uniform, t)
-    beta  = sum over light types of S(p, t)
+    alpha = max over heavy types of S(t) / S_uniform(t)
+    beta  = sum over light types of S(t)
 
-where "heavy" means Hamming weight > gamma * n and S(uniform, t) =
-|T| q^-l.  The pair certifies the collision bound: for every x, the total
+where "heavy" means Hamming weight > gamma * n and S_uniform(t) =
+|T| / q^l.  The pair certifies the collision bound: for every x, the total
 probability of x' colliding with x more often than alpha / |Im ensemble|
 is at most beta.  Every kind contains full-rank members (the sparse kind
 by its identity block, the uniform kind because l <= n, and expurgation
@@ -26,26 +26,30 @@ ensemble requires beta < 1; the exact expurgated alpha is available from
 the expurgated spectrum whenever full enumeration is feasible and is
 what the certifier uses.
 
-Every member is linear, so collisions depend only on the difference of
-the two words:
+Members are equally likely and linear, so a collision is a count over
+the difference of the two words:
 
-    P(A x = A x') = z[x' - x],   z[d] = sum_b p_b [A_b d = 0].
+    P(A x = A x') = K[x' - x] / N,   K[d] = |{b : A_b d = 0}|.
 
 All exact results come from one table of every word of GF(q)^n, one
-members x words table of image codes and this kernel mass z:
+members x words table of image codes and this kernel count K:
 expurgation keeps a member iff no light non-zero word maps to 0, the
 types and their class sizes are the word table grouped by symbol counts,
-the type spectrum is z summed over each group, the direct collision pair
-takes the maximum of z over d != 0, and the per-word collision check of
-the certifier is one mass over z that every word shares.  The collision
-sets are read from the kernel indicator [A_b d = 0]: A_b x = A_b u for
-some x in G \\ {u} iff A_b maps some difference x - u to 0, so one
-product per block of members, of that indicator with every pair's
-difference words, checks every (G, u) pair.  The partition
-bound takes, per block of members and per reached image m, one product
-of the indicator [A_b x = m] with the (Q, T) weights of every pair;
-with more reached images than pairs it buckets the weights per pair,
-member and image instead, so its cost never grows with both counts.
+the type spectrum is K summed over each group, the direct collision pair
+takes the maximum of K over d != 0, and the per-word collision check of
+the certifier is one sum over K that every word shares.  Each sum is an
+exact integer, so S, alpha, beta and the certified alpha each take one
+division and are the correctly rounded rationals on any BLAS kernel.
+The collision sets are read from the kernel indicator [A_b d = 0]:
+A_b x = A_b u for some x in G \\ {u} iff A_b maps some difference x - u
+to 0, so one product per block of members, of that indicator with every
+pair's difference words, checks every (G, u) pair.  The partition bound
+takes, per block of members and per reached image m, one product of the
+indicator [A_b x = m] with the (Q, T) weights of every pair; with more
+reached images than pairs it buckets the weights per pair, member and
+image instead, so its cost never grows with both counts.  Its lhs sums
+float Q weights, so it can move in its last bits between BLAS kernels;
+only the violation count reaches the CSV.
 
 Each exact function builds the table it needs and keeps nothing.  Inside
 a :func:`shared_table` block the last spec's table is kept and reused,
@@ -202,15 +206,18 @@ def sample_map(spec: EnsembleSpec, seed) -> LinearMap:
 
 @dataclass(eq=False)
 class EnumeratedEnsemble:
-    """All members of a (tiny) ensemble with their probabilities."""
+    """All members of a (tiny) ensemble, each drawn with probability 1/count."""
 
     spec: EnsembleSpec
     arrays: np.ndarray   # (count, rows, cols) residues
-    probs: np.ndarray    # (count,) summing to 1
 
     @property
     def count(self) -> int:
         return self.arrays.shape[0]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return np.full(self.count, 1.0 / self.count)
 
 
 def _all_words(q: int, n: int, rows: int) -> np.ndarray:
@@ -230,9 +237,7 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
         if count > ENSEMBLE_ENUMERATION_CAP:
             raise CapExceededError(f"uniform ensemble has {count} members, "
                                    f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
-        arrays = word_table(q, l * n).reshape(count, l, n)
-        probs = np.full(count, 1.0 / count)
-        return EnumeratedEnsemble(spec, arrays, probs)
+        return EnumeratedEnsemble(spec, word_table(q, l * n).reshape(count, l, n))
     if spec.kind == SYSTEMATIC_SPARSE:
         m = n - l
         base = m * (q - 1)
@@ -242,9 +247,8 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
             raise CapExceededError(f"sparse ensemble enumeration needs {count} pick sequences, "
                                    f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
         digits = word_table(base, picks).reshape(count, l, spec.row_weight)
-        arrays = _systematic(q, l, n, digits // (q - 1), 1 + digits % (q - 1))
-        probs = np.full(count, 1.0 / count)
-        return EnumeratedEnsemble(spec, arrays, probs)
+        return EnumeratedEnsemble(
+            spec, _systematic(q, l, n, digits // (q - 1), 1 + digits % (q - 1)))
     # expurgated: keep the members that map no light non-zero word to 0,
     # i.e. whose kernel minimum weight exceeds gamma * n
     inner = enumerate_ensemble(spec.inner)
@@ -255,16 +259,14 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
     if not keep.any():
         raise ExpurgationError(
             f"expurgation invalid at gamma={spec.gamma}: no ensemble member survives")
-    arrays = inner.arrays[keep]
-    probs = inner.probs[keep]
-    return EnumeratedEnsemble(spec, arrays, probs / probs.sum())
+    return EnumeratedEnsemble(spec, inner.arrays[keep])
 
 
 def members(spec: EnsembleSpec):
     """(LinearMap, probability) pairs of the full ensemble."""
     ens = enumerate_ensemble(spec)
-    for arr, p in zip(ens.arrays, ens.probs):
-        yield LinearMap.from_array(spec.field, arr), float(p)
+    for arr in ens.arrays:
+        yield LinearMap.from_array(spec.field, arr), 1.0 / ens.count
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +290,10 @@ def shared_table():
 
 
 def _ensemble_table(spec: EnsembleSpec):
-    """(members, all words, image codes, kernel mass z) of the full ensemble.
+    """(members, all words, image codes, kernel count K) of the full ensemble.
 
-    codes[b, i] encodes A_b applied to word i, and z[d] = sum_b p_b [A_b d = 0]
-    is accumulated a block of members at a time.  Word 0 is the zero word.
+    codes[b, i] encodes A_b applied to word i (word 0 is the zero word), and
+    K[d] = |{b : A_b d = 0}| sums integer terms below 2^53, exact on any BLAS kernel.
     """
     if _shared is not None:
         if spec in _shared:
@@ -300,47 +302,44 @@ def _ensemble_table(spec: EnsembleSpec):
     ens = enumerate_ensemble(spec)
     words = _all_words(spec.field.q, spec.cols, ens.count)
     codes = image_codes(ens.arrays, spec.field.q, words)
-    z = np.zeros(len(words))
+    kernel = np.zeros(len(words))
     for s in chunks(ens.count, len(words)):
-        z += ens.probs[s] @ (codes[s] == 0)
-    for table in (ens.arrays, ens.probs, words, codes, z):
+        kernel += np.ones(s.stop - s.start) @ (codes[s] == 0)
+    for table in (ens.arrays, words, codes, kernel):
         table.flags.writeable = False
     if _shared is not None:
-        _shared[spec] = ens, words, codes, z
-    return ens, words, codes, z
+        _shared[spec] = ens, words, codes, kernel
+    return ens, words, codes, kernel
 
 
 def _spectrum(spec: EnsembleSpec):
-    """(types, class sizes, S) over the types of GF(q)^n, one row per type.
+    """(types, class sizes, kernel counts, N) over the types of GF(q)^n: S = counts / N.
 
     A type is a word's symbol-count tuple; the types come out in
     lexicographic order, so the zero type (n, 0, ..., 0) is last.
     """
     q, l, n = spec.field.q, spec.rows, spec.cols
-    z = None
     if spec.kind == UNIFORM:
-        words = _all_words(q, n, 1)
+        # closed form: a non-zero word is in 1 of q^l kernels, the zero word in all
+        words, total = _all_words(q, n, 1), q ** l
+        kernel = np.where(words.any(axis=1), 1.0, total)
     else:
-        _, words, _, z = _ensemble_table(spec)
-    counts = np.stack([np.count_nonzero(words == a, axis=1) for a in range(q)], axis=1)
-    types, inverse, sizes = np.unique(counts, axis=0, return_inverse=True, return_counts=True)
-    if z is None:
-        s = sizes * float(q) ** (-l)
-        s[types[:, 0] == n] = 1.0  # the zero word is in every kernel
-    else:
-        s = np.bincount(inverse.ravel(), weights=z)
-    return types, sizes, s
+        ens, words, _, kernel = _ensemble_table(spec)
+        total = ens.count
+    symbols = np.stack([np.count_nonzero(words == a, axis=1) for a in range(q)], axis=1)
+    types, inverse, sizes = np.unique(symbols, axis=0, return_inverse=True, return_counts=True)
+    return types, sizes, np.bincount(inverse.ravel(), weights=kernel), total
 
 
 def type_spectrum(spec: EnsembleSpec) -> dict:
-    """Expected number of kernel words per type, S(p, t), exactly.
+    """Expected number of kernel words per type, S(t), exactly.
 
     Keyed by symbol-count tuples (c_0, ..., c_{q-1}) summing to n.
-    Closed form |T| q^-l for the uniform kind; otherwise the kernel mass z
-    summed over the words of each type.
+    Closed form |T| / q^l for the uniform kind; otherwise the kernel count K
+    summed over the words of each type, over the member count.
     """
-    types, _, s = _spectrum(spec)
-    return {tuple(int(c) for c in t): float(v) for t, v in zip(types, s)}
+    types, _, counts, total = _spectrum(spec)
+    return {tuple(int(c) for c in t): float(v) for t, v in zip(types, counts / total)}
 
 
 def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None) -> HashParams:
@@ -367,15 +366,13 @@ def compute_hash_params(spec: EnsembleSpec, gamma: Optional[float] = None) -> Ha
     # below 0 the zero word, in every kernel, is heavy; from n on, no type is
     if not 0.0 <= threshold < n:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    types, sizes, s = _spectrum(spec)
+    types, sizes, counts, total = _spectrum(spec)
     weights = n - types[:, 0]
     heavy = weights > threshold
-    alpha = float((s[heavy] / (sizes[heavy] * float(q) ** (-l))).max())
-    beta = sum(float(v) for v in s[(weights > 0) & ~heavy])
-    if spec.kind == EXPURGATED:
-        # expurgation empties the light types by construction
-        assert beta == 0.0, "expurgated ensemble kept a light kernel word"
-        return HashParams(alpha=alpha, beta=0.0)
+    alpha = float((counts[heavy] * q ** l / (sizes[heavy] * total)).max())
+    beta = float(counts[(weights > 0) & ~heavy].sum() / total)
+    # expurgation empties the light types by construction
+    assert spec.kind != EXPURGATED or beta == 0.0, "expurgated ensemble kept a light kernel word"
     return HashParams(alpha=alpha, beta=beta)
 
 
@@ -390,8 +387,9 @@ def certified_collision_params(spec: EnsembleSpec) -> HashParams:
     pins the first coordinates), so this direct pair is the one to
     certify it with.
     """
-    _, _, _, z = _ensemble_table(spec)
-    return HashParams(alpha=spec.field.q ** spec.rows * float(z[1:].max()), beta=0.0)
+    ens, _, _, kernel = _ensemble_table(spec)
+    alpha = spec.field.q ** spec.rows * kernel[1:].max() / ens.count
+    return HashParams(alpha=float(alpha), beta=0.0)
 
 
 def expurgated_params_bound(inner: EnsembleSpec, gamma: float) -> HashParams:
@@ -486,8 +484,8 @@ def random_collision_pairs(field: FieldSpec, n: int, count: int, seed):
     return pairs
 
 
-def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarray:
-    """lhs[k] = sum_b p_b sum_{m in Im} | Q_k(T_k n C_b(m)) / Q_k(T_k) - 1/|Im| |.
+def _partition_defects(codes, qt, q_total, im_mask, im_size) -> np.ndarray:
+    """lhs[k] = mean over members b of sum_{m in Im} | Q_k(T_k n C_b(m)) / Q_k(T_k) - 1/|Im| |.
 
     With no more reached images than pairs, one product per block of
     members and per reached image m, of the indicator [A_b x = m] with the
@@ -503,7 +501,7 @@ def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarra
     # a C-contiguous copy: the product with the transposed view is far slower
     weights = np.ascontiguousarray(qt.T)
     lhs = np.zeros(pairs)
-    for s in chunks(len(probs), pairs * n_words):
+    for s in chunks(len(codes), pairs * n_words):
         block = codes[s]
         rows = len(block)
         if len(reached) <= pairs:
@@ -519,8 +517,8 @@ def _partition_defects(codes, probs, qt, q_total, im_mask, im_size) -> np.ndarra
                                minlength=pairs * rows * n_codes).reshape(pairs, rows, n_codes)
             defect = np.abs(mass[:, :, reached] / q_total[:, None, None]
                             - 1.0 / im_size).sum(axis=2).T
-        lhs += probs[s] @ defect
-    return lhs
+        lhs += defect.sum(axis=0)
+    return lhs / len(codes)
 
 
 def _collision_hits(codes, words, q: int, collision_pairs) -> np.ndarray:
@@ -562,15 +560,14 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
 
     Violations are collected in the report, never raised.
     """
-    ens, words, codes, z = _ensemble_table(spec)
+    ens, words, codes, kernel = _ensemble_table(spec)
     q, l = spec.field.q, spec.rows
-    probs = ens.probs
     im_size = q ** l
-    threshold = params.alpha / im_size
 
-    # P(A x = A x') = z[x' - x]: every word sees the same partner masses
-    partners = z[1:]
-    mass = float(partners[partners > threshold * (1.0 + _REL_SLACK)].sum())
+    # P(A x = A x') = K[x' - x] / N: every word sees the same partner counts
+    partners = kernel[1:]
+    over = partners * im_size > params.alpha * ens.count * (1.0 + _REL_SLACK)
+    mass = float(partners[over].sum() / ens.count)
     violations = []
     if mass > params.beta * (1.0 + _REL_SLACK) + _REL_SLACK:
         violations = [f"x={tuple(int(v) for v in w)}: "
@@ -585,7 +582,7 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
         q_total = qt.sum(axis=1)
         if (q_total <= 0.0).any():
             raise ValueError("Q must put positive mass on T")
-        lhs = _partition_defects(codes, probs, qt, q_total, im_mask, im_size)
+        lhs = _partition_defects(codes, qt, q_total, im_mask, im_size)
         for k, (q_fn, t_mask) in enumerate(partition_pairs):
             q_max = float(np.asarray(q_fn)[t_mask].max())
             arg = params.alpha - 1.0 + (params.beta + 1.0) * im_size * q_max / q_total[k]
@@ -598,8 +595,8 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
         hits = _collision_hits(codes, words, q, collision_pairs)
         for k, (g_mask, u) in enumerate(collision_pairs):
             rhs = np.count_nonzero(g_mask) * params.alpha / im_size + params.beta
-            collision_set_checks.append(PairCheck(label=f"collision-set-{k}",
-                                                  lhs=float(probs[hits[:, k]].sum()), rhs=rhs))
+            collision_set_checks.append(PairCheck(label=f"collision-set-{k}", rhs=rhs,
+                                                  lhs=np.count_nonzero(hits[:, k]) / ens.count))
 
     return CertificationReport(spec=spec, params=params,
                                collision_checked=len(words),

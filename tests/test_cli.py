@@ -80,6 +80,15 @@ def test_hash_verify_run(tmp_path):
     assert rows[1].split(",")[7] == "0"  # no violations
 
 
+def test_hash_verify_writes_a_float_beta_when_no_type_is_light(tmp_path):
+    # the default gamma = 0.0 leaves no light type, so beta is an empty sum
+    cfg = write_cfg(tmp_path, "h.cfg",
+                    "ensemble = uniform-linear\nq = 2\nl = 2\nn = 4\npairs = 3\n")
+    out = tmp_path / "h.csv"
+    cli.run("hash-verify", cli.parse_config(cfg), out=str(out))
+    assert cli.result_rows(str(out))[1] == "uniform-linear,2,2,4,0.0,1.0,0.0,0,22"
+
+
 def test_hash_verify_sparse_with_certified_params(tmp_path):
     cfg = write_cfg(tmp_path, "h.cfg",
                     "ensemble = systematic-sparse\nq = 2\nl = 2\nn = 4\nrow_weight = 2\n"

@@ -3,6 +3,7 @@ import itertools
 import math
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -528,18 +529,16 @@ def test_partition_defects_match_a_per_member_loop(monkeypatch, pairs):
     codes[0] = 1
     monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 2 * pairs * n_words)
     assert len(list(gf_linalg.chunks(members, pairs * n_words))) == 4
-    probs = rng.random(members)
-    probs /= probs.sum()
     qt = rng.random((pairs, n_words)) * (rng.random((pairs, n_words)) < 0.6)
     qt[:, 0] += 0.1
     q_total = qt.sum(axis=1)
     im_mask = np.bincount(codes.ravel(), minlength=im_size) > 0
     assert im_mask.tolist() == [True, True, False, True]
-    ref = [sum(p * sum(abs(qt[k, row == m].sum() / q_total[k] - 1 / im_size)
-                       for m in (0, 1, 3))
-               for p, row in zip(probs, codes))
+    # the members are equiprobable: the reference is the plain mean over them
+    ref = [sum(sum(abs(qt[k, row == m].sum() / q_total[k] - 1 / im_size) for m in (0, 1, 3))
+               for row in codes) / members
            for k in range(pairs)]
-    got = ens._partition_defects(codes, probs, qt, q_total, im_mask, im_size)
+    got = ens._partition_defects(codes, qt, q_total, im_mask, im_size)
     assert got.tolist() == pytest.approx(ref, rel=1e-12)
 
 
@@ -564,3 +563,57 @@ def test_collision_hits_match_a_per_pair_gather(monkeypatch, q, n):
     hits = ens._collision_hits(codes, words, q, pairs)
     assert hits.T.tolist() == np.array(ref).tolist()
     assert hits[:, 2:].any() and not hits[:, 2:].all()
+
+
+# (spec, gamma) pairs over GF(2) and GF(3); each has light and heavy types
+EXACT_SPECS = {
+    "gf2-uniform-2x4": (ens.uniform_ensemble(F2, 2, 4), 0.3),
+    "gf3-uniform-2x3": (ens.uniform_ensemble(F3, 2, 3), 0.4),
+    "gf2-sparse-2x5-w2": (ens.sparse_ensemble(F2, 2, 5, 2), 0.3),
+    "gf3-sparse-1x4-w2": (ens.sparse_ensemble(F3, 1, 4, 2), 0.3),
+    "gf2-expurgated-2x5": (ens.expurgate(ens.uniform_ensemble(F2, 2, 5), 0.2), 0.2),
+    "gf3-expurgated-2x4": (ens.expurgate(ens.uniform_ensemble(F3, 2, 4), 0.25), 0.25),
+}
+
+
+def ref_kernel_counts(spec):
+    """(N, K) with K[i] the number of the N members whose kernel holds word i."""
+    q = spec.field.q
+    words = np.array(ref_words(q, spec.cols)).T
+    arrays = ens.enumerate_ensemble(spec).arrays
+    counts = [0] * words.shape[1]
+    for arr in arrays:
+        for i in np.flatnonzero(((arr @ words) % q == 0).all(axis=0)):
+            counts[i] += 1
+    return len(arrays), counts
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SPECS))
+def test_hash_parameters_are_the_correctly_rounded_rationals(name):
+    spec, gamma = EXACT_SPECS[name]
+    q, l, n = spec.field.q, spec.rows, spec.cols
+    total, counts = ref_kernel_counts(spec)
+    kernel, sizes = Counter(), Counter()
+    for w, c in zip(ref_words(q, n), counts):
+        kernel[word_type(w, q)] += c
+        sizes[word_type(w, q)] += 1
+    heavy = [t for t in kernel if n - t[0] > gamma * n]
+    light = [t for t in kernel if 0 < n - t[0] <= gamma * n]
+    assert heavy and light
+    alpha = max(Fraction(kernel[t] * q ** l, sizes[t] * total) for t in heavy)
+    beta = Fraction(sum(kernel[t] for t in light), total)
+    assert ens.type_spectrum(spec) == {t: float(Fraction(c, total)) for t, c in kernel.items()}
+    params = (ens.compute_hash_params(spec) if spec.kind == ens.EXPURGATED
+              else ens.compute_hash_params(spec, gamma=gamma))
+    assert (params.alpha, params.beta) == (float(alpha), float(beta))
+    assert type(params.beta) is float
+    assert ens.certified_collision_params(spec).alpha == float(
+        Fraction(q ** l * max(counts[1:]), total))
+
+
+def test_certified_alpha_is_exact_on_the_kernel_dependent_cases():
+    # the two ratios whose float-weighted sums moved with the BLAS kernel's summation order
+    expurgated = ens.expurgate(ens.uniform_ensemble(F2, 3, 6), 0.2)
+    assert ens.certified_collision_params(expurgated).alpha == float(Fraction(8, 7))
+    assert ens.compute_hash_params(expurgated).alpha == float(Fraction(8, 7))
+    assert ens.certified_collision_params(ens.uniform_ensemble(F3, 2, 4)).alpha == 1.0
