@@ -9,13 +9,14 @@ working syndrome decoder yields a channel code.
 The error probability has two parts: messages whose constraint coset
 carries no probability mass (a modeled encoder error), and decoding
 failures weighted by the conditional input law on each coset.  Both are
-computed exactly on small instances and by Monte Carlo otherwise.  Every
-encoder coset lies in the decoder's coset, so both evaluators sort that
-one coset into a segment per message; the Monte Carlo encoder draws its
-input from the message's segment, and it draws every trial from one
+computed exactly on small instances and by Monte Carlo otherwise.  A code
+enumerates its decoder coset {x : A x = c} when it is built, so a coset
+above the enumeration cap raises CapExceededError there; ``decode`` and both
+evaluators read that one copy, and as every encoder coset lies in it, both
+evaluators sort it into a segment per message.  The Monte Carlo encoder
+draws its input from the message's segment, draws every trial from one
 generator and decodes the trials in batches.  The code search samples
-random (B, c) pairs and reports the best candidate against the baseline
-error of the underlying syndrome decoder on the induced joint source.
+random (B, c) pairs against the underlying syndrome decoder's error.
 """
 
 from __future__ import annotations
@@ -43,23 +44,22 @@ class ChannelCodec:
     """Bundle (A via the SW codec, B, c) with the channel it is used on."""
 
     def __init__(self, sw: SwCodec, b_map: LinearMap, syndrome: GfVector, channel: Channel):
-        if b_map.field != sw.field or b_map.cols != sw.n:
-            raise ValueError("message map must match the code field and length")
+        self.stacked = stack_maps([sw.matrix, b_map])  # B must share A's field and length
         if channel.input_size != sw.field.q:
             raise ValueError("channel input alphabet must match the code field")
         if channel.output_size != sw.source.y_size:
             raise ValueError("channel output alphabet must match the decoder's side information")
-        if len(syndrome) != sw.matrix.rows:
-            raise ValueError("syndrome length must match the syndrome map")
-        if sw.solver.solve(syndrome).is_empty:
+        solution = sw.solver.solve(syndrome)  # c must match A's field and row count
+        if solution.is_empty:
             raise ValueError("syndrome lies outside the image of the syndrome map")
+        self.coset = coset_array(solution)  # the decoder's coset, in A-kernel order
+        self.coset.flags.writeable = False  # read-only, like the kernel
         self.sw = sw
         self.b_map = b_map
         self.syndrome = syndrome
         self.channel = channel
         self.n = sw.n
         self.field = sw.field
-        self.stacked = stack_maps([sw.matrix, b_map])
         # one reduction of B^T gives a basis of Im B, and its row count is rank B
         rref, _, pivots = _row_reduce(b_map.as_array().T, self.field)
         self._msg_basis = rref[:len(pivots)]  # (rank, l)
@@ -122,8 +122,8 @@ def encode(codec: ChannelCodec, m: GfVector, seed, mode: str = EXACT) -> Optiona
 
 
 def decode(codec: ChannelCodec, y, seed=0) -> GfVector:
-    """Run the side-information decoder at the shared syndrome, then apply B."""
-    return matvec(codec.b_map, _decode(codec.sw, codec.syndrome, y, codec.sw.decoder, seed))
+    """Run the side-information decoder on the shared syndrome's coset, then apply B."""
+    return matvec(codec.b_map, _decode(codec.sw, codec.coset, y, codec.sw.decoder, seed))
 
 
 def _message_segments(codec: ChannelCodec):
@@ -136,8 +136,7 @@ def _message_segments(codec: ChannelCodec):
     under the input law, and each segment's total weight (0 marks a
     mass-zero coset, an encoder error).
     """
-    members, member_msg, starts = segments(
-        coset_array(codec.sw.solver.solve(codec.syndrome)), codec.b_map)
+    members, member_msg, starts = segments(codec.coset, codec.b_map)
     px = product_law(np.broadcast_to(codec.sw.source.x_marginal, (codec.n, codec.field.q)), members)
     return members, member_msg, starts, px, np.add.reduceat(px, starts)
 
@@ -285,13 +284,14 @@ def search_code(sw: SwCodec, ensemble_b, channel: Channel, candidates: int,
     baseline = sw_error_probability(sw, mode="mc", trials=trials,
                                     seed=derived_seed(seed, 0))
 
-    codecs, errors, seeds = [], [], []
+    errors, seeds = [], []
     for k in range(candidates):
         b = sample_map(ensemble_b, derived_seed(seed, 1, k))
-        codecs.append(build(sw, b, channel, derived_seed(seed, 2, k)))
+        codec = build(sw, b, channel, derived_seed(seed, 2, k))
         seeds.append(derived_seed(seed, 3, k))
-        errors.append(error_probability(codecs[-1], mode="mc", trials=trials, seed=seeds[-1]))
-    best_k = int(np.argmin([e.value for e in errors]))  # ties: lowest index
-    return SearchResult(best_codec=codecs[best_k], best_error=errors[best_k],
+        errors.append(error_probability(codec, mode="mc", trials=trials, seed=seeds[-1]))
+        if k == 0 or errors[k].value < errors[best_k].value:  # ties: lowest index
+            best_k, best = k, codec
+    return SearchResult(best_codec=best, best_error=errors[best_k],
                         baseline_error=baseline, candidate_errors=errors,
                         candidate_seeds=seeds, master_seed=seed)

@@ -54,16 +54,12 @@ class ConstraintSet:
         pairs = tuple(self.pairs)
         if not pairs:
             raise ValueError("at least one constraint pair is required")
-        field = pairs[0][0].field
-        n = pairs[0][0].cols
         for a, c in pairs:
-            if a.field != field or a.cols != n:
-                raise ValueError("all constraint maps must share field and length")
-            if len(c) != a.rows or c.field != field:
+            if len(c) != a.rows or c.field != a.field:
                 raise ValueError("constraint value does not match its map")
         object.__setattr__(self, "pairs", pairs)
-        stacked = stack_maps([a for a, _ in pairs])
-        rhs = concat_vectors([c for _, c in pairs], field)
+        stacked = stack_maps([a for a, _ in pairs])  # the maps must share field and length
+        rhs = concat_vectors([c for _, c in pairs], stacked.field)
         object.__setattr__(self, "solution", stacked.solver().solve(rhs))
 
     @property

@@ -14,7 +14,8 @@ class ExpurgationError(CosetLabError):
 
 
 class DecodeFailure(CosetLabError):
-    """The received syndrome lies outside the image of the encoding map."""
+    """The received syndrome lies outside the image of the encoding map, or its
+    coset carries zero posterior mass given the side information."""
 
 
 class EmptyCosetError(CosetLabError):

@@ -50,6 +50,16 @@ class FieldSpec:
         return pow(a, self.q - 2, self.q)
 
 
+def checked_ints(values, what: str) -> tuple:
+    """``values`` as a tuple of ints (bools and numpy integers pass); a ValueError
+    naming ``what`` if one is not integral, so 1.5 is refused, never truncated."""
+    values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return ints
+
+
 @dataclass(frozen=True)
 class GfVector:
     """Immutable vector of residues mod q.
@@ -62,7 +72,7 @@ class GfVector:
     entries: tuple
 
     def __post_init__(self):
-        ent = tuple(int(e) for e in self.entries)
+        ent = checked_ints(self.entries, "vector entries")
         q = self.field.q
         if any(not 0 <= e < q for e in ent):
             raise ValueError("vector entries must be residues in [0, q)")
@@ -70,7 +80,7 @@ class GfVector:
 
     @classmethod
     def from_array(cls, field: FieldSpec, arr) -> "GfVector":
-        return cls(field, tuple(int(v) % field.q for v in arr))
+        return cls(field, tuple(v % field.q for v in checked_ints(arr, "vector entries")))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
@@ -133,7 +143,8 @@ class LinearMap:
 
     def __post_init__(self):
         q = self.field.q
-        rows = tuple(tuple(int(e) % q for e in row) for row in self.entries)
+        rows = tuple(tuple(e % q for e in checked_ints(row, "matrix entries"))
+                     for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if rows:
             n = len(rows[0])
@@ -162,7 +173,7 @@ class LinearMap:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("expected a 2-d array")
-        return cls(field, tuple(tuple(int(v) for v in row) for row in arr), cols=arr.shape[1])
+        return cls(field, tuple(map(tuple, arr.tolist())), cols=arr.shape[1])
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "LinearMap":

@@ -25,7 +25,8 @@ import numpy as np
 
 from .ensembles import sample_map, uniform_ensemble
 from .errors import CapExceededError, DecodeFailure
-from .gf_linalg import FieldSpec, GfVector, LinearMap, chunks, matvec, segments, word_table
+from .gf_linalg import (FieldSpec, GfVector, LinearMap, checked_ints, chunks, matvec, segments,
+                        word_table)
 from .rng import derived_seed, inverse_cdf, make_rng, product_law
 from .sources_channels import JointSource
 
@@ -123,9 +124,9 @@ def _map_pick(members: np.ndarray, scores: np.ndarray):
 
 
 def _check_y(codec: SwCodec, y) -> np.ndarray:
-    y_arr = np.asarray(y, dtype=np.int64)
-    if y_arr.shape != (codec.n,):
+    if np.shape(y) != (codec.n,):
         raise ValueError("side information must have one symbol per position")
+    y_arr = np.array(checked_ints(y, "side information"), dtype=np.int64)
     if np.any((y_arr < 0) | (y_arr >= codec.source.y_size)):
         raise ValueError("side-information symbol out of range")
     return y_arr
@@ -152,12 +153,15 @@ def _decide(decoder: str, cond: np.ndarray, members: np.ndarray, y: np.ndarray,
     return picks, live
 
 
-def _decode(codec: SwCodec, c: GfVector, y, decoder: str, seed) -> GfVector:
-    y_arr = _check_y(codec, y)
+def _coset(codec: SwCodec, c: GfVector) -> np.ndarray:
     sol = codec.solver.solve(c)
     if sol.is_empty:
         raise DecodeFailure("syndrome outside the image of the encoding map")
-    members = codec.coset_members(sol.particular.as_array())
+    return codec.coset_members(sol.particular.as_array())
+
+
+def _decode(codec: SwCodec, members: np.ndarray, y, decoder: str, seed) -> GfVector:
+    y_arr = _check_y(codec, y)
     u = make_rng(seed).random(1) if decoder == STOCHASTIC else None
     (pick,), (live,) = _decide(decoder, codec.source.cond_x_given_y, members, y_arr[None], u)
     if not live:
@@ -173,12 +177,12 @@ def decode_map(codec: SwCodec, c: GfVector, y) -> GfVector:
     rounding in the summed log-scores never splits equal posteriors.  A
     coset whose members all have zero posterior raises DecodeFailure.
     """
-    return _decode(codec, c, y, MAP_EXACT, None)
+    return _decode(codec, _coset(codec, c), y, MAP_EXACT, None)
 
 
 def decode_stochastic(codec: SwCodec, c: GfVector, y, seed) -> GfVector:
     """Sample the posterior restricted to the syndrome coset."""
-    return _decode(codec, c, y, STOCHASTIC, seed)
+    return _decode(codec, _coset(codec, c), y, STOCHASTIC, seed)
 
 
 def _exact_error(codec: SwCodec) -> float:

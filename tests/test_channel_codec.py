@@ -440,3 +440,45 @@ def test_channel_outputs_must_match_the_side_information(outputs):
     channel = sc.Channel(np.full((2, outputs), 1.0 / outputs))
     with pytest.raises(ValueError, match="output alphabet"):
         cc.build(swc, LinearMap(F2, ((1, 0, 0),)), channel, seed=0)
+
+
+def test_one_syndrome_solve_serves_every_decode_and_evaluation(monkeypatch):
+    # the code solves A x = c once, when it is built; decode and both
+    # evaluators read the coset it keeps
+    solved = []
+    real = gf_linalg.AffineSolver.solve
+
+    def counting(solver, c):
+        solved.append(solver)
+        return real(solver, c)
+
+    monkeypatch.setattr(gf_linalg.AffineSolver, "solve", counting)
+    channel, _, swc, b = make_setup()
+    codec = cc.build(swc, b, channel, seed=1)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        cc.decode(codec, rng.integers(0, 2, codec.n))
+    cc.error_probability(codec, "exact")
+    cc.error_probability(codec, "mc", trials=200, seed=3)
+    assert solved == [swc.solver]
+
+
+@pytest.mark.parametrize("b_map, syndrome, match", [
+    pytest.param(LinearMap(F3, ((1, 0, 2, 1),)), None, "share field", id="B-field"),
+    pytest.param(LinearMap(F2, ((1, 0, 1),)), None, "share field", id="B-length"),
+    pytest.param(None, GfVector(F2, (1,)), "right-hand side", id="c-length"),
+    pytest.param(None, GfVector(F3, (1, 0)), "right-hand side", id="c-field"),
+])
+def test_message_map_and_syndrome_must_match_the_code(b_map, syndrome, match):
+    channel, _, swc, b = make_setup()
+    c = matvec(swc.matrix, GfVector(F2, (1, 0, 1, 1)))
+    with pytest.raises(ValueError, match=match):
+        cc.ChannelCodec(swc, b if b_map is None else b_map, c if syndrome is None else syndrome,
+                        channel)
+
+
+def test_decoder_coset_above_the_cap_fails_at_construction(monkeypatch):
+    channel, _, swc, b = make_setup()  # decoder cosets of at least 4 members
+    monkeypatch.setattr(gf_linalg, "COSET_ENUMERATION_CAP", 2)
+    with pytest.raises(CapExceededError, match="coset of size"):
+        cc.build(swc, b, channel, seed=1)

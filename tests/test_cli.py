@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cosetlab import cli
+from cosetlab import cli, gf_linalg
 from cosetlab.gf_linalg import FieldSpec
 
 
@@ -353,6 +353,15 @@ def test_sw_coset_above_the_cap_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.cfg", "p = 0.11\nrates = 0.3\nns = 24\ntrials = 5\n")
     assert cli.main(["sw", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
     assert "cap exceeded: coset of size 131072" in capsys.readouterr().err
+
+
+def test_channel_coset_above_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 5 syndrome rows at n = 8 leave cosets of at least 8 members; the baseline's
+    # syndrome-decoder trials and each code's construction meet the cap alike
+    monkeypatch.setattr(gf_linalg, "COSET_ENUMERATION_CAP", 4)
+    cfg = write_cfg(tmp_path, "c.cfg", TINY_CONFIGS["channel"])
+    assert cli.main(["channel", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
+    assert "cap exceeded: coset of size" in capsys.readouterr().err
 
 
 def test_hash_verify_ensemble_above_the_cap_exits_2(tmp_path, capsys):

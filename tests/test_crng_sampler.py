@@ -256,3 +256,10 @@ def test_mcmc_tv_default_schedule_odd_prime(q, rows, n, weights):
                                         mode=crng.MCMC)
     assert dist.constraints.coset_size == q ** (n - rows)
     assert crng.tv_distance_check(dist, 10000, seed=15) <= 0.05
+
+
+@pytest.mark.parametrize("other", [LinearMap(FieldSpec(3), ((1, 2, 0),)),
+                                   LinearMap(F2, ((1, 0, 1, 1),))], ids=["field", "length"])
+def test_constraint_maps_must_share_field_and_length(other):
+    with pytest.raises(ValueError, match="share field"):
+        crng.ConstraintSet(((A_PARITY, GfVector(F2, (0, 0))), (other, GfVector(other.field, (1,)))))

@@ -353,3 +353,30 @@ def test_chunk_rule_and_coset_cap_are_named_in_one_place():
 
     assert naming("CHUNK_ENTRIES") == ["gf_linalg.py"]
     assert naming("COSET_ENUMERATION_CAP") == ["crng_sampler.py", "gf_linalg.py"]
+
+
+def _decode_non_integral_y():
+    codec = sw.SwCodec(LinearMap(F2, ((1, 1, 0),)), sc.make_dsbs(0.1))
+    return sw.decode_map(codec, GfVector(F2, (0,)), (0.9, 1.5, 0.2))
+
+
+@pytest.mark.parametrize("make, what", [
+    pytest.param(lambda: GfVector(F2, (1.7, 0.2)), "vector entries", id="GfVector"),
+    pytest.param(lambda: GfVector.from_array(F2, [2.9, -0.5]), "vector entries",
+                 id="GfVector.from_array"),
+    pytest.param(lambda: LinearMap(F2, ((1.5, 0.0),)), "matrix entries", id="LinearMap"),
+    pytest.param(lambda: LinearMap.from_array(F2, np.array([[1.0, 0.5]])), "matrix entries",
+                 id="LinearMap.from_array"),
+    pytest.param(_decode_non_integral_y, "side information", id="side-information"),
+])
+def test_non_integral_values_are_refused_not_truncated(make, what):
+    with pytest.raises(ValueError, match=f"{what} must be integers"):
+        make()
+
+
+def test_bools_and_numpy_integers_are_accepted():
+    assert GfVector(F2, (True, np.int64(1), np.bool_(False))).entries == (1, 1, 0)
+    assert GfVector.from_array(F5, np.array([7, -1, 4])).entries == (2, 4, 4)
+    assert GfVector.from_array(F2, np.array([True, False])).entries == (1, 0)
+    assert LinearMap(F2, ((np.True_, np.int32(3)),)).entries == ((1, 1),)
+    assert LinearMap.from_array(F5, np.array([[6.0, -2.0]])).entries == ((1, 3),)
