@@ -218,18 +218,17 @@ def _run_hash_verify(cfg: dict, seed: int) -> List[dict]:
     # 'certified' computes the direct pairwise-collision pair instead, which
     # is the valid choice for the systematic-sparse kind
     source = _get(cfg, "params", _one_of("spectrum", "certified"), "spectrum")
-    # the params step and the certifier enumerate the ensemble once between them
-    with ensembles.shared_table():
-        # an expurgated spec's gamma is the config's, which compute_hash_params accepts
-        if source == "certified":
-            params = ensembles.certified_collision_params(spec)
-        else:
-            params = _named("gamma", ensembles.compute_hash_params, spec, gamma=gamma)
-        report = ensembles.certify_hash_property(
-            spec, params,
-            partition_pairs=ensembles.random_partition_pairs(field, n, pairs, seed),
-            collision_pairs=ensembles.random_collision_pairs(field, n, pairs, seed + 1),
-            gamma=gamma)
+    # an expurgated spec's gamma is the config's, which compute_hash_params accepts;
+    # the params step and the certifier share the spec's one table
+    if source == "certified":
+        params = ensembles.certified_collision_params(spec)
+    else:
+        params = _named("gamma", ensembles.compute_hash_params, spec, gamma=gamma)
+    report = ensembles.certify_hash_property(
+        spec, params,
+        partition_pairs=ensembles.random_partition_pairs(field, n, pairs, seed),
+        collision_pairs=ensembles.random_collision_pairs(field, n, pairs, seed + 1),
+        gamma=gamma)
     return [report.csv_row()]
 
 

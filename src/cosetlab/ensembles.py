@@ -51,23 +51,25 @@ image instead, so its cost never grows with both counts.  Its lhs sums
 float Q weights, so it can move in its last bits between BLAS kernels;
 only the violation count reaches the CSV.
 
-Each exact function builds the table it needs and keeps nothing.  Inside
-a :func:`shared_table` block the last spec's table is kept and reused,
-so a params step and the certifier of one run enumerate the ensemble
-once; the table is dropped before another spec's is built and when the
-block ends.
+A spec keeps its exact table: the first exact function that needs it
+builds it, read-only, and the spec frees it when the spec is freed, so a
+params step and the certifier on one spec enumerate the ensemble once.
+The table holds its member count and arrays, never the spec, so no
+reference cycle delays that.
 
-Exact enumeration is capped at 2^20 ensemble members, and the image-code
-table at 2^24 entries (the uniform closed form too goes through the word
-table, as a one-member table); beyond the caps CapExceededError is
-raised and no sampled estimate exists.
+Every cap is checked from the spec's sizes before anything is
+enumerated.  Exact enumeration is capped at 2^20 ensemble members
+(counted before expurgation).  The members x q^n image-code table and
+the q^n x n word table it indexes are each capped at 2^24 entries; the
+uniform closed form builds only the word table.  Beyond a cap
+CapExceededError is raised and no sampled estimate exists.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,6 +124,27 @@ class EnsembleSpec:
             if (self.inner.field, self.inner.rows, self.inner.cols) != (
                     self.field, self.rows, self.cols):
                 raise ValueError("inner ensemble shape must match")
+
+    @cached_property
+    def _table(self):
+        """(member count N, all words, image codes, kernel count K) of the full
+        ensemble, built on first exact use and kept read-only for the spec's life.
+
+        codes[b, i] encodes A_b applied to word i (word 0 is the zero word), and
+        K[d] = |{b : A_b d = 0}| sums integer terms below 2^53, exact on any BLAS
+        kernel.  Every cap is checked before anything is built.  The table holds
+        no reference to the spec, so reference counts alone free it with the spec.
+        """
+        q = self.field.q
+        words = _all_words(q, self.cols, _member_count(self))
+        arrays = enumerate_ensemble(self).arrays
+        codes = image_codes(arrays, q, words)
+        kernel = np.zeros(len(words))
+        for s in chunks(len(arrays), len(words)):
+            kernel += np.ones(s.stop - s.start) @ (codes[s] == 0)
+        for table in (words, codes, kernel):
+            table.flags.writeable = False
+        return len(arrays), words, codes, kernel
 
 
 def uniform_ensemble(field: FieldSpec, rows: int, cols: int) -> EnsembleSpec:
@@ -220,39 +243,52 @@ class EnumeratedEnsemble:
         return np.full(self.count, 1.0 / self.count)
 
 
-def _all_words(q: int, n: int, rows: int) -> np.ndarray:
-    """Every word of GF(q)^n, once a rows x q^n image-code table fits the cap."""
-    if rows * q ** n > IMAGE_TABLE_CAP:
-        raise CapExceededError(
-            f"image-code table of {rows} members x {q ** n} words is above the cap "
-            f"{IMAGE_TABLE_CAP}; shrink l or n")
+def _member_count(spec: EnsembleSpec) -> int:
+    """Members the exact enumeration builds, before any expurgation, from the
+    spec's sizes alone; CapExceededError above the cap."""
+    if spec.kind == EXPURGATED:
+        return _member_count(spec.inner)
+    q, l, n = spec.field.q, spec.rows, spec.cols
+    if spec.kind == UNIFORM:
+        name, base, exp = "uniform", q, l * n
+    else:
+        name, base, exp = "sparse", (n - l) * (q - 1), spec.row_weight * l
+    count = base ** exp
+    if count > ENSEMBLE_ENUMERATION_CAP:
+        shown = count if count < 10 ** 12 else f"{base}^{exp}"  # a long count as its power
+        raise CapExceededError(f"{name} ensemble has {shown} members, "
+                               f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
+    return count
+
+
+def _all_words(q: int, n: int, members: int) -> np.ndarray:
+    """Every word of GF(q)^n, once a members x q^n image-code table (none for
+    0 members) and the q^n x n word table itself fit the cap."""
+    if members * q ** n > IMAGE_TABLE_CAP:
+        raise CapExceededError(f"image-code table of {members} members x {q}^{n} codes "
+                               f"is above the cap {IMAGE_TABLE_CAP}; shrink l or n")
+    if q ** n * n > IMAGE_TABLE_CAP:
+        raise CapExceededError(f"word table of {q}^{n} words x {n} entries is above the "
+                               f"cap {IMAGE_TABLE_CAP}; shrink n")
     return word_table(q, n)
 
 
 def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
-    """Materialize the full ensemble; raises CapExceededError beyond the cap."""
+    """Materialize the full ensemble; CapExceededError, before anything is built,
+    beyond a cap."""
     q, l, n = spec.field.q, spec.rows, spec.cols
+    count = _member_count(spec)
     if spec.kind == UNIFORM:
-        count = q ** (l * n)
-        if count > ENSEMBLE_ENUMERATION_CAP:
-            raise CapExceededError(f"uniform ensemble has {count} members, "
-                                   f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
         return EnumeratedEnsemble(spec, word_table(q, l * n).reshape(count, l, n))
     if spec.kind == SYSTEMATIC_SPARSE:
-        m = n - l
-        base = m * (q - 1)
-        picks = spec.row_weight * l
-        count = base ** picks
-        if count > ENSEMBLE_ENUMERATION_CAP:
-            raise CapExceededError(f"sparse ensemble enumeration needs {count} pick sequences, "
-                                   f"above the cap {ENSEMBLE_ENUMERATION_CAP}")
-        digits = word_table(base, picks).reshape(count, l, spec.row_weight)
+        digits = word_table((n - l) * (q - 1), spec.row_weight * l).reshape(
+            count, l, spec.row_weight)
         return EnumeratedEnsemble(
             spec, _systematic(q, l, n, digits // (q - 1), 1 + digits % (q - 1)))
     # expurgated: keep the members that map no light non-zero word to 0,
     # i.e. whose kernel minimum weight exceeds gamma * n
+    words = _all_words(q, n, count)
     inner = enumerate_ensemble(spec.inner)
-    words = _all_words(q, n, inner.count)
     weights = np.count_nonzero(words, axis=1)
     light = words[(weights > 0) & (weights <= spec.gamma * n)]
     keep = (image_codes(inner.arrays, q, light) != 0).all(axis=1)
@@ -273,45 +309,6 @@ def members(spec: EnsembleSpec):
 # type spectrum and (alpha, beta)
 # ---------------------------------------------------------------------------
 
-# spec -> its table, while a shared_table block runs
-_shared: Optional[dict] = None
-
-
-@contextlib.contextmanager
-def shared_table():
-    """Within the block, each table built is kept, read-only, and reused
-    until another spec's is needed; leaving the block drops it."""
-    global _shared
-    _shared = {}
-    try:
-        yield
-    finally:
-        _shared = None
-
-
-def _ensemble_table(spec: EnsembleSpec):
-    """(members, all words, image codes, kernel count K) of the full ensemble.
-
-    codes[b, i] encodes A_b applied to word i (word 0 is the zero word), and
-    K[d] = |{b : A_b d = 0}| sums integer terms below 2^53, exact on any BLAS kernel.
-    """
-    if _shared is not None:
-        if spec in _shared:
-            return _shared[spec]
-        _shared.clear()  # before the build, so two tables never coexist
-    ens = enumerate_ensemble(spec)
-    words = _all_words(spec.field.q, spec.cols, ens.count)
-    codes = image_codes(ens.arrays, spec.field.q, words)
-    kernel = np.zeros(len(words))
-    for s in chunks(ens.count, len(words)):
-        kernel += np.ones(s.stop - s.start) @ (codes[s] == 0)
-    for table in (ens.arrays, words, codes, kernel):
-        table.flags.writeable = False
-    if _shared is not None:
-        _shared[spec] = ens, words, codes, kernel
-    return ens, words, codes, kernel
-
-
 def _spectrum(spec: EnsembleSpec):
     """(types, class sizes, kernel counts, N) over the types of GF(q)^n: S = counts / N.
 
@@ -320,12 +317,12 @@ def _spectrum(spec: EnsembleSpec):
     """
     q, l, n = spec.field.q, spec.rows, spec.cols
     if spec.kind == UNIFORM:
-        # closed form: a non-zero word is in 1 of q^l kernels, the zero word in all
-        words, total = _all_words(q, n, 1), q ** l
+        # closed form: a non-zero word is in 1 of q^l kernels, the zero word in all;
+        # it needs no image-code table
+        words, total = _all_words(q, n, 0), q ** l
         kernel = np.where(words.any(axis=1), 1.0, total)
     else:
-        ens, words, _, kernel = _ensemble_table(spec)
-        total = ens.count
+        total, words, _, kernel = spec._table
     symbols = np.stack([np.count_nonzero(words == a, axis=1) for a in range(q)], axis=1)
     types, inverse, sizes = np.unique(symbols, axis=0, return_inverse=True, return_counts=True)
     return types, sizes, np.bincount(inverse.ravel(), weights=kernel), total
@@ -387,8 +384,8 @@ def certified_collision_params(spec: EnsembleSpec) -> HashParams:
     pins the first coordinates), so this direct pair is the one to
     certify it with.
     """
-    ens, _, _, kernel = _ensemble_table(spec)
-    alpha = spec.field.q ** spec.rows * kernel[1:].max() / ens.count
+    total, _, _, kernel = spec._table
+    alpha = spec.field.q ** spec.rows * kernel[1:].max() / total
     return HashParams(alpha=float(alpha), beta=0.0)
 
 
@@ -560,14 +557,14 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
 
     Violations are collected in the report, never raised.
     """
-    ens, words, codes, kernel = _ensemble_table(spec)
+    total, words, codes, kernel = spec._table
     q, l = spec.field.q, spec.rows
     im_size = q ** l
 
     # P(A x = A x') = K[x' - x] / N: every word sees the same partner counts
     partners = kernel[1:]
-    over = partners * im_size > params.alpha * ens.count * (1.0 + _REL_SLACK)
-    mass = float(partners[over].sum() / ens.count)
+    over = partners * im_size > params.alpha * total * (1.0 + _REL_SLACK)
+    mass = float(partners[over].sum() / total)
     violations = []
     if mass > params.beta * (1.0 + _REL_SLACK) + _REL_SLACK:
         violations = [f"x={tuple(int(v) for v in w)}: "
@@ -596,7 +593,7 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
         for k, (g_mask, u) in enumerate(collision_pairs):
             rhs = np.count_nonzero(g_mask) * params.alpha / im_size + params.beta
             collision_set_checks.append(PairCheck(label=f"collision-set-{k}", rhs=rhs,
-                                                  lhs=np.count_nonzero(hits[:, k]) / ens.count))
+                                                  lhs=np.count_nonzero(hits[:, k]) / total))
 
     return CertificationReport(spec=spec, params=params,
                                collision_checked=len(words),

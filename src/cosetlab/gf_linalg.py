@@ -52,9 +52,12 @@ class FieldSpec:
 
 def checked_ints(values, what: str) -> tuple:
     """``values`` as a tuple of ints (bools and numpy integers pass); a ValueError
-    naming ``what`` if one is not integral, so 1.5 is refused, never truncated."""
+    naming ``what`` if one is not integral (1.5, inf or nan), so none is truncated."""
     values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
-    ints = tuple(map(int, values))
+    try:
+        ints = tuple(map(int, values))
+    except (OverflowError, ValueError):  # int() of inf and of nan
+        ints = None
     if ints != values:
         raise ValueError(f"{what} must be integers, got {values!r}")
     return ints

@@ -280,6 +280,22 @@ def test_codec_reduces_message_map_once(monkeypatch):
     assert len(for_b) == 1
 
 
+def test_message_cap_bounds_only_the_message_list(monkeypatch):
+    channel, _, swc, b = make_setup(seed=4, n=6, l_a=2, l_b=3)
+    codec = cc.build(swc, b, channel, seed=1)
+    count = codec.message_count
+    exact = cc.error_probability(codec, "exact")
+    mc = cc.error_probability(codec, "mc", trials=50, seed=2)
+    monkeypatch.setattr(cc, "MESSAGE_ENUMERATION_CAP", count - 1)
+    with pytest.raises(CapExceededError, match=f"message space of size {count} exceeds"):
+        codec.messages()
+    # neither the message count, nor a message draw, nor either evaluator lists Im B
+    assert codec.message_count == count
+    assert not codec.b_map.solver().solve(codec.random_message(np.random.default_rng(0))).is_empty
+    assert cc.error_probability(codec, "exact") == exact
+    assert cc.error_probability(codec, "mc", trials=50, seed=2) == mc
+
+
 def test_exact_error_cap_is_checked_before_enumeration(monkeypatch):
     # 4 messages x 2^9-member cosets x 2^14 outputs = 2^25 terms > 2^24
     channel, _, swc, b = make_setup(seed=3, n=14, l_a=3, l_b=2)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cosetlab import cli, gf_linalg
+from cosetlab import cli, ensembles, gf_linalg
 from cosetlab.gf_linalg import FieldSpec
 
 
@@ -369,6 +369,26 @@ def test_hash_verify_ensemble_above_the_cap_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.cfg", "q = 2\nl = 3\nn = 8\npairs = 1\n")
     assert cli.main(["hash-verify", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
     assert "cap exceeded: uniform ensemble has 16777216 members" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ("l = 2\nn = 10\n", "image-code table of 1048576 members x 2^10 codes"),
+    ("l = 1\nn = 20\n", "word table of 2^20 words x 20 entries"),
+    ("ensemble = systematic-sparse\nl = 1\nn = 300\nrow_weight = 2\n",
+     "image-code table of 89401 members x 2^300 codes"),
+    ("ensemble = systematic-sparse\nl = 1\nn = 1000\nrow_weight = 2\n",
+     "image-code table of 998001 members x 2^1000 codes"),
+], ids=["uniform-2x10", "uniform-1x20", "sparse-1x300", "sparse-1x1000"])
+def test_hash_verify_table_above_the_cap_exits_2(tmp_path, capsys, monkeypatch, cfg, message):
+    # the caps are read from the spec's sizes: no member and no image code is built first
+    def refuse(*args):
+        raise AssertionError("a table was built before its cap was checked")
+
+    monkeypatch.setattr(ensembles, "enumerate_ensemble", refuse)
+    monkeypatch.setattr(ensembles, "image_codes", refuse)
+    path = write_cfg(tmp_path, "c.cfg", cfg + "pairs = 2\n")
+    assert cli.main(["hash-verify", "--config", path, "--out", str(tmp_path / "c.csv")]) == 2
+    assert f"cap exceeded: {message}" in capsys.readouterr().err
 
 
 def test_numpy_floats_are_written_as_numbers():

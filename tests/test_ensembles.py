@@ -90,16 +90,37 @@ def test_expurgation_infeasible_raises(monkeypatch):
         ens.sample_map(spec, 0)
 
 
-def test_enumeration_caps_raise_before_building():
+def test_enumeration_caps_raise_before_building(monkeypatch):
+    # every cap is read from the spec's sizes: nothing is enumerated before a refusal
+    def refuse(*args):
+        raise AssertionError("a table was built before its cap was checked")
+
+    for name in ("word_table", "image_codes", "_systematic"):
+        monkeypatch.setattr(ens, name, refuse)
     # 2^21 uniform members are above the 2^20 member cap
-    with pytest.raises(CapExceededError, match="2097152 members"):
+    with pytest.raises(CapExceededError, match="uniform ensemble has 2097152 members"):
         ens.enumerate_ensemble(ens.uniform_ensemble(F2, 3, 7))
+    with pytest.raises(CapExceededError, match=r"uniform ensemble has 2\^300 members"):
+        ens.certified_collision_params(ens.uniform_ensemble(F2, 1, 300))
     # 21 sparse members fit, but 21 x 2^22 image codes are above the 2^24 table cap
-    with pytest.raises(CapExceededError, match="image-code table of 21 members"):
+    with pytest.raises(CapExceededError, match=r"image-code table of 21 members x 2\^22 codes"):
         ens.certified_collision_params(ens.sparse_ensemble(F2, 1, 22, 1))
-    # the uniform closed form reads its types from the word table, capped the same way
-    with pytest.raises(CapExceededError, match="image-code table of 1 members"):
-        ens.compute_hash_params(ens.uniform_ensemble(F2, 1, 25), gamma=0.0)
+    # 2^20 uniform members fit, but not with 2^10 codes each
+    with pytest.raises(CapExceededError, match=r"of 1048576 members x 2\^10 codes"):
+        ens.certified_collision_params(ens.uniform_ensemble(F2, 2, 10))
+    # expurgation sizes its inner members' codes before it enumerates them
+    with pytest.raises(CapExceededError, match=r"of 1048576 members x 2\^10 codes"):
+        ens.enumerate_ensemble(ens.expurgate(ens.uniform_ensemble(F2, 2, 10), 0.25))
+    # 299^2 and 999^2 sparse members fit, but not with 2^300 or 2^1000 codes each
+    with pytest.raises(CapExceededError, match=r"of 89401 members x 2\^300 codes"):
+        ens.certified_collision_params(ens.sparse_ensemble(F2, 1, 300, 2))
+    with pytest.raises(CapExceededError, match=r"of 998001 members x 2\^1000 codes"):
+        ens.compute_hash_params(ens.sparse_ensemble(F2, 1, 1000, 2), gamma=0.0)
+    # the uniform closed form builds only the word table, which counts its own entries
+    with pytest.raises(CapExceededError, match=r"word table of 2\^20 words x 20 entries"):
+        ens.compute_hash_params(ens.uniform_ensemble(F2, 1, 20), gamma=0.0)
+    with pytest.raises(CapExceededError, match=r"word table of 2\^25 words x 25 entries"):
+        ens.type_spectrum(ens.uniform_ensemble(F2, 1, 25))
 
 
 def test_type_vector_basics():
@@ -500,23 +521,25 @@ def _watch_tables(monkeypatch):
     return tables
 
 
-def test_a_table_is_kept_only_inside_a_shared_block(monkeypatch):
+def test_a_spec_builds_one_table_and_frees_it_with_itself(monkeypatch):
     tables = _watch_tables(monkeypatch)
-    first = ens.sparse_ensemble(F2, 2, 5, 1)
-    second = ens.expurgate(ens.uniform_ensemble(F2, 2, 4), 0.25)
-    ens.certified_collision_params(first)
-    ens.type_spectrum(first)
-    gc.collect()
-    assert len(tables) == 2 and tables[1]() is None
-    with ens.shared_table():
-        ens.certified_collision_params(first)
-        ens.type_spectrum(first)
-        assert len(tables) == 3 and tables[2]() is not None
-        ens.compute_hash_params(second)
-        # the first spec's table went before the second's was built
-        assert len(tables) == 4 and tables[2]() is None and tables[3]() is not None
-    gc.collect()
-    assert tables[3]() is None
+    gc.disable()  # no cycle collector: only reference counts can free the table
+    try:
+        spec = ens.expurgate(ens.uniform_ensemble(F2, 2, 4), 0.25)
+        params = ens.compute_hash_params(spec)
+        ens.type_spectrum(spec)
+        ens.certified_collision_params(spec)
+        ens.certify_hash_property(spec, params, ens.random_partition_pairs(F2, 4, 2, 0),
+                                  ens.random_collision_pairs(F2, 4, 2, 1))
+        assert len(tables) == 1 and tables[0]() is not None
+        assert not any(t.flags.writeable for t in spec._table[1:])
+        # an equal spec is another object, with its own table
+        ens.certified_collision_params(ens.expurgate(ens.uniform_ensemble(F2, 2, 4), 0.25))
+        assert len(tables) == 2 and tables[1]() is None
+        del spec
+        assert tables[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("pairs", [2, 3], ids=["buckets", "products"])

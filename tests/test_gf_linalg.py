@@ -1,6 +1,8 @@
 import gc
 import itertools
+import math
 import pathlib
+import re
 import weakref
 
 import numpy as np
@@ -355,9 +357,16 @@ def test_chunk_rule_and_coset_cap_are_named_in_one_place():
     assert naming("COSET_ENUMERATION_CAP") == ["crng_sampler.py", "gf_linalg.py"]
 
 
-def _decode_non_integral_y():
+def test_the_package_holds_no_module_level_mutable_state():
+    # state belongs to the objects that callers create, never to a module
+    src = pathlib.Path(gf_linalg.__file__).resolve().parent
+    assert [p.name for p in src.glob("*.py")
+            if re.search(r"^\s*global\s", p.read_text(), re.MULTILINE)] == []
+
+
+def _decode_y(y):
     codec = sw.SwCodec(LinearMap(F2, ((1, 1, 0),)), sc.make_dsbs(0.1))
-    return sw.decode_map(codec, GfVector(F2, (0,)), (0.9, 1.5, 0.2))
+    return sw.decode_map(codec, GfVector(F2, (0,)), y)
 
 
 @pytest.mark.parametrize("make, what", [
@@ -367,7 +376,14 @@ def _decode_non_integral_y():
     pytest.param(lambda: LinearMap(F2, ((1.5, 0.0),)), "matrix entries", id="LinearMap"),
     pytest.param(lambda: LinearMap.from_array(F2, np.array([[1.0, 0.5]])), "matrix entries",
                  id="LinearMap.from_array"),
-    pytest.param(_decode_non_integral_y, "side information", id="side-information"),
+    pytest.param(lambda: _decode_y((0.9, 1.5, 0.2)), "side information",
+                 id="side-information"),
+    pytest.param(lambda: GfVector(F2, (math.inf, 0)), "vector entries", id="GfVector-inf"),
+    pytest.param(lambda: GfVector(F2, (math.nan, 0)), "vector entries", id="GfVector-nan"),
+    pytest.param(lambda: LinearMap.from_array(F2, [[-math.inf, 0.0]]), "matrix entries",
+                 id="LinearMap.from_array-inf"),
+    pytest.param(lambda: _decode_y((math.inf, 0, 0)), "side information",
+                 id="side-information-inf"),
 ])
 def test_non_integral_values_are_refused_not_truncated(make, what):
     with pytest.raises(ValueError, match=f"{what} must be integers"):
