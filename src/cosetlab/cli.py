@@ -218,8 +218,10 @@ def _run_hash_verify(cfg: dict, seed: int) -> List[dict]:
     # 'certified' computes the direct pairwise-collision pair instead, which
     # is the valid choice for the systematic-sparse kind
     source = _get(cfg, "params", _one_of("spectrum", "certified"), "spectrum")
-    # an expurgated spec's gamma is the config's, which compute_hash_params accepts;
-    # the params step and the certifier share the spec's one table
+    # the certifier's table is built first, so its caps refuse before the params
+    # step and the pair draws; the params step and the certifier share it
+    spec._table
+    # an expurgated spec's gamma is the config's, which compute_hash_params accepts
     if source == "certified":
         params = ensembles.certified_collision_params(spec)
     else:

@@ -59,10 +59,11 @@ reference cycle delays that.
 
 Every cap is checked from the spec's sizes before anything is
 enumerated.  Exact enumeration is capped at 2^20 ensemble members
-(counted before expurgation).  The members x q^n image-code table and
-the q^n x n word table it indexes are each capped at 2^24 entries; the
-uniform closed form builds only the word table.  Beyond a cap
-CapExceededError is raised and no sampled estimate exists.
+(counted before expurgation).  The members x l x n member array, the
+members x q^n image-code table and the q^n x n word table it indexes are
+each capped at 2^24 entries; the uniform closed form builds only the word
+table.  Beyond a cap CapExceededError is raised and no sampled estimate
+exists.
 """
 
 from __future__ import annotations
@@ -278,6 +279,9 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
     beyond a cap."""
     q, l, n = spec.field.q, spec.rows, spec.cols
     count = _member_count(spec)
+    if spec.kind != EXPURGATED and count * l * n > IMAGE_TABLE_CAP:
+        raise CapExceededError(f"member array of {count} members x {l} x {n} entries "
+                               f"is above the cap {IMAGE_TABLE_CAP}; shrink l or n")
     if spec.kind == UNIFORM:
         return EnumeratedEnsemble(spec, word_table(q, l * n).reshape(count, l, n))
     if spec.kind == SYSTEMATIC_SPARSE:

@@ -68,22 +68,17 @@ def product_law(letters: np.ndarray, words: np.ndarray, op=np.multiply) -> np.nd
     return out
 
 
-def cdf_rows(weights: np.ndarray) -> np.ndarray:
-    """Normalize, cumsum, divide by the last entry: each row's CDF ends at exactly 1."""
-    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
-    cdf /= cdf[:, -1:]
-    return cdf
-
-
 def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row of non-negative weights, the index ``Generator.choice`` draws at uniform u.
 
-    A single row of weights serves every uniform.  Every row needs a
-    positive total.  The normalized cumulative sum ends at exactly 1 > u
-    and stays flat across zero weights, so the index always has positive
-    weight.
+    Rows lie along the last axis of ``weights`` and ``u`` has their leading
+    shape, except that a 2-d single row serves every uniform.  Every row
+    needs a positive total.  The normalized cumulative sum, divided by its
+    last entry, ends at exactly 1 > u and stays flat across zero weights, so
+    the index always has positive weight.
     """
-    cdf = cdf_rows(weights)
-    if len(cdf) == 1:  # one row for every uniform: a sorted search, as choice runs it
+    cdf = np.cumsum(weights / weights.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    if cdf.shape[:-1] == (1,):  # one row for every uniform: a sorted search, as choice runs it
         return cdf[0].searchsorted(u, side="right")
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
+    return np.count_nonzero(cdf <= u[..., None], axis=-1)

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .rng import cdf_rows, checked_law
+from .rng import checked_law, inverse_cdf
 
 
 @dataclass(eq=False)
@@ -42,9 +42,7 @@ class Channel:
 
     def sample_outputs(self, x_indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One i.i.d. output per input symbol, in the inputs' shape, by ``rng.inverse_cdf``."""
-        cdf = cdf_rows(self.transition)
-        u = rng.random(np.shape(x_indices))
-        return np.count_nonzero(cdf[x_indices] <= u[..., None], axis=-1)
+        return inverse_cdf(self.transition[x_indices], rng.random(np.shape(x_indices)))
 
 
 @dataclass(eq=False)

@@ -373,7 +373,7 @@ def test_hash_verify_ensemble_above_the_cap_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("cfg, message", [
     ("l = 2\nn = 10\n", "image-code table of 1048576 members x 2^10 codes"),
-    ("l = 1\nn = 20\n", "word table of 2^20 words x 20 entries"),
+    ("l = 1\nn = 20\n", "image-code table of 1048576 members x 2^20 codes"),
     ("ensemble = systematic-sparse\nl = 1\nn = 300\nrow_weight = 2\n",
      "image-code table of 89401 members x 2^300 codes"),
     ("ensemble = systematic-sparse\nl = 1\nn = 1000\nrow_weight = 2\n",
@@ -389,6 +389,21 @@ def test_hash_verify_table_above_the_cap_exits_2(tmp_path, capsys, monkeypatch, 
     path = write_cfg(tmp_path, "c.cfg", cfg + "pairs = 2\n")
     assert cli.main(["hash-verify", "--config", path, "--out", str(tmp_path / "c.csv")]) == 2
     assert f"cap exceeded: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [18, 19])
+def test_hash_verify_reads_the_table_caps_before_any_work(tmp_path, capsys, monkeypatch, n):
+    # the uniform closed-form spectrum fits, but the certifier's table does not:
+    # the run is refused before its params step and its pair draws
+    def refuse(*args, **kwargs):
+        raise AssertionError("work was done before the certifier's caps were read")
+
+    for name in ("compute_hash_params", "random_partition_pairs", "random_collision_pairs"):
+        monkeypatch.setattr(ensembles, name, refuse)
+    path = write_cfg(tmp_path, "c.cfg", f"q = 2\nl = 1\nn = {n}\npairs = 20\n")
+    assert cli.main(["hash-verify", "--config", path, "--out", str(tmp_path / "c.csv")]) == 2
+    assert (f"cap exceeded: image-code table of {2 ** n} members x 2^{n} codes"
+            in capsys.readouterr().err)
 
 
 def test_numpy_floats_are_written_as_numbers():

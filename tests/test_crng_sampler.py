@@ -31,6 +31,22 @@ def test_inverse_cdf_matches_generator_choice():
     assert inverse_cdf(weights[:1], u).tolist() == first
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (1, 5), (2, 1, 3)])
+def test_inverse_cdf_draws_each_row_of_a_stack(shape):
+    # rows lie along the last axis and u has the leading shape; a (1, n, K) stack
+    # is n rows, not one row for every uniform
+    rng = np.random.default_rng(sum(shape))
+    weights = rng.random(shape + (6,)) * (rng.random(shape + (6,)) < 0.6)
+    weights[..., 2] += 0.1  # every row has mass
+    seeds = rng.integers(0, 2 ** 32, shape)
+    u = np.vectorize(lambda s: np.random.default_rng(s).random())(seeds)
+    expected = np.empty(shape, dtype=np.int64)
+    for i in np.ndindex(*shape):
+        w = weights[i]
+        expected[i] = np.random.default_rng(seeds[i]).choice(6, p=w / w.sum())
+    assert np.array_equal(inverse_cdf(weights, u), expected)
+
+
 def test_constraint_set_basics():
     cs = kernel_constraints()
     assert cs.is_consistent and cs.coset_size == 2 and cs.n == 3

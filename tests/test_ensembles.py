@@ -121,6 +121,12 @@ def test_enumeration_caps_raise_before_building(monkeypatch):
         ens.compute_hash_params(ens.uniform_ensemble(F2, 1, 20), gamma=0.0)
     with pytest.raises(CapExceededError, match=r"word table of 2\^25 words x 25 entries"):
         ens.type_spectrum(ens.uniform_ensemble(F2, 1, 25))
+    # 2^20 uniform and 999^2 sparse members fit the member cap, but their
+    # members x l x n arrays do not fit the 2^24 entry cap
+    with pytest.raises(CapExceededError, match="member array of 1048576 members x 1 x 20 entries"):
+        ens.enumerate_ensemble(ens.uniform_ensemble(F2, 1, 20))
+    with pytest.raises(CapExceededError, match="member array of 998001 members x 1 x 1000 entries"):
+        ens.enumerate_ensemble(ens.sparse_ensemble(F2, 1, 1000, 2))
 
 
 def test_type_vector_basics():

@@ -30,6 +30,20 @@ def test_no_generator_choice_outside_the_draw_rule():
     assert callers == []
 
 
+def test_the_inverse_cdf_rule_is_only_in_the_seed_module():
+    # no other module searches or counts a CDF against uniforms, so a second
+    # copy of rng.inverse_cdf cannot come back unnoticed
+    src = pathlib.Path(rng.__file__).resolve().parent
+    callers = sorted(p.name for p in src.glob("*.py")
+                     for node in ast.walk(ast.parse(p.read_text()))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and (node.func.attr == "searchsorted"
+                          or node.func.attr == "count_nonzero" and node.args
+                          and isinstance(node.args[0], ast.Compare)
+                          and any(isinstance(op, (ast.LtE, ast.GtE)) for op in node.args[0].ops)))
+    assert callers == ["rng.py", "rng.py"]
+
+
 def test_mass_tolerance_is_defined_only_in_the_seed_module():
     # every finite-law check reads its sum tolerance from rng, so a third
     # tolerance or negative-entry rule cannot come back unnoticed

@@ -24,6 +24,30 @@ def test_sample_outputs_any_shape():
     assert np.array_equal(block.ravel(), row)
 
 
+def _inline_sample_outputs(channel, x_indices, rng):
+    """The former inline rule: gather the channel's CDF rows, count the entries <= u."""
+    w = channel.transition
+    cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(np.shape(x_indices))
+    return np.count_nonzero(cdf[x_indices] <= u[..., None], axis=-1)
+
+
+@pytest.mark.parametrize("channel", [sc.make_bsc(0.11), sc.make_zchannel(0.3),
+                                     sc.make_quantized_awgn(4.0, 5),
+                                     sc.make_quantized_awgn(2.0, 8)],
+                         ids=["bsc", "zchannel", "awgn5", "awgn8"])
+@pytest.mark.parametrize("shape", [(16,), (1,), (250, 16), (1, 10), (125, 10), (3, 4, 5)])
+def test_sample_outputs_draws_the_inline_rule(channel, shape):
+    # the draw rule on the gathered rows draws what the gathered CDF rows drew, bit for bit
+    for seed in range(5):
+        x = np.random.default_rng(seed).integers(0, channel.input_size, shape)
+        got = channel.sample_outputs(x, np.random.default_rng(seed + 100))
+        assert got.shape == shape
+        assert np.array_equal(got, _inline_sample_outputs(channel, x,
+                                                           np.random.default_rng(seed + 100)))
+
+
 class FixedUniform:
     """Stub generator whose every uniform is u."""
 

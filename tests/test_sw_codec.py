@@ -313,7 +313,7 @@ def test_mc_error_draws_the_documented_stream(q, l, n):
         else:
             u = rng.random(trials)
             for t, (x, y) in enumerate(zip(xs, ys)):
-                members = codec.coset_members(x)
+                members = (x + codec.solver.kernel) % q
                 (pick,), _ = sw._decide(sw.STOCHASTIC, source.cond_x_given_y, members,
                                         y[None], u[t:t + 1])
                 failures += not np.array_equal(members[pick], x)
