@@ -27,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
+from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _draw, _normalize_weights
 from .ensembles import sample_map
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (GfVector, LinearMap, _row_reduce, chunks, concat_vectors, coset_array,
@@ -60,6 +60,7 @@ class ChannelCodec:
         self.channel = channel
         self.n = sw.n
         self.field = sw.field
+        self.law = _normalize_weights(sw.source.x_marginal, self.n, self.field.q)  # checked once
         # one reduction of B^T gives a basis of Im B, and its row count is rank B
         rref, _, pivots = _row_reduce(b_map.as_array().T, self.field)
         self._msg_basis = rref[:len(pivots)]  # (rank, l)
@@ -90,8 +91,8 @@ class ChannelCodec:
         return GfVector.from_array(self.field, (coefficients @ self._msg_basis) % self.field.q)
 
     def encoder_distribution(self, m: GfVector, mode: str = EXACT) -> ConstrainedDistribution:
-        # one pair on the stacked (A; B) reuses its solver instead of re-reducing
-        # both maps; the reduced form, and so the coset order, is the same
+        """The reference view of ``encode``'s law, not its path: one pair on the stacked
+        (A; B), whose solver, and so coset order, is that of the pairs (A, c), (B, m)."""
         constraints = ConstraintSet(((self.stacked, concat_vectors((self.syndrome, m),
                                                                    self.field)),))
         return ConstrainedDistribution(self.sw.source.x_marginal, constraints, mode=mode)
@@ -112,13 +113,17 @@ def build(sw: SwCodec, b_map: LinearMap, channel: Channel, seed) -> ChannelCodec
 def encode(codec: ChannelCodec, m: GfVector, seed, mode: str = EXACT) -> Optional[GfVector]:
     """Channel input for message m, or None when the coset has no mass.
 
-    The None outcome is the modeled encoder error: it counts toward the
-    error probability rather than raising.
+    It solves (A; B) x = (c; m) once and draws under the code's checked
+    input law.  The None outcome is the modeled encoder error: it counts
+    toward the error probability rather than raising.
     """
+    rhs = concat_vectors((codec.syndrome, m), codec.field)
     try:
-        return draw(codec.encoder_distribution(m, mode=mode), seed)
+        x = _draw(codec.stacked.solver().solve(rhs), codec.law, mode, seed)
     except EmptyCosetError:
         return None
+    assert matvec(codec.stacked, x) == rhs
+    return x
 
 
 def decode(codec: ChannelCodec, y, seed=0) -> GfVector:
@@ -137,7 +142,7 @@ def _message_segments(codec: ChannelCodec):
     mass-zero coset, an encoder error).
     """
     members, member_msg, starts = segments(codec.coset, codec.b_map)
-    px = product_law(np.broadcast_to(codec.sw.source.x_marginal, (codec.n, codec.field.q)), members)
+    px = product_law(codec.law, members)
     return members, member_msg, starts, px, np.add.reduceat(px, starts)
 
 

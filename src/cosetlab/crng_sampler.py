@@ -1,7 +1,9 @@
 """Constrained random number generation.
 
 Draw x from an i.i.d. (or per-letter) distribution conditioned on a set
-of linear constraints A x = c, B x = m, ...  Exact mode enumerates the
+of linear constraints A x = c, B x = m, ...  The maps and the law are
+fixed while the value (c, m, ...) changes per draw, so the one draw body,
+``_draw``, reads a solution and a checked (n, q) law.  Exact mode enumerates the
 solution coset and samples from the renormalized weights by the package's
 one draw rule, ``rng.inverse_cdf`` (the rule of ``Generator.choice``), so
 a seed gives the draw ``choice`` would give.
@@ -84,13 +86,10 @@ class ConstraintSet:
 
 def _normalize_weights(weights, n: int, q: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim == 1:
-        if w.shape[0] != q:
-            raise ValueError("single-letter weights must have one entry per symbol")
-        w = np.tile(w, (n, 1))
-    if w.shape != (n, q):
+    if w.shape not in ((q,), (n, q)):
         raise ValueError(f"weights must have shape ({n}, {q}) or ({q},)")
-    return checked_law(w, "per-letter weights", rows=True, tol=LOOSE_MASS_TOL)
+    return checked_law(np.broadcast_to(w, (n, q)), "per-letter weights", rows=True,
+                       tol=LOOSE_MASS_TOL)
 
 
 @dataclass(eq=False)
@@ -130,9 +129,9 @@ class ConstrainedDistribution:
         return self.constraints.n
 
 
-def _member_weights(dist: ConstrainedDistribution) -> Tuple[np.ndarray, np.ndarray]:
+def _member_weights(sol: gf_linalg.AffineSolution,
+                    law: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(members, unnormalized probabilities) of the enumerated coset."""
-    sol = dist.constraints.solution
     cap = gf_linalg.COSET_ENUMERATION_CAP
     if sol.size > cap:
         raise CapExceededError(
@@ -140,18 +139,16 @@ def _member_weights(dist: ConstrainedDistribution) -> Tuple[np.ndarray, np.ndarr
             "law and mass are unavailable; an mcmc draw needs them only when its walk "
             "ends on a zero-weight state")
     members = coset_array(sol)
-    return members, product_law(dist.weights, members)
+    return members, product_law(law, members)
 
 
 def mass(dist: ConstrainedDistribution) -> float:
     """Total probability the unconstrained law puts on the coset (exact mode)."""
-    if not dist.constraints.is_consistent:
-        return 0.0
-    _, probs = _member_weights(dist)
-    return float(probs.sum())
+    sol = dist.constraints.solution
+    return 0.0 if sol.is_empty else float(_member_weights(sol, dist.weights)[1].sum())
 
 
-def _walk(dist: ConstrainedDistribution, rng: np.random.Generator, first: int,
+def _walk(sol: gf_linalg.AffineSolution, law: np.ndarray, rng: np.random.Generator, first: int,
           every: int) -> Iterator[List[int]]:
     """States of one Metropolis chain: after ``first`` sweeps, then after each ``every`` more.
 
@@ -164,11 +161,10 @@ def _walk(dist: ConstrainedDistribution, rng: np.random.Generator, first: int,
     u * den < num (never when num = 0).  Each yield is the chain's own
     state list, which the following sweeps update in place.
     """
-    sol = dist.constraints.solution
-    q = dist.field.q
+    q = sol.field.q
     state = list(sol.particular.entries)
     # each move touches only its support: (position, step, letter weights)
-    rows = dist.weights.tolist()
+    rows = law.tolist()
     moves = [[(i, b, rows[i]) for i, b in enumerate(v.entries) if b] for v in sol.null_basis]
     proposals = chain.from_iterable(zip(rng.integers(0, q, size=BLOCK).tolist(),
                                         rng.random(BLOCK).tolist()) for _ in count())
@@ -190,37 +186,43 @@ def _walk(dist: ConstrainedDistribution, rng: np.random.Generator, first: int,
         sweeps = every
 
 
-def draw(dist: ConstrainedDistribution, seed) -> GfVector:
-    """One sample; every output is asserted to satisfy all constraints.
+def _draw(sol: gf_linalg.AffineSolution, law: np.ndarray, mode: str, seed) -> GfVector:
+    """The draw body: one member of the coset of ``sol`` under the checked (n, q) ``law``.
 
     Neither mode returns a state of zero weight.  The walk accepts no move
     onto such a state, so it ends on one only when the coset may carry no
-    mass; that is then decided exactly by :func:`mass`, within the coset cap.
+    mass; that is then decided exactly, within the coset cap.
     """
-    if not dist.constraints.is_consistent:
+    if mode not in (EXACT, MCMC):
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    if sol.is_empty:
         raise EmptyCosetError("constraints are inconsistent: encoder error")
     rng = make_rng(seed)
-    if dist.mode == EXACT:
-        members, probs = _member_weights(dist)
+    if mode == EXACT:
+        members, probs = _member_weights(sol, law)
         if probs.sum() <= 0.0:
             raise EmptyCosetError("coset carries zero probability mass: encoder error")
-        i = inverse_cdf(probs[None], rng.random(1))[0]
-        out = GfVector.from_array(dist.field, members[i])
-    else:
-        state = next(_walk(dist, rng, dist.burn_in + dist.sweeps, 0))
-        if not all(dist.weights[i, a] > 0.0 for i, a in enumerate(state)):
-            if mass(dist) <= 0.0:
-                raise EmptyCosetError("coset carries zero probability mass: encoder error")
-            raise RuntimeError("the MCMC walk ended on a zero-weight state of a coset "
-                               "with positive mass")
-        out = GfVector.from_array(dist.field, state)
+        return GfVector.from_array(sol.field, members[inverse_cdf(probs[None], rng.random(1))[0]])
+    sweeps = (BURN_IN_SWEEPS_PER_LETTER + SWEEPS_PER_LETTER) * len(law)
+    state = next(_walk(sol, law, rng, sweeps, 0))
+    if not all(law[i, a] > 0.0 for i, a in enumerate(state)):
+        if _member_weights(sol, law)[1].sum() <= 0.0:
+            raise EmptyCosetError("coset carries zero probability mass: encoder error")
+        raise RuntimeError("the MCMC walk ended on a zero-weight state of a coset "
+                           "with positive mass")
+    return GfVector.from_array(sol.field, state)
+
+
+def draw(dist: ConstrainedDistribution, seed) -> GfVector:
+    """One sample by ``_draw``; every output is asserted to satisfy all constraints."""
+    out = _draw(dist.constraints.solution, dist.weights, dist.mode, seed)
     assert dist.constraints.satisfied_by(out)
     return out
 
 
 def exact_distribution(dist: ConstrainedDistribution) -> Tuple[np.ndarray, np.ndarray]:
     """(members, normalized probabilities); the reference law for TV checks."""
-    members, probs = _member_weights(dist)
+    members, probs = _member_weights(dist.constraints.solution, dist.weights)
     total = probs.sum()
     if total <= 0.0:
         raise EmptyCosetError("coset carries zero probability mass")
@@ -245,7 +247,8 @@ def tv_distance_check(dist: ConstrainedDistribution, draws: int, seed) -> float:
     else:
         counts = np.zeros(len(exact))
         index = {tuple(row): i for i, row in enumerate(members.tolist())}
-        walk = _walk(dist, rng, dist.burn_in + THIN_SWEEPS, THIN_SWEEPS)
+        walk = _walk(dist.constraints.solution, dist.weights, rng,
+                     dist.burn_in + THIN_SWEEPS, THIN_SWEEPS)
         for _ in range(draws):
             counts[index[tuple(next(walk))]] += 1
     emp = counts / draws

@@ -390,5 +390,7 @@ def stack_maps(maps: Sequence[LinearMap]) -> LinearMap:
 
 
 def concat_vectors(vectors: Sequence[GfVector], field: FieldSpec) -> GfVector:
+    if any(v.field != field for v in vectors):
+        raise ValueError(f"cannot join a vector of another field into a GF({field.q}) vector")
     entries = tuple(e for v in vectors for e in v.entries)
     return GfVector(field, entries)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cosetlab import channel_codec as cc
+from cosetlab import crng_sampler as crng
 from cosetlab import ensembles as ens
 from cosetlab import gf_linalg
 from cosetlab import sources_channels as sc
@@ -498,3 +499,55 @@ def test_decoder_coset_above_the_cap_fails_at_construction(monkeypatch):
     monkeypatch.setattr(gf_linalg, "COSET_ENUMERATION_CAP", 2)
     with pytest.raises(CapExceededError, match="coset of size"):
         cc.build(swc, b, channel, seed=1)
+
+
+@pytest.mark.parametrize("m, match", [
+    pytest.param(GfVector(F3, (1, 0)), "another field", id="field"),
+    pytest.param(GfVector(F2, (1, 0, 1)), "right-hand side", id="length"),
+])
+def test_encode_refuses_a_message_that_does_not_match_the_code(m, match):
+    # (1, 0) is also a GF(2) word, so only the field check refuses it
+    channel, _, swc, b = make_setup()
+    codec = cc.build(swc, b, channel, seed=3)
+    with pytest.raises(ValueError, match=match):
+        cc.encode(codec, m, seed=0)
+
+
+def test_encode_refuses_an_unknown_mode_for_every_message():
+    channel, _, swc, _ = make_setup()
+    codec = cc.build(swc, swc.matrix, channel, seed=3)  # B == A: only c is consistent
+    other = next(GfVector.from_array(F2, row) for row in codec.messages()
+                 if tuple(row) != codec.syndrome.entries)
+    for m in (codec.syndrome, other):
+        with pytest.raises(ValueError, match="gibbs"):
+            cc.encode(codec, m, seed=0, mode="gibbs")
+
+
+def counting(calls, real):
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+    return wrapper
+
+
+def test_encode_builds_its_generator_once(monkeypatch):
+    # the law and the stacked solver belong to the code; an encode solves
+    # (A; B) x = (c; m) once and draws, building no sampler object
+    channel = sc.Channel(np.full((3, 3), 0.1) + 0.7 * np.eye(3))
+    source = sc.joint_from_channel(np.array([0.5, 0.5, 0.0]), channel)
+    rng = np.random.default_rng(4)
+    a = LinearMap.from_array(F3, rng.integers(0, 3, (2, 4)))
+    b = LinearMap.from_array(F3, rng.integers(0, 3, (2, 4)))
+    codec = cc.build(sw.SwCodec(a, source), b, channel, seed=3)
+    built, checked, solved = [], [], []
+    for cls in (ConstraintSet, ConstrainedDistribution):
+        monkeypatch.setattr(cls, "__post_init__", counting(built, cls.__post_init__))
+    monkeypatch.setattr(crng, "_normalize_weights", counting(checked, crng._normalize_weights))
+    monkeypatch.setattr(gf_linalg.AffineSolver, "solve",
+                        counting(solved, gf_linalg.AffineSolver.solve))
+    messages = [GfVector.from_array(F3, row) for row in codec.messages()]
+    drawn = [cc.encode(codec, m, seed=k, mode=mode)
+             for mode in (EXACT, MCMC) for k, m in enumerate(messages)]
+    assert None in drawn and any(x is not None for x in drawn)  # encoder errors included
+    assert built == [] and checked == []
+    assert [s for s, _ in solved] == [codec.stacked.solver()] * len(drawn)

@@ -187,6 +187,11 @@ def test_per_letter_weights():
     assert crng.mass(dist) == pytest.approx(0.6 * 0.2 * 0.5 + 0.4 * 0.8 * 0.5, abs=1e-15)
 
 
+def test_unknown_mode_is_refused():
+    with pytest.raises(ValueError, match="gibbs"):
+        crng.ConstrainedDistribution(np.array([0.5, 0.5]), kernel_constraints(), mode="gibbs")
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         crng.ConstrainedDistribution(np.array([0.5, 0.6]), kernel_constraints())
@@ -258,7 +263,7 @@ def test_walk_matches_reference_state_for_state(case):
     q, rows, n, weights = WALK_CASES[case]
     dist = crng.ConstrainedDistribution(np.array(weights), random_coset(q, rows, n, 2),
                                         mode=crng.MCMC)
-    walk = crng._walk(dist, np.random.default_rng(6), 1, 1)
+    walk = crng._walk(dist.constraints.solution, dist.weights, np.random.default_rng(6), 1, 1)
     for k, ref in enumerate(reference_walk(dist, 6, 2000)):
         assert tuple(next(walk)) == ref, f"sweep {k + 1}"
 

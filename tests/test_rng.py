@@ -68,6 +68,18 @@ def test_product_law_is_the_one_word_weight_rule():
             and "product_law" in node.name] == ["rng.py"]
 
 
+def test_the_sampler_walk_and_coset_law_are_called_only_in_the_sampler():
+    # every constrained draw goes through crng_sampler's one draw body, so a
+    # second walk or exact draw cannot come back unnoticed
+    src = pathlib.Path(rng.__file__).resolve().parent
+    callers = sorted({p.name for p in src.glob("*.py")
+                      for node in ast.walk(ast.parse(p.read_text()))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in ("_walk", "_member_weights")})
+    assert callers == ["crng_sampler.py"]
+
+
 def _fold_per_word(letters, words, op):
     """The product law as a per-word Python loop over float64 letters."""
     out = np.empty(letters.shape[:-2] + (len(words),))
