@@ -92,7 +92,7 @@ def _normalize_weights(weights, n: int, q: int) -> np.ndarray:
                        tol=LOOSE_MASS_TOL)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConstrainedDistribution:
     """mu restricted to a constraint coset.
 
@@ -110,7 +110,7 @@ class ConstrainedDistribution:
     def __post_init__(self):
         if self.mode not in (EXACT, MCMC):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        self.weights = _normalize_weights(self.weights, self.n, self.field.q)
+        object.__setattr__(self, "weights", _normalize_weights(self.weights, self.n, self.field.q))
 
     @property
     def burn_in(self) -> int:

@@ -32,7 +32,7 @@ the difference of the two words:
     P(A x = A x') = K[x' - x] / N,   K[d] = |{b : A_b d = 0}|.
 
 All exact results come from one table of every word of GF(q)^n, one
-members x words table of image codes and this kernel count K:
+table of image codes A_b x and this kernel count K:
 expurgation keeps a member iff no light non-zero word maps to 0, the
 types and their class sizes are the word table grouped by symbol counts,
 the type spectrum is K summed over each group, the direct collision pair
@@ -40,13 +40,20 @@ takes the maximum of K over d != 0, and the per-word collision check of
 the certifier is one sum over K that every word shares.  Each sum is an
 exact integer, so S, alpha, beta and the certified alpha each take one
 division and are the correctly rounded rationals on any BLAS kernel.
+
+Members with the same kernel partition the words into the same cosets,
+so K, each collision-set hit and each partition defect depend on a
+member only through its kernel: the table keeps one row of image codes
+per kernel class (171 rows for the 6,561 members of the uniform GF(3)
+2 x 4 ensemble), and every sum over members is a sum over classes
+weighted by their sizes.
 The collision sets are read from the kernel indicator [A_b d = 0]:
 A_b x = A_b u for some x in G \\ {u} iff A_b maps some difference x - u
-to 0, so one product per block of members, of that indicator with every
-pair's difference words, checks every (G, u) pair.  The partition bound
-takes, per block of members and per reached image m, one product of the
-indicator [A_b x = m] with the (Q, T) weights of every pair; with more
-reached images than pairs it buckets the weights per pair, member and
+to 0, so one product per block of class rows, of that indicator with
+every pair's difference words, checks every (G, u) pair.  The partition
+bound takes, per block of class rows and per reached image m, one product
+of the indicator [A_b x = m] with the (Q, T) weights of every pair; with
+more reached images than pairs it buckets the weights per pair, row and
 image instead, so its cost never grows with both counts.  Its lhs sums
 float Q weights, so it can move in its last bits between BLAS kernels;
 only the violation count reaches the CSV.
@@ -128,24 +135,31 @@ class EnsembleSpec:
 
     @cached_property
     def _table(self):
-        """(member count N, all words, image codes, kernel count K) of the full
-        ensemble, built on first exact use and kept read-only for the spec's life.
+        """(member count N, all words, class codes, class sizes, kernel count K,
+        reached images) of the full ensemble, built on first exact use and kept
+        read-only for the spec's life.
 
-        codes[b, i] encodes A_b applied to word i (word 0 is the zero word), and
-        K[d] = |{b : A_b d = 0}| sums integer terms below 2^53, exact on any BLAS
-        kernel.  Every cap is checked before anything is built.  The table holds
-        no reference to the spec, so reference counts alone free it with the spec.
+        Members with one kernel share their coset partition of the words, so
+        the table keeps one image-code row per kernel class (see _kernel_classes):
+        codes[c, i] encodes its first member's A_b applied to word i (word 0 is
+        the zero word), and sizes[c] counts the class's members.  K[d] =
+        |{b : A_b d = 0}| = sizes @ [codes == 0] is an exact integer sum.
+        reached[m] marks the images that some member reaches, read from every
+        member: members of one class with rank below l reach different images.
+        Every cap is checked before anything is built.  The table holds no
+        reference to the spec, so reference counts alone free it with the spec.
         """
         q = self.field.q
         words = _all_words(q, self.cols, _member_count(self))
-        arrays = enumerate_ensemble(self).arrays
-        codes = image_codes(arrays, q, words)
-        kernel = np.zeros(len(words))
-        for s in chunks(len(arrays), len(words)):
-            kernel += np.ones(s.stop - s.start) @ (codes[s] == 0)
-        for table in (words, codes, kernel):
+        codes = image_codes(enumerate_ensemble(self).arrays, q, words)
+        reached = np.zeros(q ** self.rows, dtype=bool)
+        for s in chunks(len(codes), len(words)):
+            reached[codes[s]] = True
+        count, (codes, sizes) = len(codes), _kernel_classes(codes)
+        kernel = sizes @ (codes == 0)
+        for table in (words, codes, sizes, kernel, reached):
             table.flags.writeable = False
-        return len(arrays), words, codes, kernel
+        return count, words, codes, sizes, kernel, reached
 
 
 def uniform_ensemble(field: FieldSpec, rows: int, cols: int) -> EnsembleSpec:
@@ -274,6 +288,28 @@ def _all_words(q: int, n: int, members: int) -> np.ndarray:
     return word_table(q, n)
 
 
+def _kernel_classes(codes: np.ndarray):
+    """(codes of each class's first member, class sizes) of the members of an
+    image-code table grouped by kernel, that is by their indicator [codes == 0].
+
+    Each block of indicator rows is packed to bits, and every row is read as
+    whole uint64 keys; a stable sort of the keys puts each class in one run,
+    led by its first member.
+    """
+    count, n_words = codes.shape
+    n_bytes = -(-n_words // 8)
+    packed = np.zeros((count, -(-n_bytes // 8) * 8), dtype=np.uint8)
+    for s in chunks(count, n_words):
+        packed[s, :n_bytes] = np.packbits(codes[s] == 0, axis=1)
+    keys = packed.view(np.uint64)
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    lead = np.ones(count, dtype=bool)
+    lead[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(lead)
+    return codes[order[starts]], np.diff(starts, append=count)
+
+
 def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
     """Materialize the full ensemble; CapExceededError, before anything is built,
     beyond a cap."""
@@ -326,7 +362,7 @@ def _spectrum(spec: EnsembleSpec):
         words, total = _all_words(q, n, 0), q ** l
         kernel = np.where(words.any(axis=1), 1.0, total)
     else:
-        total, words, _, kernel = spec._table
+        total, words, _, _, kernel, _ = spec._table
     symbols = np.stack([np.count_nonzero(words == a, axis=1) for a in range(q)], axis=1)
     types, inverse, sizes = np.unique(symbols, axis=0, return_inverse=True, return_counts=True)
     return types, sizes, np.bincount(inverse.ravel(), weights=kernel), total
@@ -388,7 +424,7 @@ def certified_collision_params(spec: EnsembleSpec) -> HashParams:
     pins the first coordinates), so this direct pair is the one to
     certify it with.
     """
-    total, _, _, kernel = spec._table
+    total, _, _, _, kernel, _ = spec._table
     alpha = spec.field.q ** spec.rows * kernel[1:].max() / total
     return HashParams(alpha=float(alpha), beta=0.0)
 
@@ -485,16 +521,18 @@ def random_collision_pairs(field: FieldSpec, n: int, count: int, seed):
     return pairs
 
 
-def _partition_defects(codes, qt, q_total, im_mask, im_size) -> np.ndarray:
+def _partition_defects(codes, sizes, qt, q_total, im_mask, im_size) -> np.ndarray:
     """lhs[k] = mean over members b of sum_{m in Im} | Q_k(T_k n C_b(m)) / Q_k(T_k) - 1/|Im| |.
 
-    With no more reached images than pairs, one product per block of
-    members and per reached image m, of the indicator [A_b x = m] with the
-    (words, pairs) weights, gives the mass Q_k(T_k n C_b(m)) of every
-    member and pair.  Otherwise one bincount per block collects qt[k, i]
-    in bucket (k, b, m) over the words i that member b maps to m.  The
-    products cost about as much per image as the buckets per pair, so the
-    loop runs over the fewer of the two.
+    Row c of ``codes`` stands for the sizes[c] members of its kernel class:
+    they share its cosets, and each image of Im they miss adds 1/|Im|, so they
+    share its defect.  With no more reached images than pairs, one product
+    per block of rows and per reached image m, of the indicator [A_b x = m]
+    with the (words, pairs) weights, gives the mass Q_k(T_k n C_b(m)) of
+    every row and pair.  Otherwise one bincount per block collects qt[k, i]
+    in bucket (k, b, m) over the words i that row b maps to m.  The products
+    cost about as much per image as the buckets per pair, so the loop runs
+    over the fewer of the two.
     """
     pairs, n_words = qt.shape
     n_codes = len(im_mask)
@@ -518,16 +556,17 @@ def _partition_defects(codes, qt, q_total, im_mask, im_size) -> np.ndarray:
                                minlength=pairs * rows * n_codes).reshape(pairs, rows, n_codes)
             defect = np.abs(mass[:, :, reached] / q_total[:, None, None]
                             - 1.0 / im_size).sum(axis=2).T
-        lhs += defect.sum(axis=0)
-    return lhs / len(codes)
+        lhs += sizes[s] @ defect
+    return lhs / sizes.sum()
 
 
 def _collision_hits(codes, words, q: int, collision_pairs) -> np.ndarray:
     """hits[b, k] = [A_b x = A_b u for some x in G \\ {u}] of the k-th (G, u) pair.
 
-    ``words`` is the full word table that indexes ``codes``.  Column k of D
-    marks the difference words (x - u) mod q, and member b hits pair k iff
-    it maps one of them to 0.
+    ``words`` is the full word table that indexes ``codes``, whose row b is a
+    member, or a kernel class, since a hit depends only on the kernel.
+    Column k of D marks the difference words (x - u) mod q, and row b hits
+    pair k iff it maps one of them to 0.
     """
     place = q ** np.arange(words.shape[1])
     # float32 is enough: a count of hits is positive whenever one term is
@@ -561,7 +600,7 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
 
     Violations are collected in the report, never raised.
     """
-    total, words, codes, kernel = spec._table
+    total, words, codes, sizes, kernel, im_mask = spec._table
     q, l = spec.field.q, spec.rows
     im_size = q ** l
 
@@ -574,7 +613,6 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
         violations = [f"x={tuple(int(v) for v in w)}: "
                       f"excess collision mass {mass} > beta {params.beta}" for w in words]
 
-    im_mask = np.bincount(codes.ravel(), minlength=q ** l) > 0
     partition_checks = []
     partition_pairs = list(partition_pairs)
     if partition_pairs:
@@ -583,7 +621,7 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
         q_total = qt.sum(axis=1)
         if (q_total <= 0.0).any():
             raise ValueError("Q must put positive mass on T")
-        lhs = _partition_defects(codes, qt, q_total, im_mask, im_size)
+        lhs = _partition_defects(codes, sizes, qt, q_total, im_mask, im_size)
         for k, (q_fn, t_mask) in enumerate(partition_pairs):
             q_max = float(np.asarray(q_fn)[t_mask].max())
             arg = params.alpha - 1.0 + (params.beta + 1.0) * im_size * q_max / q_total[k]
@@ -597,7 +635,7 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
         for k, (g_mask, u) in enumerate(collision_pairs):
             rhs = np.count_nonzero(g_mask) * params.alpha / im_size + params.beta
             collision_set_checks.append(PairCheck(label=f"collision-set-{k}", rhs=rhs,
-                                                  lhs=np.count_nonzero(hits[:, k]) / total))
+                                                  lhs=int(sizes @ hits[:, k]) / total))
 
     return CertificationReport(spec=spec, params=params,
                                collision_checked=len(words),

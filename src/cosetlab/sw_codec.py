@@ -6,16 +6,18 @@ explains the side information, either by exact posterior maximization
 (ties broken toward the lexicographically smallest block) or by sampling
 the posterior restricted to the coset.
 
-Error probabilities are computed exactly by summing the joint law over
-all (x, y) pairs when the state space fits the cap, and otherwise by
-Monte Carlo with a Wilson-style standard error that stays positive at
-observed counts of 0.  A Monte Carlo estimate draws every trial from one
-generator seeded by its seed: first all (x, y) pairs, as one
-``rng.inverse_cdf`` draw over the flattened joint at ``random((trials, n))``,
-then, for the stochastic decoder only, one uniform per trial.  Each trial
-decodes over one coset buffer that the estimate owns: the kernel shifted by
-the trial's block, (x + kernel) mod q, the words of ``coset_array`` in its
-order, so no trial allocates a coset.
+Error probabilities are computed exactly when the (q |Y|)^n joint
+outcomes fit the cap, and otherwise by Monte Carlo with a Wilson-style
+standard error that stays positive at observed counts of 0.  The exact sum
+runs over all (x, y) pairs, or, for an additive pair (Y = X + Z mod q with
+X uniform), over the q^n noise words alone, one coset of ker A at a time.
+A Monte Carlo estimate draws every trial from one generator seeded by its
+seed: first all (x, y) pairs, as one ``rng.inverse_cdf`` draw over the
+flattened joint at ``random((trials, n))``, then, for the stochastic
+decoder only, one uniform per trial.  Each trial decodes over one coset
+buffer that the estimate owns: the kernel shifted by the trial's block,
+(x + kernel) mod q, the words of ``coset_array`` in its order, so no trial
+allocates a coset.
 """
 
 from __future__ import annotations
@@ -184,33 +186,67 @@ def decode_stochastic(codec: SwCodec, c: GfVector, y, seed) -> GfVector:
     return _decode(codec, _coset(codec, c), y, STOCHASTIC, seed)
 
 
+def _lost_mass(decoder: str, letters: np.ndarray, words: np.ndarray, starts: np.ndarray) -> float:
+    """Mass the decoder loses over the segments (cosets) of ``words`` at ``starts``,
+    summed over the rows of word weights p = ``product_law(letters, words)``.
+
+    With P = sum p over a segment, MAP decoding keeps max p and posterior
+    sampling keeps sum p^2 / P, losing (P^2 - sum p^2) / P: exactly 0 when
+    one word holds all of P.
+    """
+    p = product_law(letters, words)
+    total = np.add.reduceat(p, starts, axis=1)
+    if decoder == MAP_EXACT:
+        lost = total - np.maximum.reduceat(p, starts, axis=1)
+    else:
+        lost = np.divide(total * total - np.add.reduceat(p * p, starts, axis=1), total,
+                         out=np.zeros_like(total), where=total > 0.0)
+    return float(lost.sum())
+
+
+def _noise_law(joint: np.ndarray) -> Optional[np.ndarray]:
+    """P_Z = q mu(0, .) when the joint is additive, else None: |Y| = q and
+    mu(x, y) = mu(0, (y - x) mod q) exactly on every cell, so X is uniform
+    and Y = X + Z with Z ~ P_Z independent of X.
+    """
+    q, ys = joint.shape
+    x = np.arange(q)
+    if ys != q or not np.array_equal(joint, joint[0, (x[None, :] - x[:, None]) % q]):
+        return None
+    return q * joint[0]
+
+
 def _exact_error(codec: SwCodec) -> float:
     """Sum over (y, coset) of the coset's probability mass the decoder loses.
 
-    With p = mu(x, y) over the members of one syndrome coset, MAP decoding
-    keeps max p and posterior sampling keeps sum p^2 / sum p.  Words are
-    sorted by syndrome so each coset is a contiguous segment, and the
-    side-information blocks are taken a chunk at a time.
+    The cap counts the (q |Y|)^n joint outcomes and is read before anything
+    is enumerated, whichever path then runs.  An additive joint (see
+    _noise_law; tested on the table, never on the source's kind) is summed
+    in the noise domain: with z = y - x each (y, coset) term is a coset C of
+    ker A, met q^n times at weight q^-n, so the error is the sum over the
+    q^n / |ker A| cosets of the mass lost under P_Z alone.  Any other joint
+    takes _joint_error.
     """
     q, n = codec.field.q, codec.n
     ys = codec.source.y_size
     if (q ** n) * (ys ** n) > EXACT_ERROR_CAP:
         raise CapExceededError(f"exact error needs {(q ** n) * (ys ** n)} joint outcomes, "
                                f"above the cap {EXACT_ERROR_CAP}")
+    pz = _noise_law(codec.source.joint)
+    if pz is None:
+        return _joint_error(codec)
     words, _, starts = segments(word_table(q, n), codec.matrix)
+    return _lost_mass(codec.decoder, np.broadcast_to(pz, (1, n, q)), words, starts)
 
-    err = 0.0
-    for s in chunks(ys ** n, len(words)):
-        y = word_table(ys, n, s.start, s.stop)
-        pxy = product_law(codec.source.joint.T[y], words)
-        total = np.add.reduceat(pxy, starts, axis=1)
-        if codec.decoder == MAP_EXACT:
-            kept = np.maximum.reduceat(pxy, starts, axis=1)
-        else:
-            kept = np.divide(np.add.reduceat(pxy * pxy, starts, axis=1), total,
-                             out=np.zeros_like(total), where=total > 0.0)
-        err += float((total - kept).sum())
-    return err
+
+def _joint_error(codec: SwCodec) -> float:
+    """The exact error summed over every (y, syndrome coset) of the joint law:
+    words sorted by syndrome, side-information blocks a chunk at a time."""
+    q, n, ys = codec.field.q, codec.n, codec.source.y_size
+    words, _, starts = segments(word_table(q, n), codec.matrix)
+    return sum(_lost_mass(codec.decoder, codec.source.joint.T[word_table(ys, n, s.start, s.stop)],
+                          words, starts)
+               for s in chunks(ys ** n, len(words)))
 
 
 def _mc_error(codec: SwCodec, trials: int, seed) -> int:

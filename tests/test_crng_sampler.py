@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,17 @@ def test_per_letter_weights():
 def test_unknown_mode_is_refused():
     with pytest.raises(ValueError, match="gibbs"):
         crng.ConstrainedDistribution(np.array([0.5, 0.5]), kernel_constraints(), mode="gibbs")
+
+
+def test_a_distribution_is_frozen_after_its_checks():
+    # mode and weights are checked once, at construction, so neither may change after
+    dist = crng.ConstrainedDistribution(np.array([0.5, 0.5]), kernel_constraints())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.mode = "gibbs"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.weights = np.array([[2.0, -1.0]] * 3)
+    assert dist.mode == crng.EXACT and not dist.weights.flags.writeable
+    assert crng.mass(dist) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_weight_validation():

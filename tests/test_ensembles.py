@@ -513,17 +513,16 @@ def test_hash_verify_builds_one_table_and_holds_none(tmp_path, monkeypatch, cfg)
 
 
 def _watch_tables(monkeypatch):
-    """Weak references to the image codes of every full word table built."""
+    """Weak references to the class codes that every exact table built holds."""
     tables = []
-    image_codes = ens.image_codes
+    kernel_classes = ens._kernel_classes
 
-    def watching(maps, q, words):
-        codes = image_codes(maps, q, words)
-        if len(words) == q ** words.shape[1]:
-            tables.append(weakref.ref(codes))
-        return codes
+    def watching(codes):
+        class_codes, sizes = kernel_classes(codes)
+        tables.append(weakref.ref(class_codes))
+        return class_codes, sizes
 
-    monkeypatch.setattr(ens, "image_codes", watching)
+    monkeypatch.setattr(ens, "_kernel_classes", watching)
     return tables
 
 
@@ -567,8 +566,86 @@ def test_partition_defects_match_a_per_member_loop(monkeypatch, pairs):
     ref = [sum(sum(abs(qt[k, row == m].sum() / q_total[k] - 1 / im_size) for m in (0, 1, 3))
                for row in codes) / members
            for k in range(pairs)]
-    got = ens._partition_defects(codes, qt, q_total, im_mask, im_size)
+    # one member per row: each row is its own kernel class of multiplicity 1
+    got = ens._partition_defects(codes, np.ones(members, dtype=np.int64), qt, q_total,
+                                 im_mask, im_size)
     assert got.tolist() == pytest.approx(ref, rel=1e-12)
+
+
+# the three hash-verify ensembles of the exact-eval benchmark and their kernel classes
+CLASS_SPECS = {
+    "expurgated-3x4": (ens.expurgate(ens.uniform_ensemble(F2, 3, 4), 0.25), 2401, 25),
+    "gf3-uniform-2x4": (ens.uniform_ensemble(F3, 2, 4), 6561, 171),
+    "sparse-3x7-w2": (ens.sparse_ensemble(F2, 3, 7, 2), 4096, 343),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASS_SPECS))
+def test_kernel_classes_group_the_members_by_kernel(name):
+    spec, members, classes = CLASS_SPECS[name]
+    total, words, codes, sizes, kernel, reached = spec._table
+    assert (total, len(codes), int(sizes.sum())) == (members, classes, members)
+    # reference: members keyed by their kernel indicator in a dict, in member order
+    full = gf_linalg.image_codes(ens.enumerate_ensemble(spec).arrays, spec.field.q, words)
+    ref = Counter((row == 0).tobytes() for row in full)
+    assert sorted(ref.values()) == sorted(sizes.tolist())
+    assert {(row == 0).tobytes(): int(n) for row, n in zip(codes, sizes)} == dict(ref)
+    # each class row is the codes of the class's first member
+    first = {}
+    for b, row in enumerate(full):
+        first.setdefault((row == 0).tobytes(), b)
+    assert all(np.array_equal(row, full[first[(row == 0).tobytes()]]) for row in codes)
+    assert np.array_equal(kernel, (full == 0).sum(axis=0))
+    assert np.array_equal(reached, np.bincount(full.ravel(), minlength=len(reached)) > 0)
+
+
+@pytest.mark.parametrize("spec, pairs, products", [
+    (ens.expurgate(ens.uniform_ensemble(F2, 3, 5), 0.2), 9, True),
+    (ens.uniform_ensemble(F3, 2, 3), 9, True),
+    (ens.sparse_ensemble(F2, 3, 6, 2), 5, False),
+], ids=["products-expurgated", "products-gf3", "buckets-sparse"])
+def test_grouped_defects_and_hits_equal_the_per_member_ones(monkeypatch, spec, pairs, products):
+    q = spec.field.q
+    total, words, codes, sizes, _, reached = spec._table
+    full = gf_linalg.image_codes(ens.enumerate_ensemble(spec).arrays, q, words)
+    assert len(codes) < len(full) == total
+    im_size = q ** spec.rows
+    # the product path runs with no more reached images than pairs, else the buckets
+    assert (reached.sum() <= pairs) == products
+    pp = ens.random_partition_pairs(spec.field, spec.cols, pairs, 7)
+    qt = np.array([q_fn * t_mask for q_fn, t_mask in pp])
+    q_total = qt.sum(axis=1)
+    # small blocks, so both tables run over several
+    monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 3 * pairs * len(words))
+    grouped = ens._partition_defects(codes, sizes, qt, q_total, reached, im_size)
+    per_member = ens._partition_defects(full, np.ones(total, dtype=np.int64), qt, q_total,
+                                        reached, im_size)
+    assert grouped.tolist() == pytest.approx(per_member.tolist(), rel=1e-12)
+    cp = ens.random_collision_pairs(spec.field, spec.cols, pairs, 8)
+    hits = ens._collision_hits(codes, words, q, cp)
+    assert np.array_equal(sizes @ hits, ens._collision_hits(full, words, q, cp).sum(axis=0))
+
+
+def test_a_class_row_keeps_the_images_of_every_member():
+    # [[1, 0], [0, 0]] and [[0, 0], [1, 0]] share the kernel {x : x_0 = 0} but
+    # reach the images {0, 1} and {0, 2}: the reached images come from every
+    # member, not from the class's first one
+    words = gf_linalg.word_table(2, 2)
+    full = gf_linalg.image_codes(np.array([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]), 2, words)
+    assert [sorted(set(row.tolist())) for row in full] == [[0, 1], [0, 2]]
+    codes, sizes = ens._kernel_classes(full)
+    assert codes.tolist() == [full[0].tolist()] and sizes.tolist() == [2]
+    reached = np.bincount(full.ravel(), minlength=4) > 0
+    assert reached.tolist() == [True, True, True, False]
+    qt = np.array([[0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5]])
+    q_total = qt.sum(axis=1)
+    grouped = ens._partition_defects(codes, sizes, qt, q_total, reached, 4)
+    per_member = ens._partition_defects(full, np.ones(2, dtype=np.int64), qt, q_total,
+                                        reached, 4)
+    assert grouped.tolist() == pytest.approx(per_member.tolist(), rel=1e-12)
+    # the first member's images alone would drop image 2's defect of 1/4
+    alone = ens._partition_defects(codes, sizes, qt, q_total, reached & (np.arange(4) < 2), 4)
+    assert (grouped - alone).tolist() == pytest.approx([0.25, 0.25], rel=1e-12)
 
 
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])

@@ -12,6 +12,7 @@ from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matv
 from cosetlab.rng import make_rng
 
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 A_PARITY = LinearMap(F2, ((1, 1, 0), (0, 1, 1)))
 
 
@@ -178,6 +179,96 @@ def test_exact_error_matches_brute_force():
                 err += np.prod([src.joint[x[i], y[i]] for i in range(3)])
     got = sw.error_probability(codec, "exact").value
     assert got == pytest.approx(err, abs=1e-12)
+
+
+DECODERS = [sw.MAP_EXACT, sw.STOCHASTIC]
+
+
+def additive_joint(pz):
+    """mu(x, y) = P_Z((y - x) mod q) / q, the same float on every cell of a diagonal."""
+    x = np.arange(len(pz))
+    return sc.JointSource(np.asarray(pz)[(x[None, :] - x[:, None]) % len(pz)] / len(pz))
+
+
+def spy(monkeypatch, module, name):
+    """Record the arguments of every call of module.name, then run it."""
+    calls, real = [], getattr(module, name)
+
+    def watching(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, watching)
+    return calls
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("field, source, n", [
+    (F2, sc.make_dsbs(0.1), 6),
+    (F2, sc.make_dsbs(0.35), 5),
+    (F3, additive_joint([0.7, 0.2, 0.1]), 4),
+    (F3, additive_joint([0.6, 0.0, 0.4]), 4),
+], ids=["gf2-p0.1", "gf2-p0.35", "gf3", "gf3-zero-letter"])
+def test_noise_path_equals_the_joint_sum(monkeypatch, field, source, n, decoder):
+    rng = np.random.default_rng(n)
+    joint_calls = spy(monkeypatch, sw, "_joint_error")
+    for l in range(n + 1):
+        a = (LinearMap.from_array(field, rng.integers(0, field.q, (l, n))) if l
+             else LinearMap(field, (), cols=n))
+        codec = sw.SwCodec(a, source, decoder=decoder)
+        noise = sw._exact_error(codec)
+        assert joint_calls == []
+        assert noise == pytest.approx(sw._joint_error(codec), abs=1e-15)
+        joint_calls.clear()
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("a, source", [
+    (LinearMap.identity(F2, 2), sc.make_dsbs(0.3)),
+    (A_PARITY, sc.make_dsbs(0.0)),
+    (LinearMap.identity(F3, 3), additive_joint([0.45, 0.35, 0.2])),
+    (LinearMap(F3, ((1, 2, 0),)), additive_joint([1.0, 0.0, 0.0])),
+], ids=["gf2-full-rank", "gf2-noiseless", "gf3-full-rank", "gf3-noiseless"])
+def test_exact_error_is_exactly_zero_when_nothing_is_lost(a, source, decoder):
+    # every coset holds all its mass on one word, so both decoders lose exactly 0;
+    # on both full-rank codes a stochastic loss taken as p - p^2 / p would leave
+    # a positive rounding residue (about 1e-17)
+    assert sw.error_probability(sw.SwCodec(a, source, decoder=decoder), "exact").value == 0.0
+
+
+def _nudged_dsbs():
+    joint = sc.make_dsbs(0.1).joint.copy()
+    joint[1, 1] = np.nextafter(joint[1, 1], 1.0)  # one ulp: no longer exactly additive
+    return sc.JointSource(joint)
+
+
+@pytest.mark.parametrize("source, q, n", [
+    (sc.joint_from_channel(np.array([0.5, 0.5]), sc.make_zchannel(0.2)), 2, 4),
+    (sc.joint_from_channel(np.array([0.3, 0.7]), sc.make_bsc(0.1)), 2, 4),
+    (sc.joint_from_channel(np.full(5, 0.2), sc.make_quantized_awgn(8.0, 5)), 5, 3),
+    (_nudged_dsbs(), 2, 4),
+], ids=["z-channel", "bsc-non-uniform-input", "quantized-awgn-gf5", "dsbs-one-ulp-off"])
+def test_a_non_additive_joint_takes_the_joint_sum(monkeypatch, source, q, n):
+    assert sw._noise_law(source.joint) is None
+    calls = spy(monkeypatch, sw, "_joint_error")
+    rng = np.random.default_rng(q)
+    a = LinearMap.from_array(FieldSpec(q), rng.integers(0, q, (2, n)))
+    for decoder in DECODERS:
+        codec = sw.SwCodec(a, source, decoder=decoder)
+        value = sw.error_probability(codec, "exact").value
+        assert len(calls) == 1 and calls.pop() == (codec,)
+        assert value == sw._joint_error(codec)
+        calls.clear()
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_noise_path_enumerates_only_the_noise_words(monkeypatch, decoder):
+    # DSBS at n = 12 fills the cap with 2^24 joint outcomes; the noise path
+    # builds the 2^12 words once and no side-information block
+    calls = spy(monkeypatch, sw, "word_table")
+    a = LinearMap.from_array(F2, np.random.default_rng(12).integers(0, 2, (6, 12)))
+    sw.error_probability(sw.SwCodec(a, sc.make_dsbs(0.11), decoder=decoder), "exact")
+    assert calls == [(2, 12)]
 
 
 def test_exact_vs_monte_carlo_agreement():
