@@ -31,11 +31,11 @@ from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _draw, 
 from .ensembles import sample_map
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (GfVector, LinearMap, _row_reduce, chunks, concat_vectors, coset_array,
-                        matvec, segments, span_array, stack_maps, word_table)
-from .rng import derived_seed, inverse_cdf, make_rng, product_law
+                        matvec, segments, span_array, stack_maps)
+from .rng import derived_seed, inverse_cdf, make_rng, product_blocks, product_law
 from .sources_channels import Channel
 from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _decide,
-                       _decode, _estimate, error_probability as sw_error_probability)
+                       _decode, _estimate, _map_pick, error_probability as sw_error_probability)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
 
@@ -141,7 +141,8 @@ def _message_segments(codec: ChannelCodec):
     under the input law, and each segment's total weight (0 marks a
     mass-zero coset, an encoder error).
     """
-    members, member_msg, starts = segments(codec.coset, codec.b_map)
+    order, member_msg, starts = segments(codec.coset, codec.b_map)
+    members = codec.coset[order]
     px = product_law(codec.law, members)
     return members, member_msg, starts, px, np.add.reduceat(px, starts)
 
@@ -150,8 +151,10 @@ def _exact_error(codec: ChannelCodec) -> float:
     """Encoder-error share plus the decoding error, every channel output at once.
 
     The message segments of the decoder's coset give both the conditional
-    input law of each message and the decoder's candidates.  Channel
-    outputs are decoded a chunk at a time.
+    input law of each message and the decoder's candidates.  Each member's
+    channel law W(y | x) and posterior score over every output y come from
+    the table form of the product law (``rng.product_blocks``), a chunk of
+    outputs at a time.
     """
     q, n = codec.field.q, codec.n
     ys = codec.channel.output_size
@@ -170,22 +173,29 @@ def _exact_error(codec: ChannelCodec) -> float:
                                where=good[member_msg])
     err = (m_count - np.count_nonzero(good)) / m_count
 
-    sw = codec.sw
-    cond = sw.source.cond_x_given_y
-    for s in chunks(ys ** n, len(members) * n):
-        y = word_table(ys, n, s.start, s.stop)
-        if sw.decoder == MAP_EXACT:
+    # one table row per member x, from its letters mu(x_k | b) (log2 for MAP) and
+    # W(b | x_k) at each output letter b; the sums read a block's transpose, laid
+    # out in memory as product_law laid out the (outputs, members) weights, so
+    # every sum runs in the same order
+    cond = codec.sw.source.cond_x_given_y
+    blocks = list(chunks(ys ** n, len(members) * n))
+    if codec.sw.decoder == MAP_EXACT:
+        with np.errstate(divide="ignore"):  # log2 0 = -inf marks a zero letter
+            posts = product_blocks(np.log2(cond)[members], blocks, np.add)
+    else:
+        posts = product_blocks(cond[members], blocks)
+    for post, w_y in zip(posts, product_blocks(codec.channel.transition[members], blocks)):
+        if codec.sw.decoder == MAP_EXACT:
             # a dead row decodes to no message (-1), a miss for every member
-            picks, live = _decide(MAP_EXACT, cond, members, y)
+            picks, live = _map_pick(members, post.T)
             decoded = np.where(live, member_msg[picks], -1)
             miss = decoded[:, None] != member_msg[None, :]
         else:
-            hits = np.add.reduceat(product_law(cond.T[y], members), starts, axis=1)
+            hits = np.add.reduceat(post.T, starts, axis=1)
             total = hits.sum(axis=1, keepdims=True)  # posterior mass per message, summed
             p_hit = np.divide(hits, total, out=np.zeros_like(hits), where=total > 0.0)
             miss = 1.0 - p_hit[:, member_msg]
-        w_y = product_law(codec.channel.transition.T[y], members)  # W(y | x)
-        err += float((w_y * miss).sum(axis=0) @ encoder_weight)
+        err += float((w_y.T * miss).sum(axis=0) @ encoder_weight)
     return err
 
 

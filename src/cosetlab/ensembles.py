@@ -144,18 +144,15 @@ class EnsembleSpec:
         codes[c, i] encodes its first member's A_b applied to word i (word 0 is
         the zero word), and sizes[c] counts the class's members.  K[d] =
         |{b : A_b d = 0}| = sizes @ [codes == 0] is an exact integer sum.
-        reached[m] marks the images that some member reaches, read from every
-        member: members of one class with rank below l reach different images.
+        reached[m] marks the images that some member reaches (see _reached_images).
         Every cap is checked before anything is built.  The table holds no
         reference to the spec, so reference counts alone free it with the spec.
         """
         q = self.field.q
         words = _all_words(q, self.cols, _member_count(self))
-        codes = image_codes(enumerate_ensemble(self).arrays, q, words)
-        reached = np.zeros(q ** self.rows, dtype=bool)
-        for s in chunks(len(codes), len(words)):
-            reached[codes[s]] = True
-        count, (codes, sizes) = len(codes), _kernel_classes(codes)
+        full = image_codes(enumerate_ensemble(self).arrays, q, words)
+        codes, sizes = _kernel_classes(full)
+        count, reached = len(full), _reached_images(full, codes, q ** self.rows)
         kernel = sizes @ (codes == 0)
         for table in (words, codes, sizes, kernel, reached):
             table.flags.writeable = False
@@ -308,6 +305,22 @@ def _kernel_classes(codes: np.ndarray):
     lead[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     starts = np.flatnonzero(lead)
     return codes[order[starts]], np.diff(starts, append=count)
+
+
+def _reached_images(full: np.ndarray, classes: np.ndarray, images: int) -> np.ndarray:
+    """reached[m]: some member's row of the image-code table ``full`` holds code m.
+
+    A class row with |words| / images zero codes has a kernel that small, so
+    its members have full rank and reach every image; only when no class
+    has full rank is every member's row read, since members of one class
+    with rank below l reach different images.
+    """
+    if (np.count_nonzero(classes == 0, axis=1) * images == full.shape[1]).any():
+        return np.ones(images, dtype=bool)
+    reached = np.zeros(images, dtype=bool)
+    for s in chunks(len(full), full.shape[1]):
+        reached[full[s]] = True
+    return reached
 
 
 def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:

@@ -356,14 +356,15 @@ def image_codes(maps: np.ndarray, q: int, words: np.ndarray) -> np.ndarray:
 
 
 def segments(words: np.ndarray, a: LinearMap):
-    """(sorted words, segment of each word, segment starts): the words sorted stably
-    by their :func:`image_codes` under ``a``, so each image A x is one segment."""
+    """(order, segment of each sorted word, segment starts): ``words[order]`` are the
+    words sorted stably by their :func:`image_codes` under ``a``, so each image A x
+    is one segment."""
     codes = image_codes(a.as_array()[None], a.field.q, words)[0]
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     first = np.ones(len(codes), dtype=bool)
     first[1:] = codes[1:] != codes[:-1]
-    return words[order], np.cumsum(first) - 1, np.flatnonzero(first)
+    return order, np.cumsum(first) - 1, np.flatnonzero(first)
 
 
 def chunks(count: int, row_entries: int):

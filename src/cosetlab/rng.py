@@ -9,14 +9,21 @@ derivation is pure, so any unit of work can be reproduced in isolation.
 Every table the package treats as a finite law (a joint, a channel, an
 input law, a decision problem or rule, the sampler's weights) passes
 ``checked_law``.  Every word's weight under per-position letter laws is
-``product_law``.  Every draw from a finite law, channel outputs included,
-is ``inverse_cdf``: the rule of ``Generator.choice(p=w / w.sum())``, at the
+``product_law`` for a listed set of words (a coset, the sampler's members)
+and ``product_table`` or ``product_blocks`` for every word of
+``word_table(q, n)`` at once (the exhaustive error sums): the table form
+runs the same left-to-right fold a position at a time over contiguous
+blocks instead of gathering each position, so both give the same floats.
+Every draw from a finite law, channel outputs included, is
+``inverse_cdf``: the rule of ``Generator.choice(p=w / w.sum())``, at the
 same uniforms.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import gf_linalg
 
 # How far a law's total may lie from 1: joints, channel rows, input laws and
 # decision problems get MASS_TOL; rule rows and sampler weights, often
@@ -66,6 +73,47 @@ def product_law(letters: np.ndarray, words: np.ndarray, op=np.multiply) -> np.nd
     for k in range(1, words.shape[1]):
         op(out, letters[..., k, words[:, k]], out=out)
     return out
+
+
+def product_blocks(letters: np.ndarray, blocks, op=np.multiply):
+    """Yield ``product_law(letters, word_table(q, n)[s], op)`` for each slice s of ``blocks``.
+
+    ``letters`` is a (..., n, q) table and each slice a range of word
+    indices, so a block of words is a contiguous part of one table.  The
+    table of the low positions is built once, as
+    P_k = op(P_{k-1}[..., None, :], letters[..., k, :, None]) flattened; the
+    words of one value of the high positions are one run of it, and a run
+    folds in its high letters one column at a time.  That is the fold of
+    ``product_law``, with the same floats.  The low table takes as many
+    positions as fit one ``gf_linalg.chunks`` block, the latest run is kept
+    for the next block, and each block is cut, contiguous, from the runs it
+    spans.
+    """
+    n, q = letters.shape[-2:]
+    most = next(gf_linalg.chunks(q ** n, letters.size // (n * q))).stop  # words in one chunk
+    low = 1
+    while low < n and q ** (low + 1) <= most:
+        low += 1
+    table = letters[..., 0, :]
+    for k in range(1, low):
+        table = op(table[..., None, :], letters[..., k, :, None]).reshape(*table.shape[:-1], -1)
+    size = q ** low
+    index, run = -1, None
+    for s in blocks:
+        parts = []
+        for r in range(s.start // size, -(-s.stop // size)):
+            if r != index:
+                index, run = r, table
+                for k, digit in enumerate(gf_linalg.word_table(q, n - low, r, r + 1)[0]):
+                    run = op(run, letters[..., low + k, digit, None], out=None if k == 0 else run)
+            parts.append(run[..., max(s.start - r * size, 0):s.stop - r * size])
+        yield np.concatenate(parts, axis=-1) if len(parts) > 1 else np.ascontiguousarray(parts[0])
+
+
+def product_table(letters: np.ndarray, op=np.multiply) -> np.ndarray:
+    """``product_law(letters, word_table(q, n), op)``, every word at once, as one block."""
+    n, q = letters.shape[-2:]
+    return next(product_blocks(letters, (slice(0, q ** n),), op))
 
 
 def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:

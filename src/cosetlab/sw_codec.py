@@ -32,7 +32,7 @@ from .ensembles import sample_map, uniform_ensemble
 from .errors import CapExceededError, DecodeFailure
 from .gf_linalg import (FieldSpec, GfVector, LinearMap, checked_ints, chunks, coset_array, matvec,
                         segments, word_table)
-from .rng import derived_seed, inverse_cdf, make_rng, product_law
+from .rng import derived_seed, inverse_cdf, make_rng, product_law, product_table
 from .sources_channels import JointSource
 
 MAP_EXACT = "map-exact"
@@ -186,15 +186,16 @@ def decode_stochastic(codec: SwCodec, c: GfVector, y, seed) -> GfVector:
     return _decode(codec, _coset(codec, c), y, STOCHASTIC, seed)
 
 
-def _lost_mass(decoder: str, letters: np.ndarray, words: np.ndarray, starts: np.ndarray) -> float:
-    """Mass the decoder loses over the segments (cosets) of ``words`` at ``starts``,
-    summed over the rows of word weights p = ``product_law(letters, words)``.
+def _lost_mass(decoder: str, letters: np.ndarray, order: np.ndarray, starts: np.ndarray) -> float:
+    """Mass the decoder loses over the segments (cosets) at ``starts`` of the words
+    ``word_table(q, n)[order]``, summed over the rows of word weights p: the rows
+    of ``product_table(letters)``, permuted by ``order``.
 
     With P = sum p over a segment, MAP decoding keeps max p and posterior
     sampling keeps sum p^2 / P, losing (P^2 - sum p^2) / P: exactly 0 when
     one word holds all of P.
     """
-    p = product_law(letters, words)
+    p = product_table(letters)[..., order]
     total = np.add.reduceat(p, starts, axis=1)
     if decoder == MAP_EXACT:
         lost = total - np.maximum.reduceat(p, starts, axis=1)
@@ -235,18 +236,18 @@ def _exact_error(codec: SwCodec) -> float:
     pz = _noise_law(codec.source.joint)
     if pz is None:
         return _joint_error(codec)
-    words, _, starts = segments(word_table(q, n), codec.matrix)
-    return _lost_mass(codec.decoder, np.broadcast_to(pz, (1, n, q)), words, starts)
+    order, _, starts = segments(word_table(q, n), codec.matrix)
+    return _lost_mass(codec.decoder, np.broadcast_to(pz, (1, n, q)), order, starts)
 
 
 def _joint_error(codec: SwCodec) -> float:
     """The exact error summed over every (y, syndrome coset) of the joint law:
     words sorted by syndrome, side-information blocks a chunk at a time."""
     q, n, ys = codec.field.q, codec.n, codec.source.y_size
-    words, _, starts = segments(word_table(q, n), codec.matrix)
+    order, _, starts = segments(word_table(q, n), codec.matrix)
     return sum(_lost_mass(codec.decoder, codec.source.joint.T[word_table(ys, n, s.start, s.stop)],
-                          words, starts)
-               for s in chunks(ys ** n, len(words)))
+                          order, starts)
+               for s in chunks(ys ** n, len(order)))
 
 
 def _mc_error(codec: SwCodec, trials: int, seed) -> int:

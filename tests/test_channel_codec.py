@@ -307,7 +307,7 @@ def test_exact_error_cap_is_checked_before_enumeration(monkeypatch):
         raise AssertionError("enumerated before the cap check")
 
     monkeypatch.setattr(cc, "_message_segments", enumerate_nothing)
-    monkeypatch.setattr(cc, "word_table", enumerate_nothing)
+    monkeypatch.setattr(cc, "product_blocks", enumerate_nothing)
     with pytest.raises(CapExceededError):
         cc.error_probability(codec, "exact")
 

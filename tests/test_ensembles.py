@@ -648,6 +648,20 @@ def test_a_class_row_keeps_the_images_of_every_member():
     assert (grouped - alone).tolist() == pytest.approx([0.25, 0.25], rel=1e-12)
 
 
+def test_reached_images_are_read_from_the_members_only_without_a_full_rank_class():
+    # both members of the one class above have rank 1 < l = 2: every member is read
+    words = gf_linalg.word_table(2, 2)
+    full = gf_linalg.image_codes(np.array([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]), 2, words)
+    codes, _ = ens._kernel_classes(full)
+    assert ens._reached_images(full, codes, 4).tolist() == [True, True, True, False]
+    # a class of rank l (|words| / q^l zero codes) reaches every image, whatever
+    # the member rows say, so they are not read
+    identity = gf_linalg.image_codes(np.eye(2, dtype=np.int64)[None], 2, words)
+    assert np.count_nonzero(identity == 0) == 1
+    classes = np.concatenate([codes, identity])
+    assert ens._reached_images(np.zeros_like(full), classes, 4).tolist() == [True] * 4
+
+
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
 def test_collision_hits_match_a_per_pair_gather(monkeypatch, q, n):
     rng = np.random.default_rng(q)

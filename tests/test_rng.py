@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cosetlab import crng_sampler as crng
+from cosetlab import gf_linalg
 from cosetlab import decision_theory as dt
 from cosetlab import rng
 from cosetlab import sources_channels as sc
@@ -66,6 +67,24 @@ def test_product_law_is_the_one_word_weight_rule():
             and isinstance(node.func, ast.Attribute) and node.func.attr == "prod"] == []
     assert [name for name, node in nodes if isinstance(node, ast.FunctionDef)
             and "product_law" in node.name] == ["rng.py"]
+    # and the table form of the rule, too, lives only in rng
+    assert sorted((name, node.name) for name, node in nodes if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("product_")) == [
+        ("rng.py", "product_blocks"), ("rng.py", "product_law"), ("rng.py", "product_table")]
+
+
+def test_the_exhaustive_sums_take_the_table_form():
+    # every word of the table is weighed by product_blocks or product_table,
+    # never by a per-position gather over a listed word table
+    src = pathlib.Path(rng.__file__).resolve().parent
+    bodies = {(p.name, node.name): node for p in src.glob("*.py")
+              for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.FunctionDef)}
+    for key in [("channel_codec.py", "_exact_error"), ("sw_codec.py", "_lost_mass"),
+                ("sw_codec.py", "_joint_error")]:
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(bodies[key]) if isinstance(node, ast.Call)}
+        assert "product_law" not in called, key
+        assert called & {"product_blocks", "product_table", "_lost_mass"}, key
 
 
 def test_the_sampler_walk_and_coset_law_are_called_only_in_the_sampler():
@@ -107,6 +126,42 @@ def test_product_law_matches_a_per_word_fold(q, n, batch, op):
     assert got.shape == batch + (q ** n,)
     assert np.array_equal(got, _fold_per_word(letters, words, op))
     assert (got == (0.0 if op is np.multiply else -np.inf)).any()
+
+
+def _letters(q, n, batch, op):
+    """Random (batch..., n, q) letters with one zero letter, as log2 under np.add."""
+    letters = np.random.default_rng(q * 100 + n).random(batch + (n, q))
+    letters[..., -1, 0] = 0.0
+    if op is np.add:
+        with np.errstate(divide="ignore"):
+            letters = np.log2(letters)
+    return letters
+
+
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+@pytest.mark.parametrize("q, n, batch", [(2, 6, ()), (3, 3, (2,)), (5, 2, (2, 3)), (2, 1, (4,)),
+                                         (5, 3, ())])
+def test_product_table_matches_a_per_word_fold(q, n, batch, op):
+    letters = _letters(q, n, batch, op)
+    got = rng.product_table(letters, op)
+    assert got.shape == batch + (q ** n,)
+    assert np.array_equal(got, _fold_per_word(letters, word_table(q, n), op))
+    assert (got == (0.0 if op is np.multiply else -np.inf)).any()
+
+
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+@pytest.mark.parametrize("chunk", [12, 40, 120, 2 ** 17],
+                         ids=["runs-of-3", "runs-of-9", "runs-of-27", "one-run"])
+def test_product_blocks_cut_the_whole_table(monkeypatch, chunk, op):
+    # blocks that split a run, span several, and a short last block
+    letters = _letters(3, 5, (4,), op)
+    whole = rng.product_table(letters, op)
+    blocks = [slice(0, 7), slice(7, 8), slice(8, 50), slice(50, 200), slice(200, 243)]
+    monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", chunk)
+    got = list(rng.product_blocks(letters, blocks, op))
+    assert all(block.flags.c_contiguous for block in got)
+    assert np.array_equal(np.concatenate(got, axis=-1), whole)
+    assert np.array_equal(rng.product_table(letters, op), whole)
 
 
 _PARITY = LinearMap(FieldSpec(2), ((1, 1, 0), (0, 1, 1)))
