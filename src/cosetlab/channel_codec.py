@@ -12,10 +12,12 @@ failures weighted by the conditional input law on each coset.  Both are
 computed exactly on small instances and by Monte Carlo otherwise.  A code
 enumerates its decoder coset {x : A x = c} when it is built, so a coset
 above the enumeration cap raises CapExceededError there; ``decode`` and both
-evaluators read that one copy, and as every encoder coset lies in it, both
-evaluators sort it into a segment per message.  The Monte Carlo encoder
-draws its input from the message's segment, draws every trial from one
-generator and decodes the trials in batches.  The code search samples
+evaluators read that one copy.  As every encoder coset lies in it, the code
+also sorts it once into a segment per message, and a MAP code holds the
+decision table of the sorted members, so its decoder scores a batch of
+outputs with one product.  The Monte Carlo encoder draws its input from
+the message's segment, draws every trial from one generator and decodes
+the trials in batches.  The code search samples
 random (B, c) pairs against the underlying syndrome decoder's error.
 """
 
@@ -28,20 +30,33 @@ from typing import List, Optional
 import numpy as np
 
 from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _draw, _normalize_weights
-from .ensembles import sample_map
+from .ensembles import IMAGE_TABLE_CAP, sample_map
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (GfVector, LinearMap, _row_reduce, chunks, concat_vectors, coset_array,
                         matvec, segments, span_array, stack_maps)
 from .rng import derived_seed, inverse_cdf, make_rng, product_blocks, product_law
 from .sources_channels import Channel
 from .sw_codec import (EXACT_ERROR_CAP, MAP_EXACT, STOCHASTIC, ErrorEstimate, SwCodec, _decide,
-                       _decode, _estimate, _map_pick, error_probability as sw_error_probability)
+                       _decode, _estimate, _map_pick, map_table,
+                       error_probability as sw_error_probability)
 
 MESSAGE_ENUMERATION_CAP = 2 ** 16
 
 
 class ChannelCodec:
-    """Bundle (A via the SW codec, B, c) with the channel it is used on."""
+    """Bundle (A via the SW codec, B, c) with the channel it is used on.
+
+    The code holds what every decode and evaluation reads: the stacked
+    (A; B) solver, the checked input law, the decoder coset {x : A x = c}
+    in A-kernel order, that coset grouped by message (``_message_segments``)
+    and, for a MAP decoder, the ``sw_codec.map_table`` of the grouped
+    members, so a MAP decision is one product per batch of outputs.  The
+    table has n q float64 entries per member, q times the entries of the
+    coset: 8 KB for a 32-member GF(2) coset of length 16, 16 MB for a
+    2^16-member coset with n q = 32.  A table above
+    ``ensembles.IMAGE_TABLE_CAP`` entries is refused with CapExceededError
+    before the coset is enumerated, as a coset above the enumeration cap is.
+    """
 
     def __init__(self, sw: SwCodec, b_map: LinearMap, syndrome: GfVector, channel: Channel):
         self.stacked = stack_maps([sw.matrix, b_map])  # B must share A's field and length
@@ -52,6 +67,10 @@ class ChannelCodec:
         solution = sw.solver.solve(syndrome)  # c must match A's field and row count
         if solution.is_empty:
             raise ValueError("syndrome lies outside the image of the syndrome map")
+        entries = sw.solver.kernel_size * sw.n * sw.field.q
+        if sw.decoder == MAP_EXACT and entries > IMAGE_TABLE_CAP:
+            raise CapExceededError(f"MAP decision table of {entries} entries is above the "
+                                   f"cap {IMAGE_TABLE_CAP}")
         self.coset = coset_array(solution)  # the decoder's coset, in A-kernel order
         self.coset.flags.writeable = False  # read-only, like the kernel
         self.sw = sw
@@ -64,6 +83,9 @@ class ChannelCodec:
         # one reduction of B^T gives a basis of Im B, and its row count is rank B
         rref, _, pivots = _row_reduce(b_map.as_array().T, self.field)
         self._msg_basis = rref[:len(pivots)]  # (rank, l)
+        self.segments = _message_segments(self)
+        self.table = (map_table(self.segments[0], self.field.q) if sw.decoder == MAP_EXACT
+                      else None)
 
     @property
     def r(self) -> float:
@@ -127,12 +149,18 @@ def encode(codec: ChannelCodec, m: GfVector, seed, mode: str = EXACT) -> Optiona
 
 
 def decode(codec: ChannelCodec, y, seed=0) -> GfVector:
-    """Run the side-information decoder on the shared syndrome's coset, then apply B."""
-    return matvec(codec.b_map, _decode(codec.sw, codec.coset, y, codec.sw.decoder, seed))
+    """Run the side-information decoder on the shared syndrome's coset, then apply B.
+
+    MAP decoding reads the code's table; posterior sampling draws over the
+    coset in A-kernel order, as ``sw_codec.decode_stochastic`` does.
+    """
+    members = codec.coset if codec.table is None else codec.segments[0]
+    return matvec(codec.b_map, _decode(codec.sw, members, y, codec.sw.decoder, seed, codec.table))
 
 
 def _message_segments(codec: ChannelCodec):
-    """The decoder's coset grouped by message, with each member's input weight.
+    """The decoder's coset grouped by message, with each member's input weight;
+    the code computes it once, when it is built, and holds it as ``segments``.
 
     Every encoder coset {x : A x = c, B x = m} lies in the decoder's coset
     {x : A x = c}, so sorting that coset by the code of B x makes each
@@ -165,7 +193,7 @@ def _exact_error(codec: ChannelCodec) -> float:
             f"exact channel error needs {m_count * max_coset * ys ** n} terms, "
             f"above the cap {EXACT_ERROR_CAP}")
 
-    members, member_msg, starts, px, mass = _message_segments(codec)
+    members, member_msg, starts, px, mass = codec.segments
     # encoder law: x given its message m, drawn uniformly; mass-zero or
     # inconsistent messages are encoder errors
     good = mass > 0.0
@@ -187,7 +215,7 @@ def _exact_error(codec: ChannelCodec) -> float:
     for post, w_y in zip(posts, product_blocks(codec.channel.transition[members], blocks)):
         if codec.sw.decoder == MAP_EXACT:
             # a dead row decodes to no message (-1), a miss for every member
-            picks, live = _map_pick(members, post.T)
+            picks, live = _map_pick(members, post.T, codec.table.rank)
             decoded = np.where(live, member_msg[picks], -1)
             miss = decoded[:, None] != member_msg[None, :]
         else:
@@ -207,7 +235,7 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> int:
     bound); one uniform per sent trial for the encoder; the channel
     outputs; and, for the stochastic decoder, one uniform per trial.
     """
-    members, member_msg, starts, px, mass = _message_segments(codec)
+    members, member_msg, starts, px, mass = codec.segments
     # every consistent message's coset has q^(n - rank (A; B)) members, so
     # the segments are the rows of one table
     seg_px = px.reshape(len(starts), -1)
@@ -229,7 +257,8 @@ def _mc_error(codec: ChannelCodec, trials: int, seed: int) -> int:
     u = rng.random(len(sent)) if decoder == STOCHASTIC else None
     hits = 0
     for s in chunks(len(sent), len(members) * codec.n):
-        picks, live = _decide(decoder, cond, members, y[s], None if u is None else u[s])
+        picks, live = _decide(decoder, cond, members, y[s], None if u is None else u[s],
+                              codec.table)
         # a coset without posterior mass is a failure
         hits += np.count_nonzero(live & (member_msg[picks] == sent[s]))
     return trials - int(hits)

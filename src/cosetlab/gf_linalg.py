@@ -83,7 +83,19 @@ class GfVector:
 
     @classmethod
     def from_array(cls, field: FieldSpec, arr) -> "GfVector":
-        return cls(field, tuple(v % field.q for v in checked_ints(arr, "vector entries")))
+        """The vector of ``arr``'s entries mod q, checked once: an integer array
+        needs no check, and mod q leaves residues."""
+        arr = np.asarray(arr)
+        if arr.ndim != 1:
+            raise ValueError("expected a 1-d array")
+        if arr.dtype.kind in "biu":
+            entries = tuple((arr % field.q).tolist())
+        else:
+            entries = tuple(v % field.q for v in checked_ints(arr, "vector entries"))
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "field", field)
+        object.__setattr__(vec, "entries", entries)
+        return vec
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
@@ -159,7 +171,9 @@ class LinearMap:
         else:
             if self.cols is None or self.cols < 1:
                 raise ValueError("a matrix with no rows needs an explicit column count")
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), self.cols)
+        self._hold(np.array(rows, dtype=np.int64).reshape(len(rows), self.cols))
+
+    def _hold(self, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "_arr", arr)
         object.__setattr__(self, "_reduced", None)
@@ -173,10 +187,20 @@ class LinearMap:
 
     @classmethod
     def from_array(cls, field: FieldSpec, arr) -> "LinearMap":
+        """The map of ``arr``'s entries mod q, checked once: an integer array with
+        rows needs no check, and mod q leaves residues."""
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("expected a 2-d array")
-        return cls(field, tuple(map(tuple, arr.tolist())), cols=arr.shape[1])
+        if arr.dtype.kind not in "biu" or not len(arr):
+            return cls(field, tuple(map(tuple, arr.tolist())), cols=arr.shape[1])
+        res = (arr % field.q).astype(np.int64, copy=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "entries", tuple(map(tuple, res.tolist())))
+        object.__setattr__(out, "cols", arr.shape[1])
+        out._hold(res)
+        return out
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "LinearMap":

@@ -41,8 +41,22 @@ class Channel:
         return self.transition.shape[1]
 
     def sample_outputs(self, x_indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One i.i.d. output per input symbol, in the inputs' shape, by ``rng.inverse_cdf``."""
-        return inverse_cdf(self.transition[x_indices], rng.random(np.shape(x_indices)))
+        """One i.i.d. output per input symbol, in the inputs' shape, by ``rng.inverse_cdf``.
+
+        The uniforms are drawn in the inputs' shape; the outputs of each
+        input letter are then drawn together from that letter's one row.
+        """
+        x = np.asarray(x_indices)
+        u = rng.random(x.shape)
+        out = np.empty(x.shape, dtype=np.int64)
+        drawn = 0
+        for a in range(self.input_size):
+            at = x == a
+            out[at] = inverse_cdf(self.transition[a:a + 1], u[at])
+            drawn += np.count_nonzero(at)
+        if drawn != x.size:
+            raise ValueError(f"channel inputs must be symbols in [0, {self.input_size})")
+        return out
 
 
 @dataclass(eq=False)

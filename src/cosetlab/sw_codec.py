@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -104,24 +104,51 @@ _MAP_TIE_RTOL = 1e-9
 _TIE_LOG2 = math.log2(1.0 - _MAP_TIE_RTOL)
 
 
-def _map_pick(members: np.ndarray, scores: np.ndarray):
+def _lex_rank(members: np.ndarray) -> np.ndarray:
+    """rank[i] = place of members[i] in lexicographic order, column 0 the primary key."""
+    rank = np.empty(len(members), dtype=np.int64)
+    rank[np.lexsort(members.T[::-1])] = np.arange(len(members))
+    return rank
+
+
+def _map_pick(members: np.ndarray, scores: np.ndarray, rank: Optional[np.ndarray] = None):
     """(index of the MAP member, live) of the coset for each row of log-posteriors.
 
     ``scores[..., i]`` is log2 of member i's posterior, -inf when it is 0;
     leading axes index a batch of side-information blocks.  Ties follow
-    the rule stated on decode_map.  A row is live when some member has
-    positive posterior.
+    the rule stated on decode_map: among tied members the lowest ``rank``
+    wins, the members' _lex_rank, taken here over the tied ones when no
+    rank is given.  A row is live when some member has positive posterior.
     """
     best = scores.max(axis=-1, keepdims=True)
     tied = scores >= best + _TIE_LOG2
     picks = tied.argmax(axis=-1)
     if np.count_nonzero(tied) > picks.size:
-        # rank the members tied in any row; column 0 is the primary key
-        cand = np.flatnonzero(tied.reshape(-1, len(members)).any(axis=0))
-        rank = np.full(len(members), len(members))
-        rank[cand[np.lexsort(members[cand].T[::-1])]] = np.arange(len(cand))
+        if rank is None:  # rank only the members tied in some row
+            cand = np.flatnonzero(tied.reshape(-1, len(members)).any(axis=0))
+            rank = np.full(len(members), len(members))
+            rank[cand] = _lex_rank(members[cand])
         picks = np.where(tied, rank, len(members)).argmin(axis=-1)
     return picks, best[..., 0] > -np.inf
+
+
+class MapTable(NamedTuple):
+    """The MAP decision table of a fixed coset's members (see ``map_table``)."""
+
+    onehot: np.ndarray  # (members, n q) float64: onehot[i, k q + members[i, k]] = 1
+    rank: np.ndarray    # each member's _lex_rank
+
+
+def map_table(members: np.ndarray, q: int) -> MapTable:
+    """The one-hot table and lexicographic ranks of a coset held for many decodes.
+
+    The table takes members x n q float64 entries, q times the entries of
+    the int64 members themselves; the caller bounds it before it is built.
+    """
+    count, n = members.shape
+    onehot = np.zeros((count, n * q))
+    onehot[np.arange(count)[:, None], np.arange(n) * q + members] = 1.0
+    return MapTable(onehot, _lex_rank(members))
 
 
 def _check_y(codec: SwCodec, y) -> np.ndarray:
@@ -134,19 +161,35 @@ def _check_y(codec: SwCodec, y) -> np.ndarray:
 
 
 def _decide(decoder: str, cond: np.ndarray, members: np.ndarray, y: np.ndarray,
-            u: Optional[np.ndarray] = None):
+            u: Optional[np.ndarray] = None, table: Optional[MapTable] = None):
     """(picks, live): the coset member each row of y decodes to, and whether
     that row's coset carries posterior mass (a dead row's pick means nothing).
 
     ``y`` is a (batch, n) array of side-information blocks.  MAP decoding
-    takes the _map_pick member.  Posterior sampling draws member i with
+    takes the _map_pick member.  Its log-scores are the product law of the
+    letters log2 mu(a | y_k), folded a position at a time, or, with the
+    ``map_table(members, q)`` of a coset held for many decodes, one product
+    of the batch's letters with the table's one-hot rows, zero letters
+    counted as 0; a second product with the zero-letter indicator then marks
+    the members that take a zero letter as -inf.  The fold and the product
+    add in different orders, which the tie margin absorbs.  A channel code
+    holds the table of its one fixed coset.  ``decode_map`` and the
+    syndrome-code Monte Carlo, whose coset changes with every call or
+    trial, fold.  Posterior sampling always folds: it draws member i with
     probability proportional to prod_k mu(members[i, k] | y_k), by the
     sampler's inverse-CDF rule at the row's uniform in ``u``.
     """
     letters = cond.T[y]  # letters[j, k, a] = mu(a | y[j, k])
     if decoder == MAP_EXACT:
-        with np.errstate(divide="ignore"):  # log2 0 = -inf marks a zero letter
-            return _map_pick(members, product_law(np.log2(letters), members, np.add))
+        if table is None:
+            with np.errstate(divide="ignore"):  # log2 0 = -inf marks a zero letter
+                return _map_pick(members, product_law(np.log2(letters), members, np.add))
+        flat = letters.reshape(len(y), -1)
+        zero = flat == 0.0
+        scores = np.log2(flat, out=np.zeros_like(flat), where=~zero) @ table.onehot.T
+        if zero.any():
+            scores[zero @ table.onehot.T > 0.0] = -np.inf
+        return _map_pick(members, scores, table.rank)
     nu = product_law(letters, members)
     live = nu.sum(axis=1) > 0.0
     picks = np.zeros(len(y), dtype=np.int64)
@@ -161,10 +204,12 @@ def _coset(codec: SwCodec, c: GfVector) -> np.ndarray:
     return coset_array(sol)
 
 
-def _decode(codec: SwCodec, members: np.ndarray, y, decoder: str, seed) -> GfVector:
+def _decode(codec: SwCodec, members: np.ndarray, y, decoder: str, seed,
+            table: Optional[MapTable] = None) -> GfVector:
     y_arr = _check_y(codec, y)
     u = make_rng(seed).random(1) if decoder == STOCHASTIC else None
-    (pick,), (live,) = _decide(decoder, codec.source.cond_x_given_y, members, y_arr[None], u)
+    (pick,), (live,) = _decide(decoder, codec.source.cond_x_given_y, members, y_arr[None], u,
+                               table)
     if not live:
         raise DecodeFailure("coset carries zero posterior mass")
     return GfVector.from_array(codec.field, members[pick])

@@ -551,3 +551,122 @@ def test_encode_builds_its_generator_once(monkeypatch):
     assert None in drawn and any(x is not None for x in drawn)  # encoder errors included
     assert built == [] and checked == []
     assert [s for s, _ in solved] == [codec.stacked.solver()] * len(drawn)
+
+
+ZERO_ENTRIES = np.array([[0.7, 0.3, 0.0], [0.0, 0.6, 0.4], [0.2, 0.0, 0.8]])
+# name: (channel, non-uniform input law, n, rows of A, rows of B)
+TABLE_CASES = {
+    "bsc": (lambda: sc.make_bsc(0.11), (0.6, 0.4), 8, 3, 2),
+    "zchannel": (lambda: sc.make_zchannel(0.3), (0.6, 0.4), 8, 3, 2),
+    "awgn3": (lambda: sc.make_quantized_awgn(4.0, 3), (0.5, 0.3, 0.2), 6, 2, 1),
+    "awgn5": (lambda: sc.make_quantized_awgn(8.0, 5), (0.1, 0.3, 0.2, 0.25, 0.15), 5, 2, 1),
+    "zero-entries": (lambda: sc.Channel(ZERO_ENTRIES), (0.5, 0.3, 0.2), 6, 2, 1),
+}
+
+
+def table_codec(name, decoder, seed, uniform=True):
+    make_channel, px, n, l_a, l_b = TABLE_CASES[name]
+    channel = make_channel()
+    q = channel.input_size
+    rng = np.random.default_rng(seed)
+    a = LinearMap.from_array(FieldSpec(q), rng.integers(0, q, (l_a, n)))
+    b = LinearMap.from_array(FieldSpec(q), rng.integers(0, q, (l_b, n)))
+    law = np.full(q, 1.0 / q) if uniform else np.array(px)
+    source = sc.joint_from_channel(law, channel)
+    return cc.build(sw.SwCodec(a, source, decoder), b, channel, seed=seed + 1)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+@pytest.mark.parametrize("name", list(TABLE_CASES))
+def test_map_table_decides_as_the_fold(name, uniform):
+    # the held table's one product per batch picks the member, and finds the
+    # rows live, that the per-position fold does, ties and dead rows included
+    tied_rows = dead_rows = 0
+    for seed in range(4):
+        codec = table_codec(name, sw.MAP_EXACT, seed, uniform)
+        members, cond = codec.segments[0], codec.sw.source.cond_x_given_y
+        y = np.random.default_rng(seed + 10).integers(0, codec.channel.output_size,
+                                                      (300, codec.n))
+        picks, live = sw._decide(sw.MAP_EXACT, cond, members, y, table=codec.table)
+        fold_picks, fold_live = sw._decide(sw.MAP_EXACT, cond, members, y)
+        assert np.array_equal(live, fold_live)
+        assert np.array_equal(picks, fold_picks)
+        with np.errstate(divide="ignore"):
+            scores = np.log2(cond.T[y])[:, np.arange(codec.n), members].sum(axis=-1)
+        best = scores.max(axis=1, keepdims=True)
+        tied_rows += np.count_nonzero(live & ((scores >= best + sw._TIE_LOG2).sum(axis=1) > 1))
+        dead_rows += np.count_nonzero(~live)
+    assert tied_rows > 0
+    assert (dead_rows > 0) == (name in ("zchannel", "zero-entries"))
+
+
+@pytest.mark.parametrize("name", list(TABLE_CASES))
+def test_decode_is_decode_map_then_the_message_map(name):
+    for seed in range(2):
+        codec = table_codec(name, sw.MAP_EXACT, seed, uniform=False)
+        rng = np.random.default_rng(seed + 20)
+        for y in rng.integers(0, codec.channel.output_size, (60, codec.n)):
+            try:
+                want = matvec(codec.b_map, sw.decode_map(codec.sw, codec.syndrome, y))
+            except DecodeFailure:
+                with pytest.raises(DecodeFailure):
+                    cc.decode(codec, y)
+                continue
+            assert cc.decode(codec, y) == want
+
+
+# failures in 400 Monte Carlo trials at seed s + 7 of table_codec(name, decoder, s),
+# as counted before the MAP decision read the table; the Z-channel and the
+# channel with zero entries take their non-uniform input laws
+PINNED_FAILURES = {
+    ("bsc", sw.MAP_EXACT): (133, 104), ("bsc", sw.STOCHASTIC): (158, 124),
+    ("zchannel", sw.MAP_EXACT): (103, 106), ("zchannel", sw.STOCHASTIC): (140, 120),
+    ("awgn3", sw.MAP_EXACT): (103, 105), ("awgn3", sw.STOCHASTIC): (126, 119),
+    ("awgn5", sw.MAP_EXACT): (138, 72), ("awgn5", sw.STOCHASTIC): (178, 110),
+    ("zero-entries", sw.MAP_EXACT): (166, 159), ("zero-entries", sw.STOCHASTIC): (184, 192),
+}
+
+
+@pytest.mark.parametrize("name, decoder", list(PINNED_FAILURES))
+def test_monte_carlo_values_are_pinned(name, decoder):
+    uniform = name not in ("zchannel", "zero-entries")
+    for seed, failures in enumerate(PINNED_FAILURES[name, decoder]):
+        est = cc.error_probability(table_codec(name, decoder, seed, uniform), "mc",
+                                   trials=400, seed=seed + 7)
+        assert est.value == failures / 400
+
+
+def test_map_table_above_the_cap_is_refused_before_the_coset_is_built(monkeypatch):
+    channel, _, swc, b = make_setup()
+    entries = swc.solver.kernel_size * swc.n * 2
+
+    def build_nothing(*args):
+        raise AssertionError("built before the cap check")
+
+    monkeypatch.setattr(cc, "IMAGE_TABLE_CAP", entries - 1)
+    with monkeypatch.context() as patched:
+        patched.setattr(cc, "coset_array", build_nothing)
+        patched.setattr(cc, "map_table", build_nothing)
+        with pytest.raises(CapExceededError, match=f"table of {entries} entries"):
+            cc.build(swc, b, channel, seed=1)
+    # a stochastic code holds no table, and a table at the cap is built
+    stochastic = sw.SwCodec(swc.matrix, swc.source, sw.STOCHASTIC)
+    assert cc.build(stochastic, b, channel, seed=1).table is None
+    monkeypatch.setattr(cc, "IMAGE_TABLE_CAP", entries)
+    assert cc.build(swc, b, channel, seed=1).table.onehot.size == entries
+
+
+def test_a_code_groups_and_ranks_its_coset_once(monkeypatch):
+    # decode and both evaluators read the segments and the tie rank the code
+    # computed when it was built
+    channel, _, swc, b = make_setup(seed=5, n=10, l_a=4, l_b=2)
+    grouped, ranked = [], []
+    monkeypatch.setattr(cc, "_message_segments", counting(grouped, cc._message_segments))
+    monkeypatch.setattr(sw, "_lex_rank", counting(ranked, sw._lex_rank))
+    codec = cc.build(swc, b, channel, seed=1)
+    assert (len(grouped), len(ranked)) == (1, 1)
+    for y in np.random.default_rng(0).integers(0, 2, (20, codec.n)):
+        cc.decode(codec, y)
+    cc.error_probability(codec, "exact")
+    cc.error_probability(codec, "mc", trials=300, seed=3)
+    assert (len(grouped), len(ranked)) == (1, 1)

@@ -73,6 +73,14 @@ def test_sample_outputs_never_draws_a_zero_probability_output():
         assert 0 not in ch.sample_outputs(x, FixedUniform(u)).tolist()
 
 
+@pytest.mark.parametrize("x", [np.array([0, 2]), np.array([-1, 0]), np.array([0.5, 1.0])],
+                         ids=["high", "negative", "fraction"])
+def test_sample_outputs_refuses_inputs_outside_the_alphabet(x):
+    # each input letter draws from its own row, so every input must be a letter
+    with pytest.raises(ValueError, match="symbols in"):
+        sc.make_bsc(0.1).sample_outputs(x, np.random.default_rng(0))
+
+
 def test_bsc_identity_at_zero():
     ch = sc.make_bsc(0.0)
     assert np.array_equal(ch.transition, np.eye(2))

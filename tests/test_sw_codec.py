@@ -411,3 +411,17 @@ def test_mc_error_draws_the_documented_stream(q, l, n):
         est = sw.error_probability(codec, "mc", trials=trials, seed=seed)
         assert 0 < failures < trials
         assert est.value == failures / trials
+
+
+def test_the_lexicographic_tie_rank_is_one_function():
+    # every MAP tie is broken by sw_codec._lex_rank, whether a channel code holds
+    # the rank of its fixed coset or _map_pick ranks the tied members of a fresh one
+    import ast
+    import pathlib
+    src = pathlib.Path(sw.__file__).resolve().parent
+    assert [(p.name, fn.name) for p in sorted(src.glob("*_codec.py"))
+            for fn in ast.walk(ast.parse(p.read_text())) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr in ("lexsort", "argsort")] == [
+        ("sw_codec.py", "_lex_rank")]
+    assert sum(p.read_text().count("sort(") for p in src.glob("*_codec.py")) == 1
