@@ -1,25 +1,21 @@
 """Stochastic decision rules for guessing a state from an observation.
 
-Exact error probabilities for arbitrary (stochastic or deterministic)
-decision rules on a finite joint law, the optimal maximum a posteriori
-rule, and the verification that sampling the posterior at most doubles
-the MAP error.
+Exact error probabilities of decision rules on a finite joint law, the
+optimal maximum a posteriori rule, and the verification that sampling
+the posterior at most doubles the MAP error.  A rule is its table
+q(u-hat | v); a deterministic rule's rows are one-hot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .rng import LOOSE_MASS_TOL, MASS_TOL, checked_law, make_rng
 
 _ZERO_FRACTION = 0.3  # share of cells zeroed in the half of random problems that get zeros
-
-DETERMINISTIC = "deterministic"
-STOCHASTIC = "stochastic"
 
 
 @dataclass(eq=False)
@@ -45,48 +41,25 @@ class DecisionProblem:
 
 @dataclass(eq=False)
 class DecisionRule:
-    """Either a map v -> u or a conditional table q(u-hat | v)."""
+    """A conditional table q(u-hat | v): row v is the law of the guess at v."""
 
-    kind: str
-    f: Optional[np.ndarray] = None       # (|V|,) state indices in [0, |U|)
-    table: Optional[np.ndarray] = None   # (|V|, |U|) rows are probability vectors
+    table: np.ndarray   # (|V|, |U|)
 
     def __post_init__(self):
-        if self.kind == DETERMINISTIC:
-            if self.f is None:
-                raise ValueError("deterministic rules need the decision map f")
-            f = np.array(self.f)
-            if f.ndim != 1 or f.dtype.kind not in "iu" or (f < 0).any():
-                raise ValueError(f"decision map f must be 1-d integers >= 0, got {self.f!r}")
-            self.f = f.astype(np.int64)
-        elif self.kind == STOCHASTIC:
-            if self.table is None:
-                raise ValueError("stochastic rules need the conditional table")
-            self.table = checked_law(self.table, "rule table", rows=True, tol=LOOSE_MASS_TOL)
-        else:
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-
-    def prob_table(self, u_size: int) -> np.ndarray:
-        """q(u-hat | v) as a (|V|, |U|) array for either kind."""
-        if self.kind == STOCHASTIC:
-            return self.table
-        if ((self.f < 0) | (self.f >= u_size)).any():
-            raise ValueError(f"decision map f must lie in [0, {u_size}), got {self.f.tolist()}")
-        return np.eye(u_size)[self.f]
+        self.table = checked_law(self.table, "rule table", rows=True, tol=LOOSE_MASS_TOL)
 
 
 def rule_error(prob: DecisionProblem, rule: DecisionRule) -> float:
     """sum_v p(v) sum_u p(u|v) (1 - q(u|v)), exactly."""
-    q = rule.prob_table(prob.u_size)
-    if q.shape != (prob.v_size, prob.u_size):
+    if rule.table.shape != (prob.v_size, prob.u_size):
         raise ValueError("rule alphabets do not match the problem")
-    correct = (prob.posterior.T * q).sum(axis=1)  # sum_u p(u|v) q(u|v)
+    correct = (prob.posterior.T * rule.table).sum(axis=1)  # sum_u p(u|v) q(u|v)
     return float((prob.p_v * (1.0 - correct)).sum())
 
 
 def map_rule(prob: DecisionProblem) -> DecisionRule:
-    """argmax_u p(u|v) per observation; ties go to the smallest state index."""
-    return DecisionRule(kind=DETERMINISTIC, f=prob.posterior.argmax(axis=0))
+    """One-hot rows at argmax_u p(u|v); ties go to the smallest state index."""
+    return DecisionRule(np.eye(prob.u_size)[prob.posterior.argmax(axis=0)])
 
 
 def posterior_rule(prob: DecisionProblem) -> DecisionRule:
@@ -98,7 +71,7 @@ def posterior_rule(prob: DecisionProblem) -> DecisionRule:
     tab = prob.posterior.T.copy()
     empty = tab.sum(axis=1) <= 0.0
     tab[empty, 0] = 1.0
-    return DecisionRule(kind=STOCHASTIC, table=tab)
+    return DecisionRule(tab)
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,10 @@ The collision sets are read from the kernel indicator [A_b d = 0]:
 A_b x = A_b u for some x in G \\ {u} iff A_b maps some difference x - u
 to 0, so one product per block of class rows, of that indicator with
 every pair's difference words, checks every (G, u) pair.  The partition
-bound takes, per block of class rows and per reached image m, one product
-of the indicator [A_b x = m] with the (Q, T) weights of every pair; with
-more reached images than pairs it buckets the weights per pair, row and
-image instead, so its cost never grows with both counts.  Its lhs sums
+bound takes, per block of class rows and per image m of GF(q)^l, one
+product of the indicator [A_b x = m] with the (Q, T) weights of every
+pair; with more images than pairs it buckets the weights per pair, row
+and image instead, so its cost never grows with both counts.  Its lhs sums
 float Q weights, so it can move in its last bits between BLAS kernels;
 only the violation count reaches the CSV.
 
@@ -135,16 +135,15 @@ class EnsembleSpec:
 
     @cached_property
     def _table(self):
-        """(member count N, all words, class codes, class sizes, kernel count K,
-        reached images) of the full ensemble, built on first exact use and kept
-        read-only for the spec's life.
+        """(member count N, all words, class codes, class sizes, kernel count K) of the
+        full ensemble, built on first exact use and kept read-only for the spec's life.
 
         Members with one kernel share their coset partition of the words, so
         the table keeps one image-code row per kernel class (see _kernel_classes):
         codes[c, i] encodes its first member's A_b applied to word i (word 0 is
         the zero word), and sizes[c] counts the class's members.  K[d] =
         |{b : A_b d = 0}| = sizes @ [codes == 0] is an exact integer sum.
-        reached[m] marks the images that some member reaches (see _reached_images).
+        Every kind has a full-rank member, so the members reach all q^l images.
         Every cap is checked before anything is built.  The table holds no
         reference to the spec, so reference counts alone free it with the spec.
         """
@@ -152,11 +151,10 @@ class EnsembleSpec:
         words = _all_words(q, self.cols, _member_count(self))
         full = image_codes(enumerate_ensemble(self).arrays, q, words)
         codes, sizes = _kernel_classes(full)
-        count, reached = len(full), _reached_images(full, codes, q ** self.rows)
         kernel = sizes @ (codes == 0)
-        for table in (words, codes, sizes, kernel, reached):
+        for table in (words, codes, sizes, kernel):
             table.flags.writeable = False
-        return count, words, codes, sizes, kernel, reached
+        return len(full), words, codes, sizes, kernel
 
 
 def uniform_ensemble(field: FieldSpec, rows: int, cols: int) -> EnsembleSpec:
@@ -243,7 +241,6 @@ def sample_map(spec: EnsembleSpec, seed) -> LinearMap:
 class EnumeratedEnsemble:
     """All members of a (tiny) ensemble, each drawn with probability 1/count."""
 
-    spec: EnsembleSpec
     arrays: np.ndarray   # (count, rows, cols) residues
 
     @property
@@ -307,22 +304,6 @@ def _kernel_classes(codes: np.ndarray):
     return codes[order[starts]], np.diff(starts, append=count)
 
 
-def _reached_images(full: np.ndarray, classes: np.ndarray, images: int) -> np.ndarray:
-    """reached[m]: some member's row of the image-code table ``full`` holds code m.
-
-    A class row with |words| / images zero codes has a kernel that small, so
-    its members have full rank and reach every image; only when no class
-    has full rank is every member's row read, since members of one class
-    with rank below l reach different images.
-    """
-    if (np.count_nonzero(classes == 0, axis=1) * images == full.shape[1]).any():
-        return np.ones(images, dtype=bool)
-    reached = np.zeros(images, dtype=bool)
-    for s in chunks(len(full), full.shape[1]):
-        reached[full[s]] = True
-    return reached
-
-
 def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
     """Materialize the full ensemble; CapExceededError, before anything is built,
     beyond a cap."""
@@ -332,12 +313,11 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
         raise CapExceededError(f"member array of {count} members x {l} x {n} entries "
                                f"is above the cap {IMAGE_TABLE_CAP}; shrink l or n")
     if spec.kind == UNIFORM:
-        return EnumeratedEnsemble(spec, word_table(q, l * n).reshape(count, l, n))
+        return EnumeratedEnsemble(word_table(q, l * n).reshape(count, l, n))
     if spec.kind == SYSTEMATIC_SPARSE:
         digits = word_table((n - l) * (q - 1), spec.row_weight * l).reshape(
             count, l, spec.row_weight)
-        return EnumeratedEnsemble(
-            spec, _systematic(q, l, n, digits // (q - 1), 1 + digits % (q - 1)))
+        return EnumeratedEnsemble(_systematic(q, l, n, digits // (q - 1), 1 + digits % (q - 1)))
     # expurgated: keep the members that map no light non-zero word to 0,
     # i.e. whose kernel minimum weight exceeds gamma * n
     words = _all_words(q, n, count)
@@ -348,7 +328,7 @@ def enumerate_ensemble(spec: EnsembleSpec) -> EnumeratedEnsemble:
     if not keep.any():
         raise ExpurgationError(
             f"expurgation invalid at gamma={spec.gamma}: no ensemble member survives")
-    return EnumeratedEnsemble(spec, inner.arrays[keep])
+    return EnumeratedEnsemble(inner.arrays[keep])
 
 
 def members(spec: EnsembleSpec):
@@ -375,7 +355,7 @@ def _spectrum(spec: EnsembleSpec):
         words, total = _all_words(q, n, 0), q ** l
         kernel = np.where(words.any(axis=1), 1.0, total)
     else:
-        total, words, _, _, kernel, _ = spec._table
+        total, words, _, _, kernel = spec._table
     symbols = np.stack([np.count_nonzero(words == a, axis=1) for a in range(q)], axis=1)
     types, inverse, sizes = np.unique(symbols, axis=0, return_inverse=True, return_counts=True)
     return types, sizes, np.bincount(inverse.ravel(), weights=kernel), total
@@ -437,7 +417,7 @@ def certified_collision_params(spec: EnsembleSpec) -> HashParams:
     pins the first coordinates), so this direct pair is the one to
     certify it with.
     """
-    total, _, _, _, kernel, _ = spec._table
+    total, _, _, _, kernel = spec._table
     alpha = spec.field.q ** spec.rows * kernel[1:].max() / total
     return HashParams(alpha=float(alpha), beta=0.0)
 
@@ -534,41 +514,38 @@ def random_collision_pairs(field: FieldSpec, n: int, count: int, seed):
     return pairs
 
 
-def _partition_defects(codes, sizes, qt, q_total, im_mask, im_size) -> np.ndarray:
+def _partition_defects(codes, sizes, qt, q_total, im_size) -> np.ndarray:
     """lhs[k] = mean over members b of sum_{m in Im} | Q_k(T_k n C_b(m)) / Q_k(T_k) - 1/|Im| |.
 
-    Row c of ``codes`` stands for the sizes[c] members of its kernel class:
-    they share its cosets, and each image of Im they miss adds 1/|Im|, so they
-    share its defect.  With no more reached images than pairs, one product
-    per block of rows and per reached image m, of the indicator [A_b x = m]
-    with the (words, pairs) weights, gives the mass Q_k(T_k n C_b(m)) of
-    every row and pair.  Otherwise one bincount per block collects qt[k, i]
+    Im is GF(q)^l, reached by every kind's full-rank members.  Row c of ``codes``
+    stands for the sizes[c] members of its kernel class: they share its cosets,
+    and each image they miss adds 1/|Im|, so they share its defect.  With no
+    more images than pairs, one product per block of rows and per image m, of
+    the indicator [A_b x = m] with the (words, pairs) weights, gives the mass
+    Q_k(T_k n C_b(m)) of every row and pair.  Otherwise one bincount per block collects qt[k, i]
     in bucket (k, b, m) over the words i that row b maps to m.  The products
     cost about as much per image as the buckets per pair, so the loop runs
     over the fewer of the two.
     """
     pairs, n_words = qt.shape
-    n_codes = len(im_mask)
-    reached = np.flatnonzero(im_mask)
     # a C-contiguous copy: the product with the transposed view is far slower
     weights = np.ascontiguousarray(qt.T)
     lhs = np.zeros(pairs)
     for s in chunks(len(codes), pairs * n_words):
         block = codes[s]
         rows = len(block)
-        if len(reached) <= pairs:
+        if im_size <= pairs:
             defect = np.zeros((rows, pairs))
-            for m in reached:
+            for m in range(im_size):
                 mass = (block == m).astype(np.float64) @ weights
                 defect += np.abs(mass / q_total - 1.0 / im_size)
         else:
             bucket = (np.arange(pairs)[:, None, None] * rows
-                      + np.arange(rows)[None, :, None]) * n_codes + block[None, :, :]
+                      + np.arange(rows)[None, :, None]) * im_size + block[None, :, :]
             mass = np.bincount(bucket.ravel(),
                                weights=np.broadcast_to(qt[:, None, :], bucket.shape).ravel(),
-                               minlength=pairs * rows * n_codes).reshape(pairs, rows, n_codes)
-            defect = np.abs(mass[:, :, reached] / q_total[:, None, None]
-                            - 1.0 / im_size).sum(axis=2).T
+                               minlength=pairs * rows * im_size).reshape(pairs, rows, im_size)
+            defect = np.abs(mass / q_total[:, None, None] - 1.0 / im_size).sum(axis=2).T
         lhs += sizes[s] @ defect
     return lhs / sizes.sum()
 
@@ -593,6 +570,15 @@ def _collision_hits(codes, words, q: int, collision_pairs) -> np.ndarray:
     return hits
 
 
+def _mask(mask, size: int, label: str) -> np.ndarray:
+    """``mask`` as an array; ValueError naming ``label`` unless it is a boolean
+    mask of ``size`` entries."""
+    mask = np.asarray(mask)
+    if mask.dtype != np.bool_ or mask.shape != (size,):
+        raise ValueError(f"{label} must be a boolean mask of {size} entries")
+    return mask
+
+
 def certify_hash_property(spec: EnsembleSpec, params: HashParams,
                           partition_pairs: Sequence = (),
                           collision_pairs: Sequence = (),
@@ -611,11 +597,25 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
 
         P( (G \\ {u}) meets C(A u) ) <= |G| alpha / |Im| + beta.
 
-    Violations are collected in the report, never raised.
+    Violations are collected in the report, never raised; a pair that is
+    not a finite Q >= 0 with mass on a mask T, or a mask G with a word index
+    u, over the q^n words is a ValueError naming it.
     """
-    total, words, codes, sizes, kernel, im_mask = spec._table
-    q, l = spec.field.q, spec.rows
-    im_size = q ** l
+    q = spec.field.q
+    im_size, size = q ** spec.rows, q ** spec.cols
+    partition_pairs = [(np.asarray(q_fn, dtype=np.float64), _mask(t, size, f"partition-{k}: T"))
+                       for k, (q_fn, t) in enumerate(partition_pairs)]
+    for k, (q_fn, t_mask) in enumerate(partition_pairs):
+        if q_fn.shape != (size,) or not (np.isfinite(q_fn) & (q_fn >= 0.0)).all():
+            raise ValueError(f"partition-{k}: Q must be {size} finite entries >= 0")
+        if not (q_fn[t_mask] > 0.0).any():
+            raise ValueError(f"partition-{k}: Q must put positive mass on T")
+    collision_pairs = [(_mask(g, size, f"collision-set-{k}: G"), u)
+                       for k, (g, u) in enumerate(collision_pairs)]
+    for k, (_, u) in enumerate(collision_pairs):
+        if not isinstance(u, (int, np.integer)) or not 0 <= u < size:
+            raise ValueError(f"collision-set-{k}: u must be an index in [0, {size}), got {u!r}")
+    total, words, codes, sizes, kernel = spec._table
 
     # P(A x = A x') = K[x' - x] / N: every word sees the same partner counts
     partners = kernel[1:]
@@ -627,22 +627,17 @@ def certify_hash_property(spec: EnsembleSpec, params: HashParams,
                       f"excess collision mass {mass} > beta {params.beta}" for w in words]
 
     partition_checks = []
-    partition_pairs = list(partition_pairs)
     if partition_pairs:
-        qt = np.array([np.asarray(q_fn, dtype=np.float64) * t_mask
-                       for q_fn, t_mask in partition_pairs])
+        qt = np.array([q_fn * t_mask for q_fn, t_mask in partition_pairs])
         q_total = qt.sum(axis=1)
-        if (q_total <= 0.0).any():
-            raise ValueError("Q must put positive mass on T")
-        lhs = _partition_defects(codes, sizes, qt, q_total, im_mask, im_size)
+        lhs = _partition_defects(codes, sizes, qt, q_total, im_size)
         for k, (q_fn, t_mask) in enumerate(partition_pairs):
-            q_max = float(np.asarray(q_fn)[t_mask].max())
+            q_max = float(q_fn[t_mask].max())
             arg = params.alpha - 1.0 + (params.beta + 1.0) * im_size * q_max / q_total[k]
             partition_checks.append(PairCheck(label=f"partition-{k}", lhs=float(lhs[k]),
                                               rhs=math.sqrt(max(arg, 0.0))))
 
     collision_set_checks = []
-    collision_pairs = list(collision_pairs)
     if collision_pairs:
         hits = _collision_hits(codes, words, q, collision_pairs)
         for k, (g_mask, u) in enumerate(collision_pairs):

@@ -9,7 +9,7 @@ def test_worked_example():
     prob = dt.DecisionProblem(np.array([[0.45, 0.45], [0.05, 0.05]]))
     assert dt.rule_error(prob, dt.posterior_rule(prob)) == pytest.approx(0.18, abs=1e-12)
     rule = dt.map_rule(prob)
-    assert rule.f.tolist() == [0, 0]
+    assert np.array_equal(rule.table, np.eye(2)[[0, 0]])
     assert dt.rule_error(prob, rule) == pytest.approx(0.1, abs=1e-12)
     report = dt.verify_factor2(prob)
     assert report.passed and report.ratio == pytest.approx(1.8, abs=1e-12)
@@ -19,7 +19,7 @@ def test_uniform_posterior_every_rule_errs_half():
     prob = dt.DecisionProblem(np.full((2, 2), 0.25))
     assert dt.rule_error(prob, dt.map_rule(prob)) == pytest.approx(0.5, abs=1e-12)
     assert dt.rule_error(prob, dt.posterior_rule(prob)) == pytest.approx(0.5, abs=1e-12)
-    swapped = dt.DecisionRule(kind=dt.DETERMINISTIC, f=np.array([1, 1]))
+    swapped = dt.DecisionRule(np.eye(2)[[1, 1]])
     assert dt.rule_error(prob, swapped) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -36,7 +36,7 @@ def test_point_mass_posterior():
 
 def test_map_tie_breaks_to_smallest_index():
     prob = dt.DecisionProblem(np.full((3, 2), 1 / 6))
-    assert dt.map_rule(prob).f.tolist() == [0, 0]
+    assert np.array_equal(dt.map_rule(prob).table, np.eye(3)[[0, 0]])
 
 
 def test_posterior_error_closed_form():
@@ -60,31 +60,17 @@ def test_map_is_optimal_among_random_rules():
         for _ in range(5):
             table = rng.random((prob.v_size, prob.u_size))
             table /= table.sum(axis=1, keepdims=True)
-            rule = dt.DecisionRule(kind=dt.STOCHASTIC, table=table)
+            rule = dt.DecisionRule(table)
             assert best <= dt.rule_error(prob, rule) + 1e-12
 
 
 def test_rule_validation():
     prob = dt.DecisionProblem(np.full((2, 2), 0.25))
-    with pytest.raises(ValueError):
-        dt.DecisionRule(kind=dt.STOCHASTIC, table=np.array([[0.5, 0.6], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        dt.DecisionRule(kind="other")
-    with pytest.raises(ValueError):
-        dt.rule_error(prob, dt.DecisionRule(kind=dt.DETERMINISTIC, f=np.array([0])))
-
-
-@pytest.mark.parametrize("f, at_build", [([-1, -2], True), ([0.7, 1.9], True), ([2, 0], False)])
-def test_decision_map_must_be_state_indices(f, at_build):
-    # each used to be scored or stored as another map, or to end in an IndexError
-    prob = dt.DecisionProblem(np.full((2, 2), 0.25))
-    if at_build:
-        with pytest.raises(ValueError, match="decision map f"):
-            dt.DecisionRule(kind=dt.DETERMINISTIC, f=f)
-    else:  # only |U| rules it out, so scoring raises
-        rule = dt.DecisionRule(kind=dt.DETERMINISTIC, f=f)
-        with pytest.raises(ValueError, match="decision map f"):
-            dt.rule_error(prob, rule)
+    with pytest.raises(ValueError, match="rule table"):
+        dt.DecisionRule(np.array([[0.5, 0.6], [0.5, 0.5]]))
+    # one observation's row against a problem with two
+    with pytest.raises(ValueError, match="alphabets"):
+        dt.rule_error(prob, dt.DecisionRule(np.array([[1.0, 0.0]])))
 
 
 def test_problem_validation():

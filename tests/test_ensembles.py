@@ -15,6 +15,7 @@ from cosetlab.gf_linalg import FieldSpec, LinearMap
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+F5 = FieldSpec(5)
 
 
 def brute_kernel(arr, q, n):
@@ -281,6 +282,47 @@ def test_expurgated_certification():
         partition_pairs=ens.random_partition_pairs(F2, 4, 10, seed=1),
         collision_pairs=ens.random_collision_pairs(F2, 4, 10, seed=2))
     assert report.passed
+
+
+# uniform GF(2) 2x4 with G = {3, 15}; a valid pair comes first, so the message
+# must name the second one
+_WORDS16 = np.arange(16)
+_G = np.isin(_WORDS16, [3, 15])
+_Q, _T = np.full(16, 1 / 16), np.ones(16, dtype=bool)
+_BAD_PAIRS = {
+    "q-short": ((_Q[:15], _T), None, "partition-1: Q"),
+    "q-negative": ((np.where(_WORDS16 == 0, -0.1, _Q), _T), None, "partition-1: Q"),
+    "q-nan": ((np.where(_WORDS16 == 0, np.nan, _Q), _T), None, "partition-1: Q"),
+    "q-no-mass-on-t": ((np.where(_G, 0.0, _Q), _G), None, "partition-1: Q must put positive"),
+    "t-not-boolean": ((_Q, _T.astype(np.int64)), None, "partition-1: T"),
+    "t-short": ((_Q, _T[:15]), None, "partition-1: T"),
+    "g-short": (None, (_G[:5], 3), "collision-set-1: G"),
+    "g-not-boolean": (None, (_G.astype(np.int64), 3), "collision-set-1: G"),
+    "u-negative": (None, (_G, -1), "collision-set-1: u"),
+    "u-past-the-words": (None, (_G, 16), "collision-set-1: u"),
+    "u-not-integer": (None, (_G, 3.0), "collision-set-1: u"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_PAIRS))
+def test_certifier_refuses_a_bad_pair_by_name(name):
+    # unchecked, each is read as another pair (u = -1 indexes word 15 while
+    # excluding nothing from G, a false violation) or fails inside numpy
+    partition, collision, message = _BAD_PAIRS[name]
+    spec = ens.uniform_ensemble(F2, 2, 4)
+    hp = ens.certified_collision_params(spec)
+    partition_pairs = [(_Q, _T)] + ([partition] if partition else [])
+    collision_pairs = [(_G, 3)] + ([collision] if collision else [])
+    with pytest.raises(ValueError, match=message):
+        ens.certify_hash_property(spec, hp, partition_pairs, collision_pairs)
+
+
+def test_collision_set_lhs_at_the_last_word():
+    # P(A 3 = A 15) = P(A 12 = 0) = 1/4, for a plain and a numpy index
+    spec = ens.uniform_ensemble(F2, 2, 4)
+    hp = ens.certified_collision_params(spec)
+    report = ens.certify_hash_property(spec, hp, collision_pairs=[(_G, 15), (_G, np.int64(15))])
+    assert [c.lhs for c in report.collision_set_checks] == [0.25, 0.25]
 
 
 def test_sparse_needs_direct_certified_pair():
@@ -551,7 +593,7 @@ def test_a_spec_builds_one_table_and_frees_it_with_itself(monkeypatch):
 def test_partition_defects_match_a_per_member_loop(monkeypatch, pairs):
     rng = np.random.default_rng(5)
     members, n_words, im_size = 7, 8, 4
-    # image 2 of the four is never reached, member 0 reaches only image 1,
+    # no member reaches image 2 of the four, member 0 reaches only image 1,
     # and two members fill a block
     codes = rng.choice(np.array([0, 1, 3], dtype=np.uint8), size=(members, n_words))
     codes[0] = 1
@@ -560,15 +602,13 @@ def test_partition_defects_match_a_per_member_loop(monkeypatch, pairs):
     qt = rng.random((pairs, n_words)) * (rng.random((pairs, n_words)) < 0.6)
     qt[:, 0] += 0.1
     q_total = qt.sum(axis=1)
-    im_mask = np.bincount(codes.ravel(), minlength=im_size) > 0
-    assert im_mask.tolist() == [True, True, False, True]
-    # the members are equiprobable: the reference is the plain mean over them
-    ref = [sum(sum(abs(qt[k, row == m].sum() / q_total[k] - 1 / im_size) for m in (0, 1, 3))
+    # the members are equiprobable: the reference is the plain mean over them,
+    # of a sum over every image, a missed one adding 1/|Im|
+    ref = [sum(sum(abs(qt[k, row == m].sum() / q_total[k] - 1 / im_size) for m in range(im_size))
                for row in codes) / members
            for k in range(pairs)]
     # one member per row: each row is its own kernel class of multiplicity 1
-    got = ens._partition_defects(codes, np.ones(members, dtype=np.int64), qt, q_total,
-                                 im_mask, im_size)
+    got = ens._partition_defects(codes, np.ones(members, dtype=np.int64), qt, q_total, im_size)
     assert got.tolist() == pytest.approx(ref, rel=1e-12)
 
 
@@ -583,7 +623,7 @@ CLASS_SPECS = {
 @pytest.mark.parametrize("name", list(CLASS_SPECS))
 def test_kernel_classes_group_the_members_by_kernel(name):
     spec, members, classes = CLASS_SPECS[name]
-    total, words, codes, sizes, kernel, reached = spec._table
+    total, words, codes, sizes, kernel = spec._table
     assert (total, len(codes), int(sizes.sum())) == (members, classes, members)
     # reference: members keyed by their kernel indicator in a dict, in member order
     full = gf_linalg.image_codes(ens.enumerate_ensemble(spec).arrays, spec.field.q, words)
@@ -596,7 +636,6 @@ def test_kernel_classes_group_the_members_by_kernel(name):
         first.setdefault((row == 0).tobytes(), b)
     assert all(np.array_equal(row, full[first[(row == 0).tobytes()]]) for row in codes)
     assert np.array_equal(kernel, (full == 0).sum(axis=0))
-    assert np.array_equal(reached, np.bincount(full.ravel(), minlength=len(reached)) > 0)
 
 
 @pytest.mark.parametrize("spec, pairs, products", [
@@ -606,20 +645,20 @@ def test_kernel_classes_group_the_members_by_kernel(name):
 ], ids=["products-expurgated", "products-gf3", "buckets-sparse"])
 def test_grouped_defects_and_hits_equal_the_per_member_ones(monkeypatch, spec, pairs, products):
     q = spec.field.q
-    total, words, codes, sizes, _, reached = spec._table
+    total, words, codes, sizes, _ = spec._table
     full = gf_linalg.image_codes(ens.enumerate_ensemble(spec).arrays, q, words)
     assert len(codes) < len(full) == total
     im_size = q ** spec.rows
-    # the product path runs with no more reached images than pairs, else the buckets
-    assert (reached.sum() <= pairs) == products
+    # the product path runs with no more images than pairs, else the buckets
+    assert (im_size <= pairs) == products
     pp = ens.random_partition_pairs(spec.field, spec.cols, pairs, 7)
     qt = np.array([q_fn * t_mask for q_fn, t_mask in pp])
     q_total = qt.sum(axis=1)
     # small blocks, so both tables run over several
     monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 3 * pairs * len(words))
-    grouped = ens._partition_defects(codes, sizes, qt, q_total, reached, im_size)
+    grouped = ens._partition_defects(codes, sizes, qt, q_total, im_size)
     per_member = ens._partition_defects(full, np.ones(total, dtype=np.int64), qt, q_total,
-                                        reached, im_size)
+                                        im_size)
     assert grouped.tolist() == pytest.approx(per_member.tolist(), rel=1e-12)
     cp = ens.random_collision_pairs(spec.field, spec.cols, pairs, 8)
     hits = ens._collision_hits(codes, words, q, cp)
@@ -628,38 +667,44 @@ def test_grouped_defects_and_hits_equal_the_per_member_ones(monkeypatch, spec, p
 
 def test_a_class_row_keeps_the_images_of_every_member():
     # [[1, 0], [0, 0]] and [[0, 0], [1, 0]] share the kernel {x : x_0 = 0} but
-    # reach the images {0, 1} and {0, 2}: the reached images come from every
-    # member, not from the class's first one
+    # reach the images {0, 1} and {0, 2}: the defect, a sum over all of Im,
+    # depends on a member only through its partition of the words
     words = gf_linalg.word_table(2, 2)
     full = gf_linalg.image_codes(np.array([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]), 2, words)
     assert [sorted(set(row.tolist())) for row in full] == [[0, 1], [0, 2]]
     codes, sizes = ens._kernel_classes(full)
     assert codes.tolist() == [full[0].tolist()] and sizes.tolist() == [2]
-    reached = np.bincount(full.ravel(), minlength=4) > 0
-    assert reached.tolist() == [True, True, True, False]
     qt = np.array([[0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5]])
     q_total = qt.sum(axis=1)
-    grouped = ens._partition_defects(codes, sizes, qt, q_total, reached, 4)
-    per_member = ens._partition_defects(full, np.ones(2, dtype=np.int64), qt, q_total,
-                                        reached, 4)
+    grouped = ens._partition_defects(codes, sizes, qt, q_total, 4)
+    per_member = ens._partition_defects(full, np.ones(2, dtype=np.int64), qt, q_total, 4)
     assert grouped.tolist() == pytest.approx(per_member.tolist(), rel=1e-12)
-    # the first member's images alone would drop image 2's defect of 1/4
-    alone = ens._partition_defects(codes, sizes, qt, q_total, reached & (np.arange(4) < 2), 4)
-    assert (grouped - alone).tolist() == pytest.approx([0.25, 0.25], rel=1e-12)
 
 
-def test_reached_images_are_read_from_the_members_only_without_a_full_rank_class():
-    # both members of the one class above have rank 1 < l = 2: every member is read
-    words = gf_linalg.word_table(2, 2)
-    full = gf_linalg.image_codes(np.array([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]), 2, words)
-    codes, _ = ens._kernel_classes(full)
-    assert ens._reached_images(full, codes, 4).tolist() == [True, True, True, False]
-    # a class of rank l (|words| / q^l zero codes) reaches every image, whatever
-    # the member rows say, so they are not read
-    identity = gf_linalg.image_codes(np.eye(2, dtype=np.int64)[None], 2, words)
-    assert np.count_nonzero(identity == 0) == 1
-    classes = np.concatenate([codes, identity])
-    assert ens._reached_images(np.zeros_like(full), classes, 4).tolist() == [True] * 4
+# every kind over GF(2), GF(3) and GF(5), and expurgations of a sparse and of an
+# expurgated spec
+IMAGE_SPECS = {
+    **{name: spec for name, (spec, _, _) in CLASS_SPECS.items()},
+    "gf3-uniform-2x3": ens.uniform_ensemble(F3, 2, 3),
+    "gf5-uniform-1x3": ens.uniform_ensemble(F5, 1, 3),
+    "gf3-expurgated-2x4": ens.expurgate(ens.uniform_ensemble(F3, 2, 4), 0.25),
+    "gf5-expurgated-2x3": ens.expurgate(ens.uniform_ensemble(F5, 2, 3), 0.3),
+    "expurgated-sparse-3x7": ens.expurgate(ens.sparse_ensemble(F2, 3, 7, 2), 0.15),
+    "expurgated-twice-3x5": ens.expurgate(
+        ens.expurgate(ens.uniform_ensemble(F2, 3, 5), 0.2), 0.4),
+}
+
+
+@pytest.mark.parametrize("name", list(IMAGE_SPECS))
+def test_every_ensemble_has_a_full_rank_class_and_reaches_every_image(name):
+    # the certifier sums each partition defect over all q^l images: a class row
+    # with q^(n-l) zero codes has rank l, so its members reach every image
+    spec = IMAGE_SPECS[name]
+    q, l, n = spec.field.q, spec.rows, spec.cols
+    _, words, codes, _, _ = spec._table
+    assert (np.count_nonzero(codes == 0, axis=1) == q ** (n - l)).any()
+    full = gf_linalg.image_codes(ens.enumerate_ensemble(spec).arrays, q, words)
+    assert np.array_equal(np.unique(full), np.arange(q ** l))
 
 
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])

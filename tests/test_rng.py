@@ -173,8 +173,7 @@ _LAW_ENTRY_POINTS = {
     "joint-source": (sc.JointSource, [[0.4, 0.1], [0.1, 0.4]]),
     "input-law": (lambda t: sc.joint_from_channel(t, sc.make_bsc(0.1)), [0.3, 0.7]),
     "decision-problem": (dt.DecisionProblem, [[0.4, 0.1], [0.1, 0.4]]),
-    "decision-rule": (lambda t: dt.DecisionRule(kind=dt.STOCHASTIC, table=t),
-                      [[0.9, 0.1], [0.2, 0.8]]),
+    "decision-rule": (dt.DecisionRule, [[0.9, 0.1], [0.2, 0.8]]),
     "sampler-weights": (lambda t: crng.ConstrainedDistribution(t, _KERNEL),
                         [[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]]),
 }
