@@ -34,9 +34,9 @@ SUPPORT_SEARCH_CAP = 16
 _MAX_ITER = 200000
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Capacity value with its optimizing input and convergence evidence."""
+    """Capacity value with its optimizing input and convergence evidence (frozen)."""
 
     capacity: float
     input_dist: np.ndarray

@@ -15,7 +15,10 @@ above the enumeration cap raises CapExceededError there; ``decode`` and both
 evaluators read that one copy.  As every encoder coset lies in it, the code
 also sorts it once into a segment per message, and a MAP code holds the
 decision table of the sorted members, so its decoder scores a batch of
-outputs with one product.  The Monte Carlo encoder draws its input from
+outputs with one product.  An exact ``encode`` draws from its message's
+segment, laid out in the order of the stacked (A; B) solution, so it solves,
+enumerates and weighs nothing per call; an MCMC encode solves (A; B) and
+walks.  The Monte Carlo evaluator draws its input from
 the message's segment, draws every trial from one generator and decodes
 the trials in batches.  The code search samples
 random (B, c) pairs against the underlying syndrome decoder's error.
@@ -25,11 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
-from .crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, _draw, _normalize_weights
+from .crng_sampler import (EXACT, ConstrainedDistribution, ConstraintSet, _draw,
+                           _normalize_weights, _pick)
 from .ensembles import IMAGE_TABLE_CAP, sample_map
 from .errors import CapExceededError, EmptyCosetError
 from .gf_linalg import (GfVector, LinearMap, _row_reduce, chunks, concat_vectors, coset_array,
@@ -46,11 +51,13 @@ MESSAGE_ENUMERATION_CAP = 2 ** 16
 class ChannelCodec:
     """Bundle (A via the SW codec, B, c) with the channel it is used on.
 
-    The code holds what every decode and evaluation reads: the stacked
-    (A; B) solver, the checked input law, the decoder coset {x : A x = c}
-    in A-kernel order, that coset grouped by message (``_message_segments``)
-    and, for a MAP decoder, the ``sw_codec.map_table`` of the grouped
-    members, so a MAP decision is one product per batch of outputs.  The
+    The code holds what every decode and evaluation reads: the checked
+    input law, the decoder coset {x : A x = c} in A-kernel order, that coset
+    grouped by message (``_message_segments``) and, for a MAP decoder, the
+    ``sw_codec.map_table`` of the grouped members, so a MAP decision is one
+    product per batch of outputs.  Two parts are built on first use: the
+    stacked (A; B) map (``stacked``), which MCMC encodes, the exact error's
+    rank and ``encoder_distribution`` read, and the exact encoder's table.  The
     table has n q float64 entries per member, q times the entries of the
     coset: 8 KB for a 32-member GF(2) coset of length 16, 16 MB for a
     2^16-member coset with n q = 32.  A table above
@@ -59,7 +66,8 @@ class ChannelCodec:
     """
 
     def __init__(self, sw: SwCodec, b_map: LinearMap, syndrome: GfVector, channel: Channel):
-        self.stacked = stack_maps([sw.matrix, b_map])  # B must share A's field and length
+        if b_map.field != sw.field or b_map.cols != sw.n:  # refused as stack_maps refuses it
+            raise ValueError("maps must share field and column count")
         if channel.input_size != sw.field.q:
             raise ValueError("channel input alphabet must match the code field")
         if channel.output_size != sw.source.y_size:
@@ -86,6 +94,34 @@ class ChannelCodec:
         self.segments = _message_segments(self)
         self.table = (map_table(self.segments[0], self.field.q) if sw.decoder == MAP_EXACT
                       else None)
+
+    @cached_property
+    def stacked(self) -> LinearMap:
+        """The stacked (A; B) map, built on first use."""
+        return stack_maps([self.sw.matrix, self.b_map])
+
+    @cached_property
+    def _encoder(self):
+        """The exact encoder's table, built on first use: each consistent message's
+        segment index, keyed by its entries, and every segment's members and input
+        weights, (segments, q^d, n) and (segments, q^d) for d free columns of (A; B).
+
+        A segment's rows are in the order ``coset_array`` gives the solution of
+        (A; B) x = (c; m): ``AffineSolver`` puts the particular solution at 0 on
+        the free columns and its null basis is the identity there, in
+        ``span_array`` order, so a member's row is the base-q number of its
+        entries on the free columns, the first most significant.
+        """
+        members, member_msg, starts, px, _ = self.segments
+        q = self.field.q
+        pivots = _row_reduce(np.vstack((self.sw.matrix.as_array(), self.b_map.as_array())),
+                             self.field)[2]
+        free = [col for col in range(self.n) if col not in pivots]
+        at = np.empty((len(starts), q ** len(free)), dtype=np.int64)
+        at[member_msg, members[:, free] @ q ** np.arange(len(free) - 1, -1, -1)] = \
+            np.arange(len(members))
+        messages = (members[starts] @ self.b_map.as_array().T) % q
+        return {tuple(m): k for k, m in enumerate(messages.tolist())}, members[at], px[at]
 
     @property
     def r(self) -> float:
@@ -133,18 +169,30 @@ def build(sw: SwCodec, b_map: LinearMap, channel: Channel, seed) -> ChannelCodec
 
 
 def encode(codec: ChannelCodec, m: GfVector, seed, mode: str = EXACT) -> Optional[GfVector]:
-    """Channel input for message m, or None when the coset has no mass.
+    """Channel input for message m, or None when its coset has no mass.
 
-    It solves (A; B) x = (c; m) once and draws under the code's checked
-    input law.  The None outcome is the modeled encoder error: it counts
-    toward the error probability rather than raising.
+    An exact encode draws from m's row of the code's encoder table with
+    ``crng_sampler._pick``, the exact step of ``_draw``, so it returns what
+    ``_draw`` returns on the solution of (A; B) x = (c; m) at the same seed,
+    with no solve, coset or weighting.  An MCMC encode solves that system and
+    walks under the code's checked input law.  The None outcome is the modeled
+    encoder error: it counts toward the error probability rather than raising.
     """
-    rhs = concat_vectors((codec.syndrome, m), codec.field)
+    rhs = concat_vectors((codec.syndrome, m), codec.field)  # refuses m of another field
+    if len(m) != codec.b_map.rows:
+        raise ValueError("right-hand side does not match the matrix")
     try:
-        x = _draw(codec.stacked.solver().solve(rhs), codec.law, mode, seed)
+        if mode == EXACT:
+            index, members, weights = codec._encoder
+            k = index.get(m.entries)
+            if k is None:
+                return None  # m is outside Im B or its (A; B) system is inconsistent
+            x = GfVector.from_array(codec.field, _pick(members[k], weights[k], seed))
+        else:
+            x = _draw(codec.stacked.solver().solve(rhs), codec.law, mode, seed)
     except EmptyCosetError:
         return None
-    assert matvec(codec.stacked, x) == rhs
+    assert matvec(codec.sw.matrix, x) == codec.syndrome and matvec(codec.b_map, x) == m
     return x
 
 

@@ -6,7 +6,9 @@ fixed while the value (c, m, ...) changes per draw, so the one draw body,
 ``_draw``, reads a solution and a checked (n, q) law.  Exact mode enumerates the
 solution coset and samples from the renormalized weights by the package's
 one draw rule, ``rng.inverse_cdf`` (the rule of ``Generator.choice``), so
-a seed gives the draw ``choice`` would give.
+a seed gives the draw ``choice`` would give.  That exact step, ``_pick``, takes
+the members and their weights, so a caller that holds a coset's members in
+the solution's order (a channel code's encoder table) draws without solving.
 MCMC mode runs a lazy sequential-scan Metropolis walk whose proposals add
 a random scalar multiple of a null-space basis vector, so every state of
 the chain satisfies the constraints by construction and the acceptance
@@ -186,6 +188,15 @@ def _walk(sol: gf_linalg.AffineSolution, law: np.ndarray, rng: np.random.Generat
         sweeps = every
 
 
+def _pick(members: np.ndarray, probs: np.ndarray, seed) -> np.ndarray:
+    """The exact draw: the row of ``members`` that ``inverse_cdf`` picks under the
+    unnormalized ``probs`` at ``make_rng(seed).random(1)``.  EmptyCosetError, before
+    any uniform is drawn, when ``probs`` carry no mass."""
+    if probs.sum() <= 0.0:
+        raise EmptyCosetError("coset carries zero probability mass: encoder error")
+    return members[inverse_cdf(probs[None], make_rng(seed).random(1))[0]]
+
+
 def _draw(sol: gf_linalg.AffineSolution, law: np.ndarray, mode: str, seed) -> GfVector:
     """The draw body: one member of the coset of ``sol`` under the checked (n, q) ``law``.
 
@@ -197,14 +208,10 @@ def _draw(sol: gf_linalg.AffineSolution, law: np.ndarray, mode: str, seed) -> Gf
         raise ValueError(f"unknown sampling mode {mode!r}")
     if sol.is_empty:
         raise EmptyCosetError("constraints are inconsistent: encoder error")
-    rng = make_rng(seed)
     if mode == EXACT:
-        members, probs = _member_weights(sol, law)
-        if probs.sum() <= 0.0:
-            raise EmptyCosetError("coset carries zero probability mass: encoder error")
-        return GfVector.from_array(sol.field, members[inverse_cdf(probs[None], rng.random(1))[0]])
+        return GfVector.from_array(sol.field, _pick(*_member_weights(sol, law), seed))
     sweeps = (BURN_IN_SWEEPS_PER_LETTER + SWEEPS_PER_LETTER) * len(law)
-    state = next(_walk(sol, law, rng, sweeps, 0))
+    state = next(_walk(sol, law, make_rng(seed), sweeps, 0))
     if not all(law[i, a] > 0.0 for i, a in enumerate(state)):
         if _member_weights(sol, law)[1].sum() <= 0.0:
             raise EmptyCosetError("coset carries zero probability mass: encoder error")

@@ -18,17 +18,20 @@ from .rng import LOOSE_MASS_TOL, MASS_TOL, checked_law, make_rng
 _ZERO_FRACTION = 0.3  # share of cells zeroed in the half of random problems that get zeros
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DecisionProblem:
-    """Known joint law p_UV of a hidden state U and an observation V."""
+    """Known joint law p_UV of a hidden state U and an observation V; frozen, so
+    ``p_v`` and ``posterior`` stay those of the checked joint."""
 
     joint: np.ndarray
 
     def __post_init__(self):
-        self.joint = mat = checked_law(self.joint, "joint table")
-        self.p_v = mat.sum(axis=0)
+        mat = checked_law(self.joint, "joint table")
+        p_v = mat.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.posterior = np.where(self.p_v[None, :] > 0.0, mat / self.p_v[None, :], 0.0)
+            posterior = np.where(p_v[None, :] > 0.0, mat / p_v[None, :], 0.0)
+        for name, value in (("joint", mat), ("p_v", p_v), ("posterior", posterior)):
+            object.__setattr__(self, name, value)
 
     @property
     def u_size(self) -> int:
@@ -39,14 +42,15 @@ class DecisionProblem:
         return self.joint.shape[1]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DecisionRule:
-    """A conditional table q(u-hat | v): row v is the law of the guess at v."""
+    """A conditional table q(u-hat | v): row v is the law of the guess at v (frozen)."""
 
     table: np.ndarray   # (|V|, |U|)
 
     def __post_init__(self):
-        self.table = checked_law(self.table, "rule table", rows=True, tol=LOOSE_MASS_TOL)
+        object.__setattr__(self, "table", checked_law(self.table, "rule table", rows=True,
+                                                      tol=LOOSE_MASS_TOL))
 
 
 def rule_error(prob: DecisionProblem, rule: DecisionRule) -> float:

@@ -16,7 +16,9 @@ runs the same left-to-right fold a position at a time over contiguous
 blocks instead of gathering each position, so both give the same floats.
 Every draw from a finite law, channel outputs included, is
 ``inverse_cdf``: the rule of ``Generator.choice(p=w / w.sum())``, at the
-same uniforms.
+same uniforms.  The rule is two parts, the CDF rows of the weights
+(``cdf_rows``) and the search of the uniforms in them (``search_cdf``), so a
+law that never changes holds its rows and pays only the search.
 """
 
 from __future__ import annotations
@@ -116,17 +118,31 @@ def product_table(letters: np.ndarray, op=np.multiply) -> np.ndarray:
     return next(product_blocks(letters, (slice(0, q ** n),), op))
 
 
-def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row of non-negative weights, the index ``Generator.choice`` draws at uniform u.
+def cdf_rows(weights: np.ndarray) -> np.ndarray:
+    """The rows of the draw rule: each row of non-negative weights (last axis) as its
+    normalized cumulative sum, divided by its last entry.
 
-    Rows lie along the last axis of ``weights`` and ``u`` has their leading
-    shape, except that a 2-d single row serves every uniform.  Every row
-    needs a positive total.  The normalized cumulative sum, divided by its
-    last entry, ends at exactly 1 > u and stays flat across zero weights, so
-    the index always has positive weight.
+    Every row needs a positive total.  A row then ends at exactly 1 and stays
+    flat across zero weights, so ``search_cdf`` always lands on a positive
+    weight.  A fixed law (a channel's rows) computes them once.
     """
     cdf = np.cumsum(weights / weights.sum(axis=-1, keepdims=True), axis=-1)
     cdf /= cdf[..., -1:]
+    return cdf
+
+
+def search_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The search of the draw rule: per row of ``cdf_rows``, the count of entries <= u.
+
+    ``u`` has the rows' leading shape, except that a 2-d single row serves
+    every uniform.  Since 1 > u, the count is an index of the row.
+    """
     if cdf.shape[:-1] == (1,):  # one row for every uniform: a sorted search, as choice runs it
         return cdf[0].searchsorted(u, side="right")
     return np.count_nonzero(cdf <= u[..., None], axis=-1)
+
+
+def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of non-negative weights, the index ``Generator.choice`` draws at uniform u:
+    ``search_cdf`` over the ``cdf_rows`` of ``weights``, with the shapes of ``search_cdf``."""
+    return search_cdf(cdf_rows(weights), u)

@@ -18,19 +18,25 @@ from typing import List, Optional
 
 import numpy as np
 
-from .rng import checked_law, inverse_cdf
+from .rng import cdf_rows, checked_law, search_cdf
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """Discrete memoryless channel: transition[x, y] = W(y|x)."""
+    """Discrete memoryless channel: transition[x, y] = W(y|x).
+
+    Frozen: the checked table and the CDF rows of its draws, computed once
+    from it, cannot go stale.
+    """
 
     transition: np.ndarray
     kind: str = "custom"
     param: Optional[float] = None
 
     def __post_init__(self):
-        self.transition = checked_law(self.transition, "channel transition matrix", rows=True)
+        law = checked_law(self.transition, "channel transition matrix", rows=True)
+        object.__setattr__(self, "transition", law)
+        object.__setattr__(self, "_cdf", cdf_rows(law))
 
     @property
     def input_size(self) -> int:
@@ -44,7 +50,7 @@ class Channel:
         """One i.i.d. output per input symbol, in the inputs' shape, by ``rng.inverse_cdf``.
 
         The uniforms are drawn in the inputs' shape; the outputs of each
-        input letter are then drawn together from that letter's one row.
+        input letter are then searched together in that letter's held CDF row.
         """
         x = np.asarray(x_indices)
         u = rng.random(x.shape)
@@ -52,29 +58,34 @@ class Channel:
         drawn = 0
         for a in range(self.input_size):
             at = x == a
-            out[at] = inverse_cdf(self.transition[a:a + 1], u[at])
+            out[at] = search_cdf(self._cdf[a:a + 1], u[at])
             drawn += np.count_nonzero(at)
         if drawn != x.size:
             raise ValueError(f"channel inputs must be symbols in [0, {self.input_size})")
         return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class JointSource:
-    """Correlated pair (X, Y) given by the single-letter joint mu_XY."""
+    """Correlated pair (X, Y) given by the single-letter joint mu_XY.
+
+    Frozen: the marginals and the conditional are derived once from the
+    checked joint, so a codec's exact and Monte Carlo paths read one law.
+    """
 
     joint: np.ndarray
     kind: str = "custom"
     param: Optional[float] = None
 
     def __post_init__(self):
-        self.joint = mat = checked_law(self.joint, "joint table")
-        self.x_marginal = mat.sum(axis=1)
-        self.y_marginal = mat.sum(axis=0)
+        mat = checked_law(self.joint, "joint table")
+        y_marginal = mat.sum(axis=0)
         # Conditional with 0/0 -> 0; Bayes identity then holds on every cell.
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.cond_x_given_y = np.where(self.y_marginal[None, :] > 0.0,
-                                           mat / self.y_marginal[None, :], 0.0)
+            cond = np.where(y_marginal[None, :] > 0.0, mat / y_marginal[None, :], 0.0)
+        for name, value in (("joint", mat), ("x_marginal", mat.sum(axis=1)),
+                            ("y_marginal", y_marginal), ("cond_x_given_y", cond)):
+            object.__setattr__(self, name, value)
 
     @property
     def x_size(self) -> int:

@@ -531,8 +531,9 @@ def counting(calls, real):
 
 
 def test_encode_builds_its_generator_once(monkeypatch):
-    # the law and the stacked solver belong to the code; an encode solves
-    # (A; B) x = (c; m) once and draws, building no sampler object
+    # the law, the encoder table and the stacked solver belong to the code: an
+    # exact encode reads the table and solves nothing, an MCMC encode solves
+    # (A; B) x = (c; m) once and walks, and neither builds a sampler object
     channel = sc.Channel(np.full((3, 3), 0.1) + 0.7 * np.eye(3))
     source = sc.joint_from_channel(np.array([0.5, 0.5, 0.0]), channel)
     rng = np.random.default_rng(4)
@@ -550,7 +551,75 @@ def test_encode_builds_its_generator_once(monkeypatch):
              for mode in (EXACT, MCMC) for k, m in enumerate(messages)]
     assert None in drawn and any(x is not None for x in drawn)  # encoder errors included
     assert built == [] and checked == []
-    assert [s for s, _ in solved] == [codec.stacked.solver()] * len(drawn)
+    assert [s for s, _ in solved] == [codec.stacked.solver()] * len(messages)  # MCMC only
+
+
+def pair_draw_codec(q, n, l_a, l_b, law, same_cols=()):
+    """A random code whose B gets one more row, a multiple of A's first: a rank-deficient
+    (A; B), so some messages of Im B have no coset; columns ``same_cols`` copy column 0
+    in A and B, so they are free columns of (A; B) after its first pivot."""
+    field = FieldSpec(q)
+    eye = np.eye(q) * 0.6
+    channel = sc.Channel(eye + (1.0 - eye.sum(axis=1, keepdims=True)) / q)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, (l_a, n))
+    b = np.vstack((rng.integers(0, q, (l_b, n)), (q - 1) * a[:1] % q))
+    for col in same_cols:
+        a[:, col], b[:, col] = a[:, 0], b[:, 0]
+    a, b = LinearMap.from_array(field, a), LinearMap.from_array(field, b)
+    source = sc.joint_from_channel(np.array(law), channel)
+    return cc.build(sw.SwCodec(a, source), b, channel, seed=q), source
+
+
+@pytest.mark.parametrize("q, n, l_a, l_b, law, same_cols", [
+    pytest.param(2, 8, 3, 2, (0.7, 0.3), (2, 5), id="GF2"),
+    pytest.param(3, 6, 2, 1, (0.5, 0.5, 0.0), (), id="GF3-zero-letter"),
+    pytest.param(5, 5, 1, 1, (0.1, 0.3, 0.2, 0.25, 0.15), (3,), id="GF5"),
+])
+def test_exact_encode_is_the_pair_draw_for_every_message(q, n, l_a, l_b, law, same_cols):
+    # the encoder table lays each segment out as coset_array lays out the pair
+    # set's solution, so every message draws what draw does at every seed
+    codec, source = pair_draw_codec(q, n, l_a, l_b, law, same_cols)
+    a, b, c = codec.sw.matrix, codec.b_map, codec.syndrome
+    assert codec.stacked.rank < a.rows + b.rows
+    outcomes = set()
+    for row in codec.messages():
+        m = GfVector.from_array(codec.field, row)
+        pairs = ConstraintSet(((a, c), (b, m)))
+        for seed in range(12):
+            try:
+                ref = draw(ConstrainedDistribution(source.x_marginal, pairs), seed)
+            except EmptyCosetError:
+                ref = None
+            assert cc.encode(codec, m, seed=seed) == ref
+        outcomes.add("drawn" if ref is not None else
+                     "no mass" if pairs.is_consistent else "inconsistent")
+    assert outcomes == ({"drawn", "no mass", "inconsistent"} if 0.0 in law
+                        else {"drawn", "inconsistent"})
+
+
+def test_the_stacked_map_is_built_on_first_use(monkeypatch):
+    # build, the code search and exact encodes stack nothing; the first MCMC
+    # encode, exact evaluation or encoder_distribution stacks (A; B) once
+    stacked = []
+    monkeypatch.setattr(cc, "stack_maps", counting(stacked, cc.stack_maps))
+    channel, _, swc, b = make_setup(seed=6, n=6, l_a=2, l_b=2)
+    cc.search_code(swc, ens.uniform_ensemble(F2, 2, 6), channel, candidates=4, trials=50,
+                   seed=2)
+    codec = cc.build(swc, b, channel, seed=1)
+    messages = [GfVector.from_array(F2, row) for row in codec.messages()]
+    for m in messages:
+        cc.encode(codec, m, seed=0)
+    assert stacked == []
+    uses = [lambda codec: [cc.encode(codec, m, seed=0, mode=MCMC) for m in messages],
+            lambda codec: cc.error_probability(codec, "exact"),
+            lambda codec: [codec.encoder_distribution(m) for m in messages]]
+    for use in uses:
+        codec = cc.build(swc, b, channel, seed=1)
+        use(codec)
+        use(codec)
+        assert len(stacked) == 1
+        stacked.clear()
 
 
 ZERO_ENTRIES = np.array([[0.7, 0.3, 0.0], [0.0, 0.6, 0.4], [0.2, 0.0, 0.8]])

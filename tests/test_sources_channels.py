@@ -1,8 +1,13 @@
+import ast
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from cosetlab import capacity as cap
+from cosetlab import decision_theory as dt
 from cosetlab import sources_channels as sc
 
 
@@ -79,6 +84,58 @@ def test_sample_outputs_refuses_inputs_outside_the_alphabet(x):
     # each input letter draws from its own row, so every input must be a letter
     with pytest.raises(ValueError, match="symbols in"):
         sc.make_bsc(0.1).sample_outputs(x, np.random.default_rng(0))
+
+
+def test_sample_outputs_reads_the_held_cdf_rows(monkeypatch):
+    # a channel computes its CDF rows once, when it is built; a draw only searches them
+    ch = sc.make_quantized_awgn(4.0, 5)
+    x = np.random.default_rng(0).integers(0, 5, (30, 10))
+    expected = ch.sample_outputs(x, np.random.default_rng(1))
+
+    def recompute(*args):
+        raise AssertionError("CDF rows recomputed")
+
+    monkeypatch.setattr(sc, "cdf_rows", recompute)
+    assert np.array_equal(ch.sample_outputs(x, np.random.default_rng(1)), expected)
+
+
+def test_every_checked_dataclass_is_frozen():
+    # a dataclass that checks or derives in __post_init__ must be frozen, so no
+    # field can be reassigned past its check or leave derived state stale
+    src = pathlib.Path(sc.__file__).resolve().parent
+    loose = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef) or not any(
+                    isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                    for f in node.body):
+                continue
+            frozen = [kw for d in node.decorator_list if isinstance(d, ast.Call)
+                      and getattr(d.func, "id", None) == "dataclass" for kw in d.keywords
+                      if kw.arg == "frozen" and getattr(kw.value, "value", None) is True]
+            if not frozen:
+                loose.append(f"{path.name}:{node.name}")
+    assert loose == []
+
+
+@pytest.mark.parametrize("make, name, value", [
+    pytest.param(lambda: sc.make_bsc(0.1), "transition", [[0.5, 0.5], [0.5, 0.5]],
+                 id="Channel"),
+    pytest.param(lambda: sc.make_dsbs(0.11), "joint", [[0.5, 0.0], [0.3, 0.2]],
+                 id="JointSource"),
+    pytest.param(lambda: dt.DecisionProblem(np.full((2, 2), 0.25)), "joint",
+                 [[0.5, 0.0], [0.0, 0.5]], id="DecisionProblem"),
+    pytest.param(lambda: dt.DecisionRule(np.eye(2)), "table", [[2.0, -1.0], [2.0, -1.0]],
+                 id="DecisionRule"),
+    pytest.param(lambda: cap.blahut_arimoto(sc.make_bsc(0.1)), "capacity", -1.0,
+                 id="CapacityResult"),
+])
+def test_checked_values_cannot_be_reassigned(make, name, value):
+    obj = make()
+    before = getattr(obj, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, value)
+    assert getattr(obj, name) is before
 
 
 def test_bsc_identity_at_zero():

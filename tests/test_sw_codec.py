@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -136,6 +137,18 @@ def test_decode_map_coset_above_the_cap():
     codec = sw.SwCodec(LinearMap(F2, ((1,) * 18,)), sc.make_dsbs(0.1))
     with pytest.raises(CapExceededError):
         sw.decode_map(codec, GfVector(F2, (0,)), (0,) * 18)
+
+
+def test_a_codec_source_cannot_change_after_the_build():
+    # a new joint would reach the exact sums, which read the joint, but not the
+    # Monte Carlo, which reads the conditional derived from the old one
+    source = sc.make_dsbs(0.11)
+    a = LinearMap.from_array(F2, np.random.default_rng(3).integers(0, 2, (3, 6)))
+    codec = sw.SwCodec(a, source)
+    joint, cond = source.joint, source.cond_x_given_y
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        source.joint = np.array([[0.5, 0.0], [0.3, 0.2]])
+    assert codec.source.joint is joint and codec.source.cond_x_given_y is cond
 
 
 def test_exact_error_cap_is_checked_before_enumeration(monkeypatch):
