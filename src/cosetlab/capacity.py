@@ -36,7 +36,8 @@ _MAX_ITER = 200000
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Capacity value with its optimizing input and convergence evidence (frozen)."""
+    """Capacity value with its optimizing input (read-only) and convergence
+    evidence (frozen)."""
 
     capacity: float
     input_dist: np.ndarray
@@ -106,8 +107,10 @@ def _solve(channel: Channel, supports, tol: float,
             done |= ((best_hi + tol < rival) | ~groups[:, live]).all(axis=0)
         if np.count_nonzero(done):  # cheaper than done.any() on a batch of one
             for j in np.flatnonzero(done & (gap <= tol)):
+                input_dist = r[j].copy()
+                input_dist.flags.writeable = False
                 results[live[j]] = CapacityResult(
-                    capacity=max(best_lo.item(j), 0.0), input_dist=r[j].copy(), iterations=it,
+                    capacity=max(best_lo.item(j), 0.0), input_dist=input_dist, iterations=it,
                     residual=gap.item(j), support=supports[live[j]])
             if done.all():
                 return results

@@ -56,8 +56,8 @@ class ChannelCodec:
     grouped by message (``_message_segments``) and, for a MAP decoder, the
     ``sw_codec.map_table`` of the grouped members, so a MAP decision is one
     product per batch of outputs.  Two parts are built on first use: the
-    stacked (A; B) map (``stacked``), which MCMC encodes, the exact error's
-    rank and ``encoder_distribution`` read, and the exact encoder's table.  The
+    stacked (A; B) map (``stacked``), which MCMC encodes and
+    ``encoder_distribution`` read, and the exact encoder's table.  The
     table has n q float64 entries per member, q times the entries of the
     coset: 8 KB for a 32-member GF(2) coset of length 16, 16 MB for a
     2^16-member coset with n q = 32.  A table above
@@ -108,7 +108,7 @@ class ChannelCodec:
 
         A segment's rows are in the order ``coset_array`` gives the solution of
         (A; B) x = (c; m): ``AffineSolver`` puts the particular solution at 0 on
-        the free columns and its null basis is the identity there, in
+        the free columns and its kernel basis is the identity there, in
         ``span_array`` order, so a member's row is the base-q number of its
         entries on the free columns, the first most significant.
         """
@@ -232,16 +232,16 @@ def _exact_error(codec: ChannelCodec) -> float:
     the table form of the product law (``rng.product_blocks``), a chunk of
     outputs at a time.
     """
-    q, n = codec.field.q, codec.n
-    ys = codec.channel.output_size
+    n = codec.n
+    outputs = codec.channel.output_size ** n
     m_count = codec.message_count
-    max_coset = q ** (n - codec.stacked.rank)
-    if m_count * max_coset * (ys ** n) > EXACT_ERROR_CAP:
-        raise CapExceededError(
-            f"exact channel error needs {m_count * max_coset * ys ** n} terms, "
-            f"above the cap {EXACT_ERROR_CAP}")
-
     members, member_msg, starts, px, mass = codec.segments
+    # every consistent message's segment has q^(n - rank (A; B)) members
+    terms = m_count * (len(members) // len(starts)) * outputs
+    if terms > EXACT_ERROR_CAP:
+        raise CapExceededError(f"exact channel error needs {terms} terms, "
+                               f"above the cap {EXACT_ERROR_CAP}")
+
     # encoder law: x given its message m, drawn uniformly; mass-zero or
     # inconsistent messages are encoder errors
     good = mass > 0.0
@@ -254,7 +254,7 @@ def _exact_error(codec: ChannelCodec) -> float:
     # out in memory as product_law laid out the (outputs, members) weights, so
     # every sum runs in the same order
     cond = codec.sw.source.cond_x_given_y
-    blocks = list(chunks(ys ** n, len(members) * n))
+    blocks = list(chunks(outputs, len(members) * n))
     if codec.sw.decoder == MAP_EXACT:
         with np.errstate(divide="ignore"):  # log2 0 = -inf marks a zero letter
             posts = product_blocks(np.log2(cond)[members], blocks, np.add)

@@ -39,8 +39,8 @@ EXACT = "exact"
 MCMC = "mcmc"
 
 # MCMC schedule: 50 n sweeps of burn-in, 50 n more before a draw and
-# THIN_SWEEPS between the TV check's states, one proposal per null-basis
-# vector per sweep.  Mixing is an empirical setting, not a claim.
+# THIN_SWEEPS between the TV check's states, one proposal per kernel
+# basis row per sweep.  Mixing is an empirical setting, not a claim.
 BURN_IN_SWEEPS_PER_LETTER = 50
 SWEEPS_PER_LETTER = 50
 THIN_SWEEPS = 1
@@ -155,9 +155,9 @@ def _walk(sol: gf_linalg.AffineSolution, law: np.ndarray, rng: np.random.Generat
     """States of one Metropolis chain: after ``first`` sweeps, then after each ``every`` more.
 
     The chain starts at the particular solution.  A sweep proposes one move
-    per null-basis vector, in basis order, each with the next step s and
-    uniform u of the stream (blocks of BLOCK steps, then BLOCK uniforms).
-    s = 0 is the lazy step; otherwise the move adds s times the vector and,
+    per row of the solver's kernel basis, in order, each with the next step s
+    and uniform u of the stream (blocks of BLOCK steps, then BLOCK uniforms).
+    s = 0 is the lazy step; otherwise the move adds s times the row and,
     with num and den the weights of the new and old letters on its support,
     is accepted when den = 0 (a free move off a zero-weight state) or
     u * den < num (never when num = 0).  Each yield is the chain's own
@@ -167,7 +167,7 @@ def _walk(sol: gf_linalg.AffineSolution, law: np.ndarray, rng: np.random.Generat
     state = list(sol.particular.entries)
     # each move touches only its support: (position, step, letter weights)
     rows = law.tolist()
-    moves = [[(i, b, rows[i]) for i, b in enumerate(v.entries) if b] for v in sol.null_basis]
+    moves = [[(i, b, rows[i]) for i, b in enumerate(v) if b] for v in sol.solver.basis.tolist()]
     proposals = chain.from_iterable(zip(rng.integers(0, q, size=BLOCK).tolist(),
                                         rng.random(BLOCK).tolist()) for _ in count())
     sweeps = first

@@ -20,8 +20,8 @@ _ZERO_FRACTION = 0.3  # share of cells zeroed in the half of random problems tha
 
 @dataclass(frozen=True, eq=False)
 class DecisionProblem:
-    """Known joint law p_UV of a hidden state U and an observation V; frozen, so
-    ``p_v`` and ``posterior`` stay those of the checked joint."""
+    """Known joint law p_UV of a hidden state U and an observation V; frozen, and
+    ``p_v`` and ``posterior`` are read-only, so they stay those of the checked joint."""
 
     joint: np.ndarray
 
@@ -31,6 +31,7 @@ class DecisionProblem:
         with np.errstate(divide="ignore", invalid="ignore"):
             posterior = np.where(p_v[None, :] > 0.0, mat / p_v[None, :], 0.0)
         for name, value in (("joint", mat), ("p_v", p_v), ("posterior", posterior)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property

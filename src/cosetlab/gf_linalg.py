@@ -2,14 +2,16 @@
 
 Everything downstream (syndrome codes, cosets, constrained samplers)
 reduces to residue arithmetic mod a prime q.  Vectors and matrices are
-immutable; a matrix row-reduces itself once, on the first use of its
-rank or its solver, and keeps that reduction, so its rank, its kernel
+immutable.  A matrix is one read-only int64 array of residues; it
+row-reduces itself once, on the first use of its rank or its solver, and
+keeps that reduction, so its rank, its kernel basis (one read-only array)
 and the solutions of many right-hand sides all come from one elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -144,111 +146,100 @@ def _row_reduce(arr: np.ndarray, field: FieldSpec):
     return a[:, :cols], a[:, cols:], pivots
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class LinearMap:
-    """An l x n matrix over GF(q), row-reduced once on first use.
+    """An l x n matrix over GF(q): one read-only int64 array of residues, row-reduced
+    once, by its solver, on the first use of its rank or solver.
 
-    ``cols`` only needs to be passed for matrices with zero rows, where
-    it cannot be inferred from the entries.
+    ``entries`` are rows of integers or an array.  Integer and bool entries are
+    reduced mod q as they are; any others are checked once to be integral, so
+    1.5, inf and nan are refused, not truncated.  An empty sequence of rows
+    needs ``cols``.
     """
 
     field: FieldSpec
-    entries: tuple
-    cols: Optional[int] = None
 
-    def __post_init__(self):
-        q = self.field.q
-        rows = tuple(tuple(e % q for e in checked_ints(row, "matrix entries"))
-                     for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if rows:
-            n = len(rows[0])
-            if any(len(r) != n for r in rows):
-                raise ValueError("ragged matrix")
-            if self.cols is not None and self.cols != n:
-                raise ValueError("cols inconsistent with entries")
-            object.__setattr__(self, "cols", n)
-        else:
-            if self.cols is None or self.cols < 1:
+    def __init__(self, field: FieldSpec, entries, cols: Optional[int] = None):
+        arr = np.asarray(entries)  # ragged rows are numpy's ValueError
+        if arr.shape == (0,):
+            if cols is None or cols < 1:
                 raise ValueError("a matrix with no rows needs an explicit column count")
-        self._hold(np.array(rows, dtype=np.int64).reshape(len(rows), self.cols))
-
-    def _hold(self, arr: np.ndarray) -> None:
+            arr = np.zeros((0, cols), dtype=np.int64)
+        if arr.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        if cols is not None and cols != arr.shape[1]:
+            raise ValueError("cols inconsistent with entries")
+        if arr.dtype.kind in "biu":
+            arr = (arr % field.q).astype(np.int64, copy=False)
+        else:
+            ints = checked_ints(arr.ravel(), "matrix entries")
+            arr = np.array([v % field.q for v in ints], dtype=np.int64).reshape(arr.shape)
         arr.flags.writeable = False
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "_arr", arr)
-        object.__setattr__(self, "_reduced", None)
-        object.__setattr__(self, "_solver", None)
-
-    def _reduction(self):
-        """(rref, transform, pivot_cols) of :func:`_row_reduce`, computed on first use."""
-        if self._reduced is None:
-            object.__setattr__(self, "_reduced", _row_reduce(self._arr, self.field))
-        return self._reduced
 
     @classmethod
     def from_array(cls, field: FieldSpec, arr) -> "LinearMap":
-        """The map of ``arr``'s entries mod q, checked once: an integer array with
-        rows needs no check, and mod q leaves residues."""
-        arr = np.asarray(arr)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        if arr.dtype.kind not in "biu" or not len(arr):
-            return cls(field, tuple(map(tuple, arr.tolist())), cols=arr.shape[1])
-        res = (arr % field.q).astype(np.int64, copy=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "field", field)
-        object.__setattr__(out, "entries", tuple(map(tuple, res.tolist())))
-        object.__setattr__(out, "cols", arr.shape[1])
-        out._hold(res)
-        return out
+        return cls(field, arr)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "LinearMap":
-        return cls.from_array(field, np.eye(n, dtype=np.int64))
+        return cls(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "LinearMap":
-        if rows == 0:
-            return cls(field, (), cols=cols)
-        return cls.from_array(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls(field, np.zeros((rows, cols), dtype=np.int64))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self._arr.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self._arr.shape[1]
+
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of ints, computed from the array."""
+        return tuple(map(tuple, self._arr.tolist()))
 
     @property
     def rank(self) -> int:
-        return len(self._reduction()[2])
+        return self.solver().rank
 
     def as_array(self) -> np.ndarray:
         return self._arr
 
     def solver(self) -> "AffineSolver":
-        if self._solver is None:
-            object.__setattr__(self, "_solver", AffineSolver(self))
         return self._solver
+
+    @cached_property
+    def _solver(self) -> "AffineSolver":
+        return AffineSolver(self)
 
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and self.field == other.field
-                and self.cols == other.cols and self.entries == other.entries)
+                and np.array_equal(self._arr, other._arr))
 
     def __hash__(self):
-        return hash((self.field, self.cols, self.entries))
+        return hash((self.field, self._arr.shape, self._arr.tobytes()))
+
+    def __repr__(self):
+        return f"LinearMap({self.field!r}, {self.entries!r}, cols={self.cols})"
 
 
 @dataclass(frozen=True)
 class AffineSolution:
-    """Solution set of A x = c: a particular solution plus a null-space basis.
+    """Solution set of A x = c: a particular solution and its solver.
 
     ``particular is None`` marks an inconsistent (empty) system.  When
-    non-empty, the coset is particular + span(null_basis) and has exactly
+    non-empty, the coset is particular + span(solver.basis) and has exactly
     q^(n - rank) members.  Every solution shares its solver's kernel.
     """
 
     field: FieldSpec
     n: int
     particular: Optional[GfVector]
-    null_basis: tuple
     solver: "AffineSolver"
 
     @property
@@ -263,32 +254,35 @@ class AffineSolution:
 class AffineSolver:
     """Solves A x = c for many right-hand sides from the map's one elimination.
 
-    It keeps A's row count, not A: a map and its cached solver form no cycle."""
+    ``basis`` is the kernel's basis, a read-only (n - rank, n) array with a 1 in
+    each free column, in column order.  The solver keeps A's row count, not A:
+    a map and its cached solver form no cycle."""
 
     def __init__(self, a: LinearMap):
         self.field = a.field
         self.n = a.cols
         self.rows = a.rows
-        rref, self._transform, pivots = a._reduction()
+        rref, self._transform, pivots = _row_reduce(a.as_array(), a.field)
         self._pivots = pivots
+        self.rank = len(pivots)
         free = [c for c in range(a.cols) if c not in pivots]
         basis = np.zeros((len(free), a.cols), dtype=np.int64)
         basis[np.arange(len(free)), free] = 1
         basis[:, pivots] = (-rref[:len(pivots), free].T) % a.field.q
-        self._basis = basis
-        self.null_basis = tuple(GfVector.from_array(a.field, v) for v in basis)
+        basis.flags.writeable = False
+        self.basis = basis
         self.kernel_size = a.field.q ** len(free)
         self._kernel = None
 
     @property
     def kernel(self) -> np.ndarray:
-        """span(null_basis) as a read-only (kernel_size, n) array in :func:`span_array`
+        """span(basis) as a read-only (kernel_size, n) array in :func:`span_array`
         row order, enumerated on first use; CapExceededError above the coset cap."""
         if self.kernel_size > COSET_ENUMERATION_CAP:
             raise CapExceededError(f"coset of size {self.kernel_size} is too large to "
                                    f"enumerate (cap {COSET_ENUMERATION_CAP})")
         if self._kernel is None:
-            self._kernel = span_array(self._basis, self.field.q)
+            self._kernel = span_array(self.basis, self.field.q)
             self._kernel.flags.writeable = False
         return self._kernel
 
@@ -296,13 +290,12 @@ class AffineSolver:
         if len(c) != self.rows or c.field != self.field:
             raise ValueError("right-hand side does not match the matrix")
         t = (self._transform @ c.as_array()) % self.field.q
-        if np.any(t[len(self._pivots):]):
-            return AffineSolution(self.field, self.n, None, self.null_basis, self)
+        if np.any(t[self.rank:]):
+            return AffineSolution(self.field, self.n, None, self)
         x = np.zeros(self.n, dtype=np.int64)
         for j, p in enumerate(self._pivots):
             x[p] = t[j]
-        return AffineSolution(self.field, self.n, GfVector.from_array(self.field, x),
-                              self.null_basis, self)
+        return AffineSolution(self.field, self.n, GfVector.from_array(self.field, x), self)
 
 
 def matvec(a: LinearMap, x: GfVector) -> GfVector:
@@ -311,8 +304,6 @@ def matvec(a: LinearMap, x: GfVector) -> GfVector:
         raise ValueError("field mismatch")
     if a.cols != len(x):
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} map, length-{len(x)} vector")
-    if a.rows == 0:
-        return GfVector(a.field, ())
     out = (a.as_array() @ x.as_array()) % a.field.q
     return GfVector.from_array(a.field, out)
 
@@ -410,8 +401,7 @@ def stack_maps(maps: Sequence[LinearMap]) -> LinearMap:
     field, cols = maps[0].field, maps[0].cols
     if any(m.field != field or m.cols != cols for m in maps):
         raise ValueError("maps must share field and column count")
-    rows = tuple(row for m in maps for row in m.entries)
-    return LinearMap(field, rows, cols=cols)
+    return LinearMap(field, np.vstack([m.as_array() for m in maps]))
 
 
 def concat_vectors(vectors: Sequence[GfVector], field: FieldSpec) -> GfVector:

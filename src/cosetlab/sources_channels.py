@@ -26,7 +26,7 @@ class Channel:
     """Discrete memoryless channel: transition[x, y] = W(y|x).
 
     Frozen: the checked table and the CDF rows of its draws, computed once
-    from it, cannot go stale.
+    from it, are read-only arrays and cannot go stale.
     """
 
     transition: np.ndarray
@@ -35,8 +35,9 @@ class Channel:
 
     def __post_init__(self):
         law = checked_law(self.transition, "channel transition matrix", rows=True)
-        object.__setattr__(self, "transition", law)
-        object.__setattr__(self, "_cdf", cdf_rows(law))
+        for name, value in (("transition", law), ("_cdf", cdf_rows(law))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def input_size(self) -> int:
@@ -70,7 +71,8 @@ class JointSource:
     """Correlated pair (X, Y) given by the single-letter joint mu_XY.
 
     Frozen: the marginals and the conditional are derived once from the
-    checked joint, so a codec's exact and Monte Carlo paths read one law.
+    checked joint as read-only arrays, so a codec's exact and Monte Carlo
+    paths read one law.
     """
 
     joint: np.ndarray
@@ -85,6 +87,7 @@ class JointSource:
             cond = np.where(y_marginal[None, :] > 0.0, mat / y_marginal[None, :], 0.0)
         for name, value in (("joint", mat), ("x_marginal", mat.sum(axis=1)),
                             ("y_marginal", y_marginal), ("cond_x_given_y", cond)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property

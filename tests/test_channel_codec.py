@@ -599,8 +599,8 @@ def test_exact_encode_is_the_pair_draw_for_every_message(q, n, l_a, l_b, law, sa
 
 
 def test_the_stacked_map_is_built_on_first_use(monkeypatch):
-    # build, the code search and exact encodes stack nothing; the first MCMC
-    # encode, exact evaluation or encoder_distribution stacks (A; B) once
+    # build, the code search, exact encodes and exact evaluation stack nothing;
+    # the first MCMC encode or encoder_distribution stacks (A; B) once
     stacked = []
     monkeypatch.setattr(cc, "stack_maps", counting(stacked, cc.stack_maps))
     channel, _, swc, b = make_setup(seed=6, n=6, l_a=2, l_b=2)
@@ -610,9 +610,11 @@ def test_the_stacked_map_is_built_on_first_use(monkeypatch):
     messages = [GfVector.from_array(F2, row) for row in codec.messages()]
     for m in messages:
         cc.encode(codec, m, seed=0)
+    for decoder in (sw.MAP_EXACT, sw.STOCHASTIC):
+        cc.error_probability(cc.build(sw.SwCodec(swc.matrix, swc.source, decoder=decoder), b,
+                                      channel, seed=1), "exact")
     assert stacked == []
     uses = [lambda codec: [cc.encode(codec, m, seed=0, mode=MCMC) for m in messages],
-            lambda codec: cc.error_probability(codec, "exact"),
             lambda codec: [codec.encoder_distribution(m) for m in messages]]
     for use in uses:
         codec = cc.build(swc, b, channel, seed=1)

@@ -231,7 +231,7 @@ def reference_walk(dist, seed, sweeps):
     state = sol.particular.as_array()
     k = crng.BLOCK  # proposals used from the current block
     for _ in range(sweeps):
-        for v in sol.null_basis:
+        for v in sol.solver.basis:
             if k == crng.BLOCK:
                 steps = rng.integers(0, q, size=crng.BLOCK)
                 uniforms = rng.random(crng.BLOCK)
@@ -240,8 +240,8 @@ def reference_walk(dist, seed, sweeps):
             k += 1
             if s == 0:
                 continue
-            support = np.flatnonzero(v.as_array())
-            new = (state + s * v.as_array()) % q
+            support = np.flatnonzero(v)
+            new = (state + s * v) % q
             num = math.prod(float(dist.weights[i, new[i]]) for i in support)
             den = math.prod(float(dist.weights[i, state[i]]) for i in support)
             if den == 0.0 or u * den < num:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -169,7 +170,7 @@ def test_enumeration_cap(monkeypatch):
 def _listed_coset(sol):
     # reference order: coefficient tuples counted with the first basis vector most significant
     q, part = sol.field.q, np.array(sol.particular.entries)
-    basis = [np.array(b.entries) for b in sol.null_basis]
+    basis = list(sol.solver.basis)
     return [tuple(int(e) for e in (part + sum(c * b for c, b in zip(coeffs, basis))) % q)
             for coeffs in itertools.product(range(q), repeat=len(basis))]
 
@@ -396,3 +397,98 @@ def test_bools_and_numpy_integers_are_accepted():
     assert GfVector.from_array(F2, np.array([True, False])).entries == (1, 0)
     assert LinearMap(F2, ((np.True_, np.int32(3)),)).entries == ((1, 1),)
     assert LinearMap.from_array(F5, np.array([[6.0, -2.0]])).entries == ((1, 3),)
+
+
+F2_ROWS = ((1, 0, 1), (0, 1, 1))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: LinearMap(F2, F2_ROWS), id="tuple-rows"),
+    pytest.param(lambda: LinearMap(F2, [[1, 0, 1], [0, 1, 1]]), id="lists"),
+    pytest.param(lambda: LinearMap(F2, np.array([[3, 0, -1], [2, 1, 5]], dtype=np.int32)),
+                 id="int32"),
+    pytest.param(lambda: LinearMap(F2, np.array([[1, 2, 1], [0, -1, 3]])), id="int64"),
+    pytest.param(lambda: LinearMap(F2, np.array(F2_ROWS, dtype=bool)), id="bool"),
+    pytest.param(lambda: LinearMap(F2, np.array([[1.0, 4.0, -1.0], [2.0, 3.0, 1.0]])),
+                 id="integral-float"),
+    pytest.param(lambda: LinearMap(F2, F2_ROWS, cols=3), id="cols"),
+    pytest.param(lambda: LinearMap.from_array(F2, np.array(F2_ROWS)), id="from_array"),
+])
+def test_every_input_form_gives_one_map(make):
+    a, ref = make(), LinearMap.from_array(F2, np.array(F2_ROWS))
+    assert a == ref and hash(a) == hash(ref)
+    assert a.entries == F2_ROWS and (a.rows, a.cols) == (2, 3)
+    arr = a.as_array()
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0, 0] = 0
+
+
+def test_identity_zeros_and_zero_row_maps_are_the_same_form():
+    assert LinearMap.identity(F5, 3) == LinearMap(F5, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert LinearMap.zeros(F2, 2, 3) == LinearMap(F2, [[0, 0, 0], [0, 0, 0]])
+    empty = LinearMap(F2, (), cols=3)
+    assert empty == LinearMap.zeros(F2, 0, 3) == LinearMap.from_array(F2, np.zeros((0, 3)))
+    assert hash(empty) == hash(LinearMap.zeros(F2, 0, 3))
+    assert empty != LinearMap(F2, (), cols=4) and empty != LinearMap(FieldSpec(3), (), cols=3)
+    assert (empty.rows, empty.cols, empty.entries) == (0, 3, ())
+    for a in (LinearMap.identity(F5, 3), LinearMap.zeros(F2, 2, 3), empty):
+        assert a.as_array().dtype == np.int64 and not a.as_array().flags.writeable
+
+
+@pytest.mark.parametrize("make, message", [
+    # 1.5 and inf: test_non_integral_values_are_refused_not_truncated
+    pytest.param(lambda: LinearMap.from_array(F2, [[0.0, math.nan]]),
+                 "matrix entries must be integers", id="nan"),
+    pytest.param(lambda: LinearMap(F2, ()), "no rows needs an explicit column count",
+                 id="zero-rows"),
+    pytest.param(lambda: LinearMap(F2, [], cols=0), "no rows needs an explicit column count",
+                 id="zero-rows-zero-cols"),
+    pytest.param(lambda: LinearMap(F2, ((1, 0),), cols=3), "cols inconsistent", id="cols"),
+    pytest.param(lambda: LinearMap(F2, ((1, 0), (1,))), "inhomogeneous", id="ragged"),
+    pytest.param(lambda: LinearMap(F2, (1, 0, 1)), "expected a 2-d array", id="1-d"),
+    pytest.param(lambda: LinearMap.from_array(F2, np.zeros((1, 2, 2), dtype=np.int64)),
+                 "expected a 2-d array", id="3-d"),
+])
+def test_map_refusals_keep_their_messages(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_a_map_holds_its_array_and_no_rows():
+    a = LinearMap(F2, F2_ROWS)
+    assert list(vars(a).values()) == [F2, a.as_array()]  # the field and the one array
+    assert a.rank == 2 and a.solver() is a.solver()  # the reduction and solver are cached
+    assert not any(isinstance(v, tuple) for v in vars(a).values())  # no tuple of rows
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.field = F5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.entries = F2_ROWS
+
+
+def test_stack_maps_stacks_the_arrays():
+    rng = np.random.default_rng(5)
+    top, bottom = rng.integers(0, 5, (2, 6)), rng.integers(0, 5, (3, 6))
+    stacked = stack_maps([LinearMap.from_array(F5, top), LinearMap.from_array(F5, bottom),
+                          LinearMap(F5, (), cols=6)])
+    assert stacked == LinearMap.from_array(F5, np.vstack([top, bottom]))
+    assert not stacked.as_array().flags.writeable
+    for maps in ([LinearMap(F5, top), LinearMap(F5, top[:, :5])],
+                 [LinearMap(F5, top), LinearMap(FieldSpec(3), top)]):
+        with pytest.raises(ValueError, match="share field and column count"):
+            stack_maps(maps)
+
+
+@pytest.mark.parametrize("q, rows", [(2, ((1, 0, 1, 1), (0, 1, 1, 0))),
+                                     (3, ((1, 2, 0, 1), (2, 1, 0, 2))),
+                                     (5, ((0, 0, 0),))])
+def test_solver_basis_is_one_read_only_array(q, rows):
+    solver = LinearMap(FieldSpec(q), rows).solver()
+    basis = solver.basis
+    assert basis.dtype == np.int64 and not basis.flags.writeable
+    assert basis.shape == (len(rows[0]) - solver.rank, len(rows[0]))
+    assert np.array_equal(gf_linalg.span_array(basis, q), solver.kernel)
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 1
+    sol = solver.solve(GfVector(FieldSpec(q), (0,) * len(rows)))
+    assert "null_basis" not in {f.name for f in dataclasses.fields(sol)}

@@ -138,6 +138,24 @@ def test_checked_values_cannot_be_reassigned(make, name, value):
     assert getattr(obj, name) is before
 
 
+@pytest.mark.parametrize("make, name", [
+    pytest.param(lambda: sc.make_dsbs(0.11), name, id=f"JointSource.{name}")
+    for name in ("x_marginal", "y_marginal", "cond_x_given_y")] + [
+    pytest.param(lambda: dt.DecisionProblem(np.full((2, 2), 0.25)), name,
+                 id=f"DecisionProblem.{name}") for name in ("p_v", "posterior")] + [
+    pytest.param(lambda: cap.blahut_arimoto(sc.make_bsc(0.1)), "input_dist",
+                 id="CapacityResult.input_dist"),
+    pytest.param(lambda: sc.make_bsc(0.1), "_cdf", id="Channel._cdf"),
+])
+def test_derived_arrays_are_read_only(make, name):
+    # a derived array is written once, from the checked table, and never again
+    arr = getattr(make(), name)
+    before = arr.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        arr[(0,) * arr.ndim] = 1.0
+    assert np.array_equal(arr, before)
+
+
 def test_bsc_identity_at_zero():
     ch = sc.make_bsc(0.0)
     assert np.array_equal(ch.transition, np.eye(2))
