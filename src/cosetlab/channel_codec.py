@@ -178,7 +178,8 @@ def encode(codec: ChannelCodec, m: GfVector, seed, mode: str = EXACT) -> Optiona
     walks under the code's checked input law.  The None outcome is the modeled
     encoder error: it counts toward the error probability rather than raising.
     """
-    rhs = concat_vectors((codec.syndrome, m), codec.field)  # refuses m of another field
+    if m.field != codec.field:
+        raise ValueError(f"cannot join a vector of another field into a GF({codec.field.q}) vector")
     if len(m) != codec.b_map.rows:
         raise ValueError("right-hand side does not match the matrix")
     try:
@@ -189,6 +190,7 @@ def encode(codec: ChannelCodec, m: GfVector, seed, mode: str = EXACT) -> Optiona
                 return None  # m is outside Im B or its (A; B) system is inconsistent
             x = GfVector.from_array(codec.field, _pick(members[k], weights[k], seed))
         else:
+            rhs = concat_vectors((codec.syndrome, m), codec.field)
             x = _draw(codec.stacked.solver().solve(rhs), codec.law, mode, seed)
     except EmptyCosetError:
         return None

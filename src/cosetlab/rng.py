@@ -9,11 +9,12 @@ derivation is pure, so any unit of work can be reproduced in isolation.
 Every table the package treats as a finite law (a joint, a channel, an
 input law, a decision problem or rule, the sampler's weights) passes
 ``checked_law``.  Every word's weight under per-position letter laws is
-``product_law`` for a listed set of words (a coset, the sampler's members)
-and ``product_table`` or ``product_blocks`` for every word of
-``word_table(q, n)`` at once (the exhaustive error sums): the table form
-runs the same left-to-right fold a position at a time over contiguous
-blocks instead of gathering each position, so both give the same floats.
+``product_law`` for a listed set of words (a coset, the sampler's members,
+or one coset per row of a batch) and ``product_table`` or
+``product_blocks`` for every word of ``word_table(q, n)`` at once (the
+exhaustive error sums): the table form runs the same left-to-right fold a
+position at a time over contiguous blocks instead of gathering each
+position, so both give the same floats.
 Every draw from a finite law, channel outputs included, is
 ``inverse_cdf``: the rule of ``Generator.choice(p=w / w.sum())``, at the
 same uniforms.  The rule is two parts, the CDF rows of the weights
@@ -70,10 +71,21 @@ def product_law(letters: np.ndarray, words: np.ndarray, op=np.multiply) -> np.nd
 
     for a (..., n, q) table of per-position letter weights and (m, n) words,
     folded left to right as a per-word loop would (``np.add`` sums log-weights).
+    With (rows, m, n) words, one word list per row of a (rows, n, q) table,
+    out[r, i] folds row r's letters over words[r, i] the same way, so each
+    row gets the floats of its own call.
     """
-    out = letters[..., 0, words[:, 0]]
-    for k in range(1, words.shape[1]):
-        op(out, letters[..., k, words[:, k]], out=out)
+    if words.ndim == 2:
+        out = letters[..., 0, words[:, 0]]
+        for k in range(1, words.shape[1]):
+            op(out, letters[..., k, words[:, k]], out=out)
+        return out
+    rows, n, q = letters.shape
+    flat = letters.reshape(-1)
+    base = np.arange(rows)[:, None] * (n * q)  # row r's letters start at r n q
+    out = flat[words[..., 0] + base]
+    for k in range(1, n):
+        op(out, flat[words[..., k] + (base + k * q)], out=out)
     return out
 
 

@@ -14,10 +14,12 @@ X uniform), over the q^n noise words alone, one coset of ker A at a time.
 A Monte Carlo estimate draws every trial from one generator seeded by its
 seed: first all (x, y) pairs, as one ``rng.inverse_cdf`` draw over the
 flattened joint at ``random((trials, n))``, then, for the stochastic
-decoder only, one uniform per trial.  Each trial decodes over one coset
-buffer that the estimate owns: the kernel shifted by the trial's block,
-(x + kernel) mod q, the words of ``coset_array`` in its order, so no trial
-allocates a coset.
+decoder only, one uniform per trial.  The trials then decode a
+``gf_linalg.chunks`` block of trials at a time, over one coset buffer that
+the estimate owns: row t holds the kernel shifted by trial t's source
+block, (x_t + kernel) mod q, the words of ``coset_array`` in its order, so
+no block allocates a coset, and each trial is scored and its ties broken
+as in a batch of one.
 """
 
 from __future__ import annotations
@@ -115,20 +117,27 @@ def _map_pick(members: np.ndarray, scores: np.ndarray, rank: Optional[np.ndarray
     """(index of the MAP member, live) of the coset for each row of log-posteriors.
 
     ``scores[..., i]`` is log2 of member i's posterior, -inf when it is 0;
-    leading axes index a batch of side-information blocks.  Ties follow
-    the rule stated on decode_map: among tied members the lowest ``rank``
-    wins, the members' _lex_rank, taken here over the tied ones when no
-    rank is given.  A row is live when some member has positive posterior.
+    leading axes index a batch of side-information blocks.  ``members`` is
+    one (m, n) coset shared by every row, or (rows, m, n), one coset per row
+    of 2-d scores.  Ties follow the rule stated on decode_map: among a
+    row's tied members the lowest ``rank`` wins, the members' _lex_rank.
+    With no rank given, the tied (row, member) pairs are ranked by the
+    _lex_rank of their words, all rows at once: that order, read within one
+    row, is the lexicographic order of the row's tied words.  A row is live
+    when some member has positive posterior.
     """
     best = scores.max(axis=-1, keepdims=True)
     tied = scores >= best + _TIE_LOG2
     picks = tied.argmax(axis=-1)
     if np.count_nonzero(tied) > picks.size:
-        if rank is None:  # rank only the members tied in some row
-            cand = np.flatnonzero(tied.reshape(-1, len(members)).any(axis=0))
-            rank = np.full(len(members), len(members))
-            rank[cand] = _lex_rank(members[cand])
-        picks = np.where(tied, rank, len(members)).argmin(axis=-1)
+        if rank is None:
+            flat = tied.reshape(-1, tied.shape[-1])
+            row, i = np.nonzero(flat)
+            words = members[i] if members.ndim == 2 else members[row, i]
+            rank = np.empty(flat.shape, dtype=np.int64)
+            rank[row, i] = _lex_rank(words)
+            rank = rank.reshape(tied.shape)
+        picks = np.where(tied, rank, tied.size).argmin(axis=-1)
     return picks, best[..., 0] > -np.inf
 
 
@@ -165,9 +174,11 @@ def _decide(decoder: str, cond: np.ndarray, members: np.ndarray, y: np.ndarray,
     """(picks, live): the coset member each row of y decodes to, and whether
     that row's coset carries posterior mass (a dead row's pick means nothing).
 
-    ``y`` is a (batch, n) array of side-information blocks.  MAP decoding
-    takes the _map_pick member.  Its log-scores are the product law of the
-    letters log2 mu(a | y_k), folded a position at a time, or, with the
+    ``y`` is a (batch, n) array of side-information blocks and ``members``
+    one (m, n) coset for every row or (batch, m, n), one coset per row; each
+    row decodes as a batch of one would.  MAP decoding takes the _map_pick
+    member.  Its log-scores are the product law of the letters
+    log2 mu(a | y_k), folded a position at a time, or, with the
     ``map_table(members, q)`` of a coset held for many decodes, one product
     of the batch's letters with the table's one-hot rows, zero letters
     counted as 0; a second product with the zero-letter indicator then marks
@@ -175,9 +186,10 @@ def _decide(decoder: str, cond: np.ndarray, members: np.ndarray, y: np.ndarray,
     add in different orders, which the tie margin absorbs.  A channel code
     holds the table of its one fixed coset.  ``decode_map`` and the
     syndrome-code Monte Carlo, whose coset changes with every call or
-    trial, fold.  Posterior sampling always folds: it draws member i with
-    probability proportional to prod_k mu(members[i, k] | y_k), by the
-    sampler's inverse-CDF rule at the row's uniform in ``u``.
+    trial, fold, the Monte Carlo over one coset per row.  Posterior
+    sampling always folds: it draws member i with probability proportional
+    to prod_k mu(members[i, k] | y_k), by the sampler's inverse-CDF rule at
+    the row's uniform in ``u``.
     """
     letters = cond.T[y]  # letters[j, k, a] = mu(a | y[j, k])
     if decoder == MAP_EXACT:
@@ -303,15 +315,15 @@ def _mc_error(codec: SwCodec, trials: int, seed) -> int:
     x, y = np.divmod(flat, codec.source.y_size)
     u = rng.random(trials) if codec.decoder == STOCHASTIC else None
     cond = codec.source.cond_x_given_y
-    members = np.empty_like(kernel)
+    buffer = np.empty((next(chunks(trials, kernel.size)).stop, *kernel.shape), dtype=np.int64)
     failures = 0
-    for t in range(trials):
-        # member 0 is x itself (kernel row 0 is the zero word), and its positive
-        # posterior keeps the coset live
-        np.remainder(np.add(x[t], kernel, out=members), codec.field.q, out=members)
-        (pick,), _ = _decide(codec.decoder, cond, members, y[t:t + 1],
-                             None if u is None else u[t:t + 1])
-        failures += int(pick != 0)
+    for s in chunks(trials, kernel.size):
+        # member 0 of each row is x_t itself (kernel row 0 is the zero word), and
+        # its positive posterior keeps the coset live
+        members = buffer[:s.stop - s.start]
+        np.remainder(np.add(x[s, None], kernel, out=members), codec.field.q, out=members)
+        picks, _ = _decide(codec.decoder, cond, members, y[s], None if u is None else u[s])
+        failures += np.count_nonzero(picks)
     return failures
 
 

@@ -554,6 +554,22 @@ def test_encode_builds_its_generator_once(monkeypatch):
     assert [s for s, _ in solved] == [codec.stacked.solver()] * len(messages)  # MCMC only
 
 
+def test_only_an_mcmc_encode_joins_the_right_hand_side(monkeypatch):
+    # an exact encode checks m's field and length itself and reads the table;
+    # the stacked (c; m) is built only for the MCMC walk's solve
+    channel, _, swc, b = make_setup()
+    codec = cc.build(swc, b, channel, seed=3)
+    joined = []
+    monkeypatch.setattr(cc, "concat_vectors", counting(joined, cc.concat_vectors))
+    messages = [GfVector.from_array(F2, row) for row in codec.messages()]
+    for m in messages:
+        cc.encode(codec, m, seed=0)
+    assert joined == []
+    for m in messages:
+        cc.encode(codec, m, seed=0, mode=MCMC)
+    assert [m for (_, m), _ in joined] == messages
+
+
 def pair_draw_codec(q, n, l_a, l_b, law, same_cols=()):
     """A random code whose B gets one more row, a multiple of A's first: a rank-deficient
     (A; B), so some messages of Im B have no coset; columns ``same_cols`` copy column 0

@@ -128,6 +128,22 @@ def test_product_law_matches_a_per_word_fold(q, n, batch, op):
     assert (got == (0.0 if op is np.multiply else -np.inf)).any()
 
 
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+@pytest.mark.parametrize("q, n", [(2, 5), (3, 4)])
+def test_product_law_with_one_word_list_per_row_equals_each_row_alone(q, n, op):
+    # a (rows, m, n) word list folds each row's letters over that row's words:
+    # the floats of one call per row, -inf log-letters included
+    rows, m = 6, 9
+    letters = _letters(q, n, (rows,), op)
+    words = np.random.default_rng(q).integers(0, q, (rows, m, n))
+    words[:, 0, -1] = 0  # every row meets the zero letter
+    got = rng.product_law(letters, words, op)
+    assert got.shape == (rows, m)
+    assert np.array_equal(got, np.stack([rng.product_law(letters[r], words[r], op)
+                                         for r in range(rows)]))
+    assert (got[:, 0] == (0.0 if op is np.multiply else -np.inf)).all()
+
+
 def _letters(q, n, batch, op):
     """Random (batch..., n, q) letters with one zero letter, as log2 under np.add."""
     letters = np.random.default_rng(q * 100 + n).random(batch + (n, q))

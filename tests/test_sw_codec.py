@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from cosetlab import gf_linalg
 from cosetlab import sources_channels as sc
 from cosetlab import sw_codec as sw
 from cosetlab.crng_sampler import EXACT, ConstrainedDistribution, ConstraintSet, draw
 from cosetlab.errors import CapExceededError, DecodeFailure
 from cosetlab.gf_linalg import FieldSpec, GfVector, LinearMap, coset_array, matvec
-from cosetlab.rng import make_rng
+from cosetlab.rng import make_rng, product_law
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -397,13 +398,26 @@ def test_decode_map_returns_smallest_of_tied_maximizers(n, l):
         assert sw.decode_map(codec, GfVector.from_array(F2, c), y).entries == expected
 
 
-@pytest.mark.parametrize("q, l, n", [(2, 4, 8), (3, 2, 5)])
-def test_mc_error_draws_the_documented_stream(q, l, n):
+@pytest.mark.parametrize("q, l, n, rows", [
+    pytest.param(2, 4, 8, None, id="2-4-8"),
+    pytest.param(3, 2, 5, None, id="3-2-5"),
+    pytest.param(2, 4, 8, 1, id="2-4-8-blocks-of-1"),
+    pytest.param(3, 2, 5, 1, id="3-2-5-blocks-of-1"),
+    pytest.param(2, 4, 8, 23, id="2-4-8-blocks-of-23"),
+    pytest.param(3, 2, 5, 23, id="3-2-5-blocks-of-23"),
+])
+def test_mc_error_draws_the_documented_stream(q, l, n, rows, monkeypatch):
     # the documented stream: one generator, one choice over the flattened
-    # joint of shape (trials, n), then one uniform per trial (stochastic only)
+    # joint of shape (trials, n), then one uniform per trial (stochastic only);
+    # with ``rows`` trials per decode block, whatever the blocks' sizes
     a = LinearMap.from_array(FieldSpec(q), np.random.default_rng(q).integers(0, q, (l, n)))
     source = sc.make_dsbs(0.15) if q == 2 else ternary_source(0.2)
     trials, seed = 300, 41
+    if rows is not None:
+        kernel = a.solver().kernel
+        monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", rows * kernel.size)
+        sizes = [s.stop - s.start for s in gf_linalg.chunks(trials, kernel.size)]
+        assert sizes[0] == rows and sizes[-1] == 1 < len(sizes)  # 300 = 13 * 23 + 1
     for decoder in (sw.MAP_EXACT, sw.STOCHASTIC):
         codec = sw.SwCodec(a, source, decoder=decoder)
         rng = make_rng(seed)
@@ -424,6 +438,40 @@ def test_mc_error_draws_the_documented_stream(q, l, n):
         est = sw.error_probability(codec, "mc", trials=trials, seed=seed)
         assert 0 < failures < trials
         assert est.value == failures / trials
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_map_pick_on_one_coset_per_row_equals_each_row_alone(q):
+    # a (rows, m, n) batch picks and breaks ties per row as a batch of one on
+    # that row's own coset does, and some row ties two or more members
+    field = FieldSpec(q)
+    source = sc.make_dsbs(0.11) if q == 2 else ternary_source(0.2)
+    gen = np.random.default_rng(q)
+    a = LinearMap.from_array(field, gen.integers(0, q, (3, 8)))
+    kernel = a.solver().kernel
+    x, y = gen.integers(0, q, (40, 8)), gen.integers(0, q, (40, 8))
+    members = (x[:, None] + kernel) % q
+    with np.errstate(divide="ignore"):
+        scores = product_law(np.log2(source.cond_x_given_y.T[y]), members, np.add)
+    tied = scores >= scores.max(axis=1, keepdims=True) + sw._TIE_LOG2
+    assert (tied.sum(axis=1) >= 2).any()
+    picks, live = sw._map_pick(members, scores)
+    for r in range(len(y)):
+        (pick,), (row_live,) = sw._map_pick(members[r], scores[r:r + 1])
+        assert (picks[r], live[r]) == (pick, row_live)
+
+
+def test_the_sw_monte_carlo_has_one_loop_over_blocks_of_trials():
+    # the per-trial decode loop must not come back: _mc_error's only loop
+    # walks gf_linalg.chunks blocks of trials
+    import ast
+    import pathlib
+    fn = next(node for node in ast.walk(ast.parse(pathlib.Path(sw.__file__).read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "_mc_error")
+    loops = [node for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert len(loops) == 1 and isinstance(loops[0], ast.For)
+    assert isinstance(loops[0].iter, ast.Call) and loops[0].iter.func.id == "chunks"
 
 
 def test_the_lexicographic_tie_rank_is_one_function():
