@@ -349,14 +349,30 @@ def image_codes(maps: np.ndarray, q: int, words: np.ndarray) -> np.ndarray:
     """codes[b, i] = base-q integer of maps[b] @ words[i] mod q (row r weighs q^r).
 
     ``maps`` is a (count, l, n) stack and ``words`` a (words, n) array, both
-    of residues in [0, q).  Each block of maps (see :func:`chunks`) takes one
-    float64 product with the words, which is exact: every digit sum is an
-    integer of at most n (q-1)^2 < 2^53.  The sums are reduced mod q in an
-    unsigned type that holds n (q-1)^2, and the table is stored in the
-    narrowest unsigned type that holds q^l - 1.
+    of residues in [0, q).  The table is stored in the narrowest unsigned
+    type that holds q^l - 1.  A stack of more rows than GF(q)^n has words
+    (an ensemble's members) repeats rows: each row is keyed by its base-q
+    index, the digits of every row of ``word_table(q, n)`` against the words
+    are computed once, and each block of maps (see :func:`chunks`) gathers
+    its rows' digit rows into its codes.  Otherwise (one map, as in
+    :func:`segments`) each block of maps takes one float64 product with the
+    words, which is exact: every digit sum is an integer of at most
+    n (q-1)^2 < 2^53, reduced mod q in an unsigned type that holds it.
     """
     count, l, n = maps.shape
     codes = np.zeros((count, len(words)), dtype=np.min_scalar_type(q ** l - 1))
+    if count * l > q ** n:
+        # digits[k, i] = word k . words[i] mod q, as the codes of q^n one-row maps
+        digits = image_codes(word_table(q, n)[:, None], q, words).astype(codes.dtype)
+        keys = maps @ q ** np.arange(n)  # each row's index in word_table(q, n)
+        for s in chunks(count, max(len(words) * l, 1)):
+            block = codes[s]
+            # the keys lie in range; under mode "raise" take would copy through a buffer
+            np.take(digits, keys[s, l - 1], axis=0, out=block, mode="clip")
+            for r in reversed(range(l - 1)):
+                block *= q
+                block += digits[keys[s, r]]
+        return codes
     sum_type = np.min_scalar_type(n * (q - 1) ** 2)
     words_t = words.T.astype(np.float64)
     for s in chunks(count, max(len(words) * l, 1)):

@@ -99,12 +99,15 @@ def product_blocks(letters: np.ndarray, blocks, op=np.multiply):
     words of one value of the high positions are one run of it, and a run
     folds in its high letters one column at a time.  That is the fold of
     ``product_law``, with the same floats.  The low table takes as many
-    positions as fit one ``gf_linalg.chunks`` block, the latest run is kept
-    for the next block, and each block is cut, contiguous, from the runs it
-    spans.
+    positions as fit a sixteenth of a ``gf_linalg.chunks`` block (64 KB of
+    float64, below the 128 KB from which glibc maps an allocation on its
+    own), and the run is one buffer of its size per call, so a call maps
+    and unmaps no table.  The latest run is kept for the next block, and
+    each block is copied, contiguous, from the runs it spans.
     """
     n, q = letters.shape[-2:]
-    most = next(gf_linalg.chunks(q ** n, letters.size // (n * q))).stop  # words in one chunk
+    # the words of a sixteenth of a chunk
+    most = next(gf_linalg.chunks(q ** n, 16 * letters.size // (n * q))).stop
     low = 1
     while low < n and q ** (low + 1) <= most:
         low += 1
@@ -112,16 +115,18 @@ def product_blocks(letters: np.ndarray, blocks, op=np.multiply):
     for k in range(1, low):
         table = op(table[..., None, :], letters[..., k, :, None]).reshape(*table.shape[:-1], -1)
     size = q ** low
-    index, run = -1, None
+    highs = gf_linalg.word_table(q, n - low)  # row r: the high letters of run r
+    run, index = table if low == n else np.empty_like(table), -1
     for s in blocks:
-        parts = []
+        block = np.empty(table.shape[:-1] + (s.stop - s.start,), dtype=table.dtype)
         for r in range(s.start // size, -(-s.stop // size)):
             if r != index:
-                index, run = r, table
-                for k, digit in enumerate(gf_linalg.word_table(q, n - low, r, r + 1)[0]):
-                    run = op(run, letters[..., low + k, digit, None], out=None if k == 0 else run)
-            parts.append(run[..., max(s.start - r * size, 0):s.stop - r * size])
-        yield np.concatenate(parts, axis=-1) if len(parts) > 1 else np.ascontiguousarray(parts[0])
+                index = r
+                for k, digit in enumerate(highs[r]):
+                    op(table if k == 0 else run, letters[..., low + k, digit, None], out=run)
+            lo, hi = max(s.start, r * size), min(s.stop, (r + 1) * size)
+            block[..., lo - s.start:hi - s.start] = run[..., lo - r * size:hi - r * size]
+        yield block
 
 
 def product_table(letters: np.ndarray, op=np.multiply) -> np.ndarray:

@@ -638,6 +638,34 @@ def test_kernel_classes_group_the_members_by_kernel(name):
     assert np.array_equal(kernel, (full == 0).sum(axis=0))
 
 
+def _product_codes(arrays, q, words):
+    """Image codes by a plain int64 product per member: row r of A_b x weighs q^r."""
+    digits = (arrays @ words.T) % q  # (members, l, words)
+    return (digits * q ** np.arange(arrays.shape[1])[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("name", list(CLASS_SPECS))
+def test_bench_tables_equal_a_per_member_product(name):
+    # the table and the expurgation's keep-mask, built by gathering each
+    # distinct row's digits, are those of a plain product over every member
+    spec = CLASS_SPECS[name][0]
+    q, n = spec.field.q, spec.cols
+    total, words, codes, sizes, kernel = spec._table
+    arrays = ens.enumerate_ensemble(spec).arrays
+    if spec.kind == ens.EXPURGATED:
+        inner = ens.enumerate_ensemble(spec.inner).arrays
+        weights = np.count_nonzero(words, axis=1)
+        light = words[(weights > 0) & (weights <= spec.gamma * n)]
+        keep = (_product_codes(inner, q, light) != 0).all(axis=1)
+        assert np.array_equal(arrays, inner[keep])
+    full = _product_codes(arrays, q, words)
+    ref_codes, ref_sizes = ens._kernel_classes(full.astype(codes.dtype))
+    assert total == len(full)
+    assert codes.dtype == np.min_scalar_type(q ** spec.rows - 1)
+    assert np.array_equal(codes, ref_codes) and np.array_equal(sizes, ref_sizes)
+    assert np.array_equal(kernel, (full == 0).sum(axis=0))
+
+
 @pytest.mark.parametrize("spec, pairs, products", [
     (ens.expurgate(ens.uniform_ensemble(F2, 3, 5), 0.2), 9, True),
     (ens.uniform_ensemble(F3, 2, 3), 9, True),

@@ -245,15 +245,30 @@ def test_segments_is_a_stable_sort_by_the_image(q, rows, n):
     assert starts.tolist() == [sorted_keys.index(k) for k in distinct]
 
 
-@pytest.mark.parametrize("q, rows, n", [(13, 2, 3), (17, 2, 2), (2, 3, 4), (3, 0, 3)])
-def test_image_codes_match_a_per_member_reference(monkeypatch, q, rows, n):
+# six maps take the float64 product; a stack of more rows than GF(q)^n has words
+# (duplicate rows certain) gathers each row's digits, over every word or the light
+# ones; l = 0 has no rows, so its large stack takes the product too
+@pytest.mark.parametrize("q, rows, n, count, light", [
+    (13, 2, 3, 6, False), (17, 2, 2, 6, False), (2, 3, 4, 6, False), (3, 0, 3, 6, False),
+    (2, 3, 4, 40, False), (2, 3, 4, 40, True), (3, 2, 3, 30, False), (3, 2, 3, 30, True),
+    (5, 2, 2, 40, False), (5, 1, 2, 90, True), (3, 0, 3, 40, False),
+], ids=["13-2-3", "17-2-2", "2-3-4", "3-0-3", "gather-gf2", "gather-gf2-light", "gather-gf3",
+        "gather-gf3-light", "gather-gf5", "gather-gf5-one-row-light", "no-rows-40"])
+def test_image_codes_match_a_per_member_reference(monkeypatch, q, rows, n, count, light):
     rng = np.random.default_rng(q + rows + n)
-    maps = rng.integers(0, q, (6, rows, n))
+    maps = rng.integers(0, q, (count, rows, n))
     maps[0] = q - 1  # the largest digit sums, n (q-1)^2
+    maps[-1] = maps[0]  # a repeated member
     words = rng.permutation(word_table(q, n))
+    if light:
+        words = words[np.count_nonzero(words, axis=1) <= 1]
+    gather = count * rows > q ** n
+    tables = []
+    monkeypatch.setattr(gf_linalg, "word_table",
+                        lambda *args: tables.append(args) or word_table(*args))
     row_entries = max(len(words) * rows, 1)
     monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", 2 * row_entries)
-    assert len(list(gf_linalg.chunks(len(maps), row_entries))) == 3
+    assert len(list(gf_linalg.chunks(len(maps), row_entries))) == -(-count // 2) >= 3
     ref = np.zeros((len(maps), len(words)), dtype=np.int64)
     for b, m in enumerate(maps):
         for r in range(rows):
@@ -261,6 +276,7 @@ def test_image_codes_match_a_per_member_reference(monkeypatch, q, rows, n):
     codes = gf_linalg.image_codes(maps, q, words)
     assert codes.dtype == np.min_scalar_type(q ** rows - 1)
     assert codes.tolist() == ref.tolist()
+    assert (tables == [(q, n)]) == gather  # the gather path reads every row's digits
     assert gf_linalg.image_codes(maps, q, words[:0]).shape == (len(maps), 0)
 
 

@@ -166,17 +166,30 @@ def test_product_table_matches_a_per_word_fold(q, n, batch, op):
 
 
 @pytest.mark.parametrize("op", [np.multiply, np.add])
-@pytest.mark.parametrize("chunk", [12, 40, 120, 2 ** 17],
+# a sixteenth of each chunk holds 3, 10, 30 and 2048 words of the 4 rows: runs of
+# 3, 9 and 27 words, and one run of all 243
+@pytest.mark.parametrize("chunk", [16 * 12, 16 * 40, 16 * 120, 2 ** 17],
                          ids=["runs-of-3", "runs-of-9", "runs-of-27", "one-run"])
 def test_product_blocks_cut_the_whole_table(monkeypatch, chunk, op):
-    # blocks that split a run, span several, and a short last block
+    # blocks that split a run, span several, and a short last block; the second
+    # split starts and ends inside runs of 3, 9 and 27 words
     letters = _letters(3, 5, (4,), op)
     whole = rng.product_table(letters, op)
-    blocks = [slice(0, 7), slice(7, 8), slice(8, 50), slice(50, 200), slice(200, 243)]
+    splits = [[0, 7, 8, 50, 200, 243], [0, 1, 13, 14, 40, 121, 134, 242, 243]]
     monkeypatch.setattr(gf_linalg, "CHUNK_ENTRIES", chunk)
-    got = list(rng.product_blocks(letters, blocks, op))
-    assert all(block.flags.c_contiguous for block in got)
-    assert np.array_equal(np.concatenate(got, axis=-1), whole)
+    for cuts in splits:
+        blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        got = list(rng.product_blocks(letters, blocks, op))
+        assert all(block.flags.c_contiguous for block in got)
+        assert np.array_equal(np.concatenate(got, axis=-1), whole)
+        # a second call, and two calls read in step, give the same floats: no
+        # buffer carries values from one call into another
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(got, rng.product_blocks(letters, blocks, op), strict=True))
+        pairs = list(zip(rng.product_blocks(letters[::-1].copy(), blocks, op),
+                         rng.product_blocks(letters, blocks, op), strict=True))
+        assert np.array_equal(np.concatenate([b for b, _ in pairs], axis=-1), whole[::-1])
+        assert all(np.array_equal(a, c) for a, (_, c) in zip(got, pairs))
     assert np.array_equal(rng.product_table(letters, op), whole)
 
 
